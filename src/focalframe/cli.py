@@ -37,7 +37,7 @@ from .errors import (
     OutOfDomain,
     SpecFileError,
 )
-from .focal import focal_curvatures, focal_relations_check
+from .focal import MIN_GRID, focal_curvatures, focal_relations_check
 from .frenet import classify, curvature_table
 from .slant import is_k_slant, verify_focal_slant
 from .specfile import build_curve, load_curve_spec, samples_spec_dict, save_spec
@@ -67,6 +67,10 @@ class RunConfig:
     def __post_init__(self):
         if self.grid_points < 16:
             raise SpecFileError(f"grid_points must be at least 16, got {self.grid_points}")
+        if self.command in ("focal", "verify") and self.grid_points < MIN_GRID:
+            raise SpecFileError(
+                f"{self.command} needs at least {MIN_GRID} grid points, got {self.grid_points}"
+            )
         if self.tolerance is not None and self.tolerance <= 0:
             raise SpecFileError("tolerance must be positive")
 
@@ -91,6 +95,11 @@ def _load(config: RunConfig) -> Curve:
     if config.dim is not None and config.dim != spec.dim:
         raise SpecFileError(f"--dim {config.dim} contradicts spec dim {spec.dim}")
     return build_curve(spec, step=config.step)
+
+
+def _check_k(config: RunConfig, curve: Curve) -> None:
+    if config.k is not None and not 1 <= config.k <= curve.dimension:
+        raise SpecFileError(f"--k must lie in [1, {curve.dimension}], got {config.k}")
 
 
 def _unit_speed(curve: Curve) -> Curve:
@@ -166,6 +175,7 @@ def _cmd_focal(config: RunConfig, out: Path) -> int:
 
 def _cmd_slant(config: RunConfig, out: Path) -> int:
     curve = _load(config)
+    _check_k(config, curve)
     grid = curve.grid(config.grid_points)
     ks = [config.k] if config.k is not None else list(range(1, curve.dimension + 1))
     reports = [is_k_slant(curve, k, grid, config.tolerance) for k in ks]
@@ -176,6 +186,7 @@ def _cmd_slant(config: RunConfig, out: Path) -> int:
 
 def _cmd_verify(config: RunConfig, out: Path) -> int:
     curve = _load(config)
+    _check_k(config, curve)
     grid = curve.grid(config.grid_points)
     m = curve.dimension - 1
     if config.k is not None:

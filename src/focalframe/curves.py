@@ -24,11 +24,12 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import quad
+from numpy.polynomial.legendre import leggauss, legint, legvander
 from scipy.interpolate import CubicSpline
 
 from .errors import (
     BadParameters,
+    ConvergenceFailure,
     InvalidProfile,
     NonOrthonormalFrame,
     OrderUnsupported,
@@ -50,6 +51,8 @@ _DOMAIN_SLACK = 1e-9
 _PROBE_POINTS = 64
 _DEFAULT_ODE_STEPS = 4096
 _TWO_PI = 2.0 * math.pi
+_CHECKPOINTS = 512
+_NEWTON_STEPS = 60
 
 
 @dataclass(frozen=True)
@@ -57,9 +60,10 @@ class Curve:
     """Evaluable map from a real interval into E^{m+1}.
 
     ``evaluator(t, order)`` returns an array of shape (order + 1, dimension)
-    whose rows are the position and derivatives up to ``order``. Use the
-    module-level :func:`eval_derivatives` for the domain- and order-checked
-    entry point.
+    whose rows are the position and derivatives up to ``order``; given a
+    1-d numpy array of N parameters it returns shape (N, order + 1,
+    dimension). Use the module-level :func:`eval_derivatives` for the
+    domain- and order-checked entry point.
     """
 
     dimension: int
@@ -109,7 +113,7 @@ def eval_derivatives(curve: Curve, t: float, order: int) -> np.ndarray:
 
 def _probe_regularity(curve: Curve) -> None:
     ts = np.linspace(curve.domain[0], curve.domain[1], _PROBE_POINTS)
-    speeds = np.array([np.linalg.norm(curve.evaluator(t, 1)[1]) for t in ts])
+    speeds = np.linalg.norm(np.asarray(curve.evaluator(ts, 1), dtype=float)[:, 1], axis=-1)
     if not np.all(np.isfinite(speeds)):
         raise RegularityFailure("derivative oracle returned non-finite values on probe grid")
     floor = 1e-12 * max(1.0, float(speeds.max()))
@@ -127,7 +131,10 @@ def make_curve(
     label: str = "",
     check_regularity: bool = True,
 ) -> Curve:
-    """Validated Curve constructor used by every factory in this module."""
+    """Validated Curve constructor used by every factory in this module.
+
+    ``evaluator`` must follow the :class:`Curve` contract, array calls included.
+    """
     if dimension < 2:
         raise BadParameters(f"ambient dimension must be at least 2, got {dimension}")
     lo, hi = float(domain[0]), float(domain[1])
@@ -139,6 +146,20 @@ def make_curve(
     if check_regularity:
         _probe_regularity(curve)
     return curve
+
+
+def _pointwise(scalar_evaluator: Callable[[float, int], np.ndarray], dimension: int):
+    """Evaluator meeting the array contract by mapping a scalar one over the points."""
+
+    def evaluator(t, order: int) -> np.ndarray:
+        if not (isinstance(t, np.ndarray) and t.ndim):
+            return scalar_evaluator(t, order)
+        out = np.empty((t.size, order + 1, dimension))
+        for i, x in enumerate(t.tolist()):
+            out[i] = scalar_evaluator(x, order)
+        return out
+
+    return evaluator
 
 
 # ---------------------------------------------------------------------------
@@ -178,33 +199,46 @@ def curve_from_coordinates(
     dim = len(coords)
     if max_order is None:
         max_order = dim + 1
+    # Array calls evaluate all terms at once; the 0/1 matrix ``owner`` sums
+    # them into their coordinates.
+    terms = [(j, *term) for j, c in enumerate(coords) for term in c.terms]
+    owner = np.eye(dim)[[j for j, *_ in terms]]
+    amp, freq, phase = np.array([term for _, *term in terms], dtype=float).reshape(-1, 3).T
+    const, slope = np.array([(c.const, c.slope) for c in coords], dtype=float).T
+    if not np.all(np.isfinite(np.concatenate([amp, freq, phase, const, slope]))):
+        raise BadParameters(f"{label or 'curve'}: parameters must be finite")
 
-    def evaluator(t: float, order: int) -> np.ndarray:
-        return np.array([[c.eval(t, j) for c in coords] for j in range(order + 1)])
+    def evaluator(t, order: int) -> np.ndarray:
+        if not (isinstance(t, np.ndarray) and t.ndim):
+            return np.array([[c.eval(t, j) for c in coords] for j in range(order + 1)])
+        arg = np.multiply.outer(t, freq) + phase
+        out = np.stack([(amp * freq**j * np.sin(arg + j * 0.5 * math.pi)) @ owner
+                        for j in range(order + 1)], axis=1)
+        out[:, 0] += const + np.multiply.outer(t, slope)
+        if order:
+            out[:, 1] += slope
+        return out
 
     return make_curve(dim, domain, "analytic", max_order, evaluator, label)
+
+
+def _ellipse_block(a: float, b: float, w: float = 1.0) -> tuple[TrigCoordinate, TrigCoordinate]:
+    """The coordinate pair (a cos wt, b sin wt)."""
+    return (TrigCoordinate(terms=((a, w, 0.5 * math.pi),)), TrigCoordinate(terms=((b, w, 0.0),)))
 
 
 def make_circle(r: float, domain: tuple[float, float] = (0.0, _TWO_PI)) -> Curve:
     """Plane circle of radius r, curvature 1/r."""
     if r <= 0:
         raise BadParameters(f"radius must be positive, got {r}")
-    coords = (
-        TrigCoordinate(terms=((r, 1.0, 0.5 * math.pi),)),
-        TrigCoordinate(terms=((r, 1.0, 0.0),)),
-    )
-    return curve_from_coordinates(coords, domain, label=f"circle(r={r})")
+    return curve_from_coordinates(_ellipse_block(r, r), domain, label=f"circle(r={r})")
 
 
 def make_ellipse(a: float, b: float, domain: tuple[float, float] = (0.0, _TWO_PI)) -> Curve:
     """Plane ellipse (a cos t, b sin t); its focal curve is the classical evolute."""
     if a <= 0 or b <= 0 or a == b:
         raise BadParameters("ellipse needs distinct positive semi-axes")
-    coords = (
-        TrigCoordinate(terms=((a, 1.0, 0.5 * math.pi),)),
-        TrigCoordinate(terms=((b, 1.0, 0.0),)),
-    )
-    return curve_from_coordinates(coords, domain, label=f"ellipse(a={a},b={b})")
+    return curve_from_coordinates(_ellipse_block(a, b), domain, label=f"ellipse(a={a},b={b})")
 
 
 def make_helix(a: float, b: float, domain: tuple[float, float] = (0.0, _TWO_PI)) -> Curve:
@@ -213,11 +247,7 @@ def make_helix(a: float, b: float, domain: tuple[float, float] = (0.0, _TWO_PI))
         raise BadParameters(f"helix radius must be positive, got {a}")
     if b == 0:
         raise BadParameters("helix pitch must be nonzero (use make_circle for b=0)")
-    coords = (
-        TrigCoordinate(terms=((a, 1.0, 0.5 * math.pi),)),
-        TrigCoordinate(terms=((a, 1.0, 0.0),)),
-        TrigCoordinate(slope=b),
-    )
+    coords = (*_ellipse_block(a, a), TrigCoordinate(slope=b))
     return curve_from_coordinates(coords, domain, label=f"helix(a={a},b={b})")
 
 
@@ -254,10 +284,7 @@ def make_wcurve(
     else:
         raise BadParameters(f"dim={dim} incompatible with {p} circle blocks")
 
-    coords: list[TrigCoordinate] = []
-    for r, w in zip(radii, freqs):
-        coords.append(TrigCoordinate(terms=((r, w, 0.5 * math.pi),)))
-        coords.append(TrigCoordinate(terms=((r, w, 0.0),)))
+    coords = [c for r, w in zip(radii, freqs) for c in _ellipse_block(r, r, w)]
     if dim % 2 == 1:
         coords.append(TrigCoordinate(slope=pitch))
     label = f"wcurve(radii={radii},freqs={freqs},pitch={pitch})"
@@ -312,20 +339,16 @@ def make_salkowski(n: float, domain: tuple[float, float] | None = None) -> Curve
 def _validate_salkowski(curve: Curve, n: float) -> None:
     # Constant-angle gate: reject the construction rather than ship a curve
     # whose normal does not actually ride the cone.
-    axis = np.zeros(3)
-    axis[2] = 1.0
-    cosines = []
-    kappa1 = []
-    for t in np.linspace(curve.domain[0], curve.domain[1], 33):
-        derivs = eval_derivatives(curve, t, 2)
+    cosines, kappa1 = [], []
+    for derivs in curve.evaluator(curve.grid(33), 2):
         orth, norms = gram_schmidt(derivs[1:])
-        cosines.append(float(axis @ (orth[1] / norms[1])))
+        cosines.append(abs(orth[1, 2] / norms[1]))
         kappa1.append(norms[1] / (norms[0] * norms[0]))
-    cosines = np.asarray(cosines)
-    if np.max(np.abs(np.abs(cosines) - abs(n))) > 1e-6:
+    drift = float(np.max(np.abs(np.asarray(cosines) - abs(n))))
+    if drift > 1e-6:
         raise BadParameters(
-            f"normal-axis cosine drifts from |n|={abs(n)} (max err "
-            f"{np.max(np.abs(np.abs(cosines) - abs(n))):.2e}); construction rejected"
+            f"normal-axis cosine drifts from |n|={abs(n)} (max err {drift:.2e}); "
+            "construction rejected"
         )
     if np.max(np.abs(np.asarray(kappa1) - 1.0)) > 1e-6:
         raise BadParameters("first curvature is not the expected constant 1")
@@ -357,69 +380,76 @@ def random_trig_curve(
 # arclength
 # ---------------------------------------------------------------------------
 
+_GL_NODES, _GL_WEIGHTS = leggauss(20)
+# Values at the nodes -> Legendre coefficients of their degree-19 interpolant:
+# c_k = (k + 1/2) sum_j w_j P_k(x_j) f_j, which the 20-node rule makes exact.
+_GL_TO_LEGENDRE = _GL_WEIGHTS[:, None] * legvander(_GL_NODES, 19) * (np.arange(20) + 0.5)
+
+
 def arc_length(curve: Curve, t0: float, t1: float) -> float:
-    """Length of the arc between parameters t0 <= t1 by adaptive quadrature."""
+    """Length of the arc between parameters t0 <= t1, from the table that
+    :func:`reparam_to_arclength` builds, with spans no wider than its own."""
     t0 = _check_domain(curve, t0)
     t1 = _check_domain(curve, t1)
     if t1 < t0:
         raise ValueError("t1 must not precede t0")
-
-    def speed(t: float) -> float:
-        return float(np.linalg.norm(curve.evaluator(t, 1)[1]))
-
-    value, _ = quad(speed, t0, t1, epsabs=1e-10, epsrel=1e-12, limit=200)
-    return float(value)
-
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
-
-
-def _gl_arc(curve: Curve, a: float, b: float) -> float:
-    # 20-node Gauss-Legendre: used for short spans between cached checkpoints,
-    # where it is far beyond the accuracy of the checkpoint table itself.
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    ts = mid + half * _GL_NODES
-    speeds = np.array([np.linalg.norm(curve.evaluator(t, 1)[1]) for t in ts])
-    return float(half * (speeds @ _GL_WEIGHTS))
+    spans = max(1, math.ceil(_CHECKPOINTS * (t1 - t0) / curve.length_of_domain))
+    return _ArclengthMap(curve, np.linspace(t0, t1, spans + 1)).total
 
 
 class _ArclengthMap:
-    """Cumulative-length table with Newton inversion."""
+    """Arclength as one polynomial per span, inverted without oracle calls.
 
-    def __init__(self, curve: Curve, checkpoints: int = 512):
-        self.curve = curve
-        self.ts = np.linspace(curve.domain[0], curve.domain[1], checkpoints + 1)
-        spans = [_gl_arc(curve, a, b) for a, b in zip(self.ts[:-1], self.ts[1:])]
-        self.cum = np.concatenate([[0.0], np.cumsum(spans)])
+    The speeds at the 20 Gauss-Legendre nodes of every span between
+    consecutive ``edges`` come from one oracle call. On each span, mapped to
+    x in [-1, 1], ds/dx is their interpolant and s(x) - s(-1) its
+    antiderivative, both kept as Legendre coefficients.
+    """
+
+    def __init__(self, curve: Curve, edges: np.ndarray):
+        self.ts = edges
+        self.half = 0.5 * np.diff(edges)
+        nodes = (edges[:-1] + self.half)[:, None] + self.half[:, None] * _GL_NODES
+        derivs = np.asarray(curve.evaluator(nodes.ravel(), 1), dtype=float)
+        speeds = np.linalg.norm(derivs[:, 1], axis=-1).reshape(nodes.shape)
+        bad = np.flatnonzero(~(np.isfinite(speeds) & (speeds > 0.0)))
+        if bad.size:
+            raise RegularityFailure(f"speed {speeds.flat[bad[0]]:.3e} at "
+                                    f"t={nodes.flat[bad[0]]!r} in the arclength table")
+        self.rate = speeds @ _GL_TO_LEGENDRE * self.half[:, None]
+        self.arc = legint(self.rate, lbnd=-1.0, axis=1)
+        self.cum = np.concatenate([[0.0], np.cumsum(self.half * (speeds @ _GL_WEIGHTS))])
         self.total = float(self.cum[-1])
 
-    def speed(self, t: float) -> float:
-        return float(np.linalg.norm(self.curve.evaluator(t, 1)[1]))
-
-    def forward(self, t: float) -> float:
-        i = int(np.clip(np.searchsorted(self.ts, t) - 1, 0, self.ts.size - 2))
-        return float(self.cum[i] + _gl_arc(self.curve, self.ts[i], t))
-
     def invert(self, s: float) -> float:
+        """Parameter at arclength s: bracketed Newton on one span's polynomial."""
         s = min(max(s, 0.0), self.total)
-        i = int(np.clip(np.searchsorted(self.cum, s) - 1, 0, self.ts.size - 2))
-        lo, hi = self.ts[i], self.ts[i + 1]
-        t = lo + (hi - lo) * (s - self.cum[i]) / max(self.cum[i + 1] - self.cum[i], 1e-300)
-        for _ in range(60):
-            err = self.cum[i] + _gl_arc(self.curve, self.ts[i], t) - s
+        i = int(np.clip(np.searchsorted(self.cum, s) - 1, 0, self.half.size - 1))
+        target = float(s - self.cum[i])
+        arc, rate = self.arc[i].tolist(), self.rate[i].tolist()
+        start, half = float(self.ts[i]), float(self.half[i])
+        lo, hi = -1.0, 1.0
+        x = min(max(-1.0 + 2.0 * target / max(self.cum[i + 1] - self.cum[i], 1e-300), lo), hi)
+        for _ in range(_NEWTON_STEPS):
+            p = [1.0, x]  # P_0(x) .. P_20(x) by the three-term recurrence
+            for k in range(1, len(arc) - 1):
+                p.append(((2 * k + 1) * x * p[k] - k * p[k - 1]) / (k + 1))
+            err = sum(map(float.__mul__, p, arc)) - target
             if err > 0.0:
-                hi = t
+                hi = x
             else:
-                lo = t
-            step = err / self.speed(t)
-            t_new = t - step
-            if not (lo <= t_new <= hi):
-                t_new = 0.5 * (lo + hi)
-            if abs(t_new - t) <= 1e-15 * max(1.0, abs(t)):
-                return float(t_new)
-            t = t_new
-        return float(t)
+                lo = x
+            slope = sum(map(float.__mul__, p, rate))
+            x_new = x - err / slope if slope > 0.0 else math.nan  # nan: bisect
+            if not (lo <= x_new <= hi):
+                x_new = 0.5 * (lo + hi)
+            t = start + half * (1.0 + x_new)
+            if err == 0.0 or half * abs(x_new - x) <= 1e-15 * max(1.0, abs(t)):
+                return t
+            x = x_new
+        raise ConvergenceFailure(
+            f"arclength inversion at s={s!r} did not converge in {_NEWTON_STEPS} Newton steps"
+        )
 
 
 def _derivs_through_substitution(base: np.ndarray, order: int, fact: np.ndarray) -> np.ndarray:
@@ -447,15 +477,19 @@ def _derivs_through_substitution(base: np.ndarray, order: int, fact: np.ndarray)
     return out * fact[:n, None]
 
 
-def reparam_to_arclength(curve: Curve, checkpoints: int = 512) -> Curve:
+def reparam_to_arclength(curve: Curve, checkpoints: int = _CHECKPOINTS) -> Curve:
     """Same trace, parametrized by arclength starting at 0.
 
-    The inverse parameter map comes from a cached cumulative-length table
-    refined by bracketed Newton steps; the derivative oracle is rebuilt by
-    power-series substitution, so the unit-speed identity holds to roundoff
-    rather than to the accuracy of the inversion.
+    The length table takes one array call to the base oracle (20
+    Gauss-Legendre nodes on each of ``checkpoints`` spans) and raises
+    :class:`RegularityFailure` at a non-finite or non-positive node speed.
+    Each evaluation inverts it by bracketed Newton on one span's polynomial
+    (:class:`ConvergenceFailure` if the step budget runs out), then makes one
+    scalar base call and rebuilds the derivative oracle by power-series
+    substitution, so the unit-speed identity holds to roundoff rather than
+    to the accuracy of the inversion.
     """
-    amap = _ArclengthMap(curve, checkpoints)
+    amap = _ArclengthMap(curve, curve.grid(checkpoints + 1))
     fact = factorials(curve.max_order + 1)
 
     def evaluator(s: float, order: int) -> np.ndarray:
@@ -470,7 +504,7 @@ def reparam_to_arclength(curve: Curve, checkpoints: int = 512) -> Curve:
         (0.0, amap.total),
         curve.kind,
         curve.max_order,
-        evaluator,
+        _pointwise(evaluator, curve.dimension),
         label=f"arclength({curve.label or curve.kind})",
         check_regularity=False,
     )
@@ -512,7 +546,7 @@ def sampled_curve(
         return w @ P[sl]
 
     return make_curve(P.shape[1], (float(t[0]), float(t[-1])), "sampled",
-                      max_order, evaluator, label)
+                      max_order, _pointwise(evaluator, P.shape[1]), label)
 
 
 # ---------------------------------------------------------------------------
@@ -774,5 +808,5 @@ def synthesize_from_curvatures(
         rows = _body_frame_derivatives(F, kser, order)
         return np.vstack([pos[None, :], rows])
 
-    return make_curve(dim, (lo, hi), "synthesized", max_order, evaluator,
+    return make_curve(dim, (lo, hi), "synthesized", max_order, _pointwise(evaluator, dim),
                       label=f"synthesized(m={m})")

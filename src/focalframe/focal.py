@@ -27,7 +27,7 @@ from .numdiff import grid_derivative
 
 VERTEX_TOL = 1e-10
 _UNIT_SPEED_TOL = 1e-6
-_MIN_GRID = 64
+MIN_GRID = 64
 
 
 @dataclass(frozen=True)
@@ -70,8 +70,8 @@ def focal_curvatures(curve: Curve, grid) -> list[FocalData]:
     below 1e-10) are flagged via ``is_vertex``, not dropped.
     """
     ss = np.asarray(grid, dtype=float)
-    if ss.size < _MIN_GRID:
-        raise ValueError(f"focal analysis needs at least {_MIN_GRID} grid points, got {ss.size}")
+    if ss.size < MIN_GRID:
+        raise ValueError(f"focal analysis needs at least {MIN_GRID} grid points, got {ss.size}")
     m = curve.dimension - 1
     try:
         frames = frenet_grid(curve, ss, order=m + 1)

@@ -33,7 +33,7 @@ from .curves import (
     sampled_curve,
     synthesize_from_curvatures,
 )
-from .errors import FocalFrameError, SpecFileError
+from .errors import SpecFileError
 
 CURVE_TYPES = ("circle", "helix", "wcurve", "salkowski", "samples", "curvatures")
 _TOP_FIELDS = {"type", "dim", "params", "domain", "rows"}
@@ -82,7 +82,10 @@ def parse_curve_spec(raw) -> CurveSpec:
     if domain is not None:
         if (not isinstance(domain, (list, tuple)) or len(domain) != 2):
             raise SpecFileError("'domain' must be [s_min, s_max]")
-        domain = (float(domain[0]), float(domain[1]))
+        try:
+            domain = (float(domain[0]), float(domain[1]))
+        except (TypeError, ValueError):
+            raise SpecFileError(f"'domain' entries must be numbers, got {domain!r}") from None
 
     rows = raw.get("rows")
     if ctype in ("samples", "curvatures"):
@@ -148,10 +151,6 @@ def build_curve(spec: CurveSpec, step: float | None = None) -> Curve:
         raise SpecFileError(f"type {spec.type!r} is missing param {exc.args[0]!r}") from exc
     except (TypeError, ValueError) as exc:
         raise SpecFileError(f"bad value in spec params: {exc}") from exc
-    except SpecFileError:
-        raise
-    except FocalFrameError:
-        raise
 
 
 def samples_spec_dict(curve: Curve, n_rows: int) -> dict:

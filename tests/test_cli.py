@@ -227,6 +227,30 @@ def test_dim_flag_contradiction(tmp_path, helix_spec):
                  "--dim", "4"]) == EXIT_INPUT_ERROR
 
 
+@pytest.mark.parametrize("args", [
+    ["focal", "--grid-points", "32"],
+    ["verify", "--grid-points", "32"],
+    ["verify", "--k", "9"],
+    ["slant", "--k", "0"],
+])
+def test_flag_out_of_range_is_input_error(tmp_path, helix_spec, capsys, args):
+    rc = main([*args, "--input", helix_spec, "--output", str(tmp_path / "x")])
+    assert rc == EXIT_INPUT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("fields", [
+    {"params": {"a": "nan", "b": 1.0}},
+    {"params": {"a": 2.0, "b": 1.0}, "domain": ["x", 1.0]},
+], ids=["nan-param", "text-domain"])
+def test_bad_spec_value_is_input_error(tmp_path, capsys, fields):
+    spec = write_spec(tmp_path, "bad.json", {"type": "helix", "dim": 3, **fields})
+    assert main(["analyze", "--input", spec, "--output", str(tmp_path / "x")]) == EXIT_INPUT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_outputs_are_byte_identical(tmp_path, helix_spec):
     a, b = tmp_path / "a", tmp_path / "b"
     main(["slant", "--input", helix_spec, "--output", str(a)])

@@ -6,13 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import focalframe as ff
+from focalframe import curves
 from focalframe.curves import (
     ConstantProfile,
+    SinusoidProfile,
     TrigCoordinate,
     curve_from_coordinates,
+    make_curve,
 )
 from focalframe.errors import (
     BadParameters,
+    ConvergenceFailure,
     InvalidProfile,
     NonOrthonormalFrame,
     OrderUnsupported,
@@ -62,6 +66,39 @@ def test_out_of_domain_and_order_errors(helix):
         ff.eval_derivatives(helix, 1.0, helix.max_order + 1)
 
 
+def _sampled_helix(helix):
+    ts = helix.grid(256)
+    return ff.sampled_curve(ts, np.array([helix.point(float(t)) for t in ts]))
+
+
+def _synthesized():
+    profile = ff.CurvatureProfile(
+        (SinusoidProfile(1.0, 0.2, 1.5), ConstantProfile(0.4)), (0.0, 4.0))
+    return ff.synthesize_from_curvatures(profile, 3, step=4.0 / 256)
+
+
+@pytest.mark.parametrize("kind", ["analytic", "sampled", "synthesized", "arclength"])
+def test_array_call_equals_stacked_scalar_calls(kind, helix, salkowski, unit_salkowski):
+    curve = {
+        "analytic": salkowski,
+        "sampled": _sampled_helix(helix),
+        "synthesized": _synthesized(),
+        "arclength": unit_salkowski,
+    }[kind]
+    ts = np.linspace(curve.domain[0], curve.domain[1], 13)
+    for order in range(curve.max_order + 1):
+        got = curve.evaluator(ts, order)
+        want = np.array([curve.evaluator(float(t), order) for t in ts])
+        assert got.shape == (ts.size, order + 1, curve.dimension)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.max(np.abs(want)))
+
+
+def test_array_call_on_linear_coordinates():
+    line = make_line((1.0, 2.0), 2)
+    got = line.evaluator(np.array([0.0, 1.5]), 2)
+    np.testing.assert_allclose(got[1], [[1.5, 3.0], [1.0, 2.0], [0.0, 0.0]], atol=1e-15)
+
+
 # ------------------------------------------------------------------- arc length
 
 def test_circle_circumference():
@@ -99,6 +136,54 @@ def test_reparam_helix_closed_form(unit_helix):
     for s in (0.0, 2.0, 9.5):
         expected = np.array([2 * math.cos(s / SQRT5), 2 * math.sin(s / SQRT5), s / SQRT5])
         np.testing.assert_allclose(unit_helix.point(s), expected, atol=1e-9)
+
+
+def test_arc_length_agrees_with_reparam_table(salkowski, unit_salkowski):
+    lo, hi = salkowski.domain
+    assert ff.arc_length(salkowski, lo, hi) == pytest.approx(unit_salkowski.domain[1], abs=1e-12)
+    assert ff.arc_length(salkowski, 1.0, 1.0) == 0.0
+
+
+def test_reparam_sampled_curve(helix, unit_helix):
+    unit = ff.reparam_to_arclength(_sampled_helix(helix))
+    assert unit.kind == "sampled"
+    assert unit.domain[1] == pytest.approx(unit_helix.domain[1], abs=1e-8)
+    for s in (1.0, 7.0, 12.0):
+        np.testing.assert_allclose(unit.point(s), unit_helix.point(s), atol=1e-8)
+        assert np.linalg.norm(unit.derivative(s)) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_reparam_synthesized_curve():
+    syn = _synthesized()  # already unit speed, domain [0, 4]
+    unit = ff.reparam_to_arclength(syn, checkpoints=64)
+    assert unit.domain[1] == pytest.approx(4.0, abs=1e-8)
+    for s in (0.5, 2.0, 3.5):
+        np.testing.assert_allclose(unit.point(s), syn.point(s), atol=1e-8)
+        np.testing.assert_allclose(unit.derivative(s, 2), syn.derivative(s, 2), atol=1e-6)
+
+
+def _stalling_evaluator(t, order):
+    # (t - clip(t, -1/4, 1/4), 0): at rest on the middle stretch of [-1, 1]
+    t = np.asarray(t, dtype=float)
+    zero = np.zeros_like(t)
+    rows = [np.stack([t - np.clip(t, -0.25, 0.25), zero], axis=-1),
+            np.stack([(np.abs(t) >= 0.25).astype(float), zero], axis=-1)]
+    rows += [np.stack([zero, zero], axis=-1)] * (order - 1)
+    return np.stack(rows[: order + 1], axis=-2)
+
+
+def test_reparam_rejects_speed_vanishing_inside_domain():
+    curve = make_curve(2, (-1.0, 1.0), "analytic", 3, _stalling_evaluator,
+                       check_regularity=False)
+    with pytest.raises(RegularityFailure):
+        ff.reparam_to_arclength(curve)
+
+
+def test_inversion_budget_exhaustion_raises(salkowski, monkeypatch):
+    unit = ff.reparam_to_arclength(salkowski)
+    monkeypatch.setattr(curves, "_NEWTON_STEPS", 1)
+    with pytest.raises(ConvergenceFailure):
+        unit.point(0.37 * unit.domain[1])
 
 
 def test_reparam_speed_is_one_everywhere(unit_salkowski):
@@ -155,6 +240,12 @@ def test_factory_parameter_validation():
         ff.make_salkowski(0.5)
     with pytest.raises(BadParameters):
         ff.make_ellipse(2.0, 2.0)
+    with pytest.raises(BadParameters):
+        ff.make_helix(float("nan"), 1.0)  # nan <= 0 is False: caught as non-finite
+    with pytest.raises(BadParameters):
+        ff.make_circle(float("inf"))
+    with pytest.raises(BadParameters):
+        ff.make_wcurve([1.0], [1.0], pitch=float("nan"), dim=3)
 
 
 @given(st.floats(0.12, 0.45))
