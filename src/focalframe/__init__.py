@@ -57,7 +57,7 @@ from .frenet import (
     frenet_apparatus,
     frenet_grid,
 )
-from .linalg import SymMatrix, gram_schmidt, smallest_eigenpair, solve_linear
+from .linalg import gram_schmidt, solve_linear
 from .slant import (
     AxisFit,
     ResidualTable,

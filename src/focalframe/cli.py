@@ -9,8 +9,8 @@ Five subcommands over curve spec files (see :mod:`focalframe.specfile`):
 * ``synthesize``  integrate a curvatures spec into a samples spec
 
 ``--output`` is a path prefix: commands write ``PREFIX.csv`` and/or
-``PREFIX.json``. Outputs are deterministic: a fixed seed, fixed summation
-orders and 17-significant-digit CSV floats make identical inputs produce
+``PREFIX.json``. Outputs are deterministic: fixed summation orders and
+17-significant-digit CSV floats make identical inputs produce
 byte-identical files.
 
 Exit codes: 0 success, 1 verification failed, 2 input error, 3 numeric
@@ -21,14 +21,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .curves import Curve, reparam_to_arclength
+from .curves import Curve, as_unit_speed
 from .errors import (
     BadParameters,
     FocalFrameError,
@@ -42,7 +41,11 @@ from .frenet import classify, curvature_table
 from .slant import is_k_slant, verify_focal_slant
 from .specfile import build_curve, load_curve_spec, samples_spec_dict, save_spec
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
+
+# Largest --grid-points accepted; every test, script and benchmark stays at or
+# below 4096, and far larger grids only exhaust memory.
+MAX_GRID = 1 << 16
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -61,18 +64,21 @@ class RunConfig:
     tolerance: float | None = None
     k: int | None = None
     dim: int | None = None
-    seed: int = 42
     step: float | None = None
 
     def __post_init__(self):
         if self.grid_points < 16:
             raise SpecFileError(f"grid_points must be at least 16, got {self.grid_points}")
+        if self.grid_points > MAX_GRID:
+            raise SpecFileError(f"grid_points must be at most {MAX_GRID}, got {self.grid_points}")
         if self.command in ("focal", "verify") and self.grid_points < MIN_GRID:
             raise SpecFileError(
                 f"{self.command} needs at least {MIN_GRID} grid points, got {self.grid_points}"
             )
-        if self.tolerance is not None and self.tolerance <= 0:
-            raise SpecFileError("tolerance must be positive")
+        if self.tolerance is not None and not 0 < self.tolerance < math.inf:
+            raise SpecFileError(f"tolerance must be positive and finite, got {self.tolerance!r}")
+        if self.step is not None and not 0 < self.step < math.inf:
+            raise SpecFileError(f"step must be positive and finite, got {self.step!r}")
 
 
 def _fmt(x: float) -> str:
@@ -102,18 +108,11 @@ def _check_k(config: RunConfig, curve: Curve) -> None:
         raise SpecFileError(f"--k must lie in [1, {curve.dimension}], got {config.k}")
 
 
-def _unit_speed(curve: Curve) -> Curve:
-    probes = curve.grid(17)
-    worst = max(abs(float(np.linalg.norm(curve.evaluator(float(t), 1)[1])) - 1.0) for t in probes)
-    return curve if worst <= 1e-8 else reparam_to_arclength(curve)
-
-
 def _meta(config: RunConfig) -> dict:
     return {
         "command": config.command,
         "input": config.input_path,
         "grid_points": config.grid_points,
-        "seed": config.seed,
         "version": __version__,
     }
 
@@ -150,7 +149,7 @@ def _cmd_analyze(config: RunConfig, out: Path) -> int:
 
 
 def _cmd_focal(config: RunConfig, out: Path) -> int:
-    curve = _unit_speed(_load(config))
+    curve = as_unit_speed(_load(config))
     grid = curve.grid(config.grid_points)
     table = focal_curvatures(curve, grid)
     m = curve.dimension - 1
@@ -267,7 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override the per-kind detection/classification tolerance")
         p.add_argument("--k", type=int, default=None, help="slant index (default: all)")
         p.add_argument("--dim", type=int, default=None, help="assert the ambient dimension")
-        p.add_argument("--seed", type=int, default=42)
         p.add_argument("--step", type=float, default=None,
                        help="integrator step override for synthesized curves")
     return parser
@@ -284,7 +282,6 @@ def main(argv=None) -> int:
             tolerance=args.tolerance,
             k=args.k,
             dim=args.dim,
-            seed=args.seed,
             step=args.step,
         )
     except SpecFileError as exc:

@@ -53,6 +53,8 @@ _DEFAULT_ODE_STEPS = 4096
 _TWO_PI = 2.0 * math.pi
 _CHECKPOINTS = 512
 _NEWTON_STEPS = 60
+_UNIT_SPEED_PROBES = 17
+_UNIT_SPEED_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -508,6 +510,18 @@ def reparam_to_arclength(curve: Curve, checkpoints: int = _CHECKPOINTS) -> Curve
         label=f"arclength({curve.label or curve.kind})",
         check_regularity=False,
     )
+
+
+def as_unit_speed(curve: Curve) -> Curve:
+    """``curve`` itself when it already has unit speed, else its arclength version.
+
+    The speed is probed in one array call at ``_UNIT_SPEED_PROBES`` evenly
+    spaced parameters, endpoints included; the curve counts as unit speed
+    when every probe is within ``_UNIT_SPEED_TOL`` of 1.
+    """
+    derivs = np.asarray(curve.evaluator(curve.grid(_UNIT_SPEED_PROBES), 1), dtype=float)
+    worst = float(np.max(np.abs(np.linalg.norm(derivs[:, 1], axis=-1) - 1.0)))
+    return curve if worst <= _UNIT_SPEED_TOL else reparam_to_arclength(curve)
 
 
 # ---------------------------------------------------------------------------

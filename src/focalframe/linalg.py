@@ -1,25 +1,23 @@
 """Small dense linear algebra used throughout the package.
 
-Ambient dimensions are tiny (at most eight in practice), so every routine
-here favors unconditional robustness and determinism over speed. All
-functions are pure, never mutate their inputs, and are safe to call from
-multiple threads.
+Ambient dimensions are tiny (at most eight in practice). Orthogonalization
+is modified Gram-Schmidt, kept here because it returns the unnormalized
+norms the curvature quotients are built from and flags rank loss by
+index; the solve is LAPACK's, behind a conditioning check. All functions
+are pure, never mutate their inputs, and are safe to call from multiple
+threads.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
-from .errors import ConvergenceFailure, DegenerateFlag, SingularSystem
+from .errors import DegenerateFlag, SingularSystem
 
 # Rank tolerance for Gram-Schmidt, relative to the first vector's norm raised
 # to the step index: derivative magnitudes grow geometrically with order, so
 # an absolute cutoff misfires.
 RANK_RTOL = 1e-8
-
-_JACOBI_SWEEPS = 100
 
 
 def as_vector(x, dim: int | None = None) -> np.ndarray:
@@ -32,33 +30,6 @@ def as_vector(x, dim: int | None = None) -> np.ndarray:
     if not np.all(np.isfinite(v)):
         raise ValueError("vector has non-finite entries")
     return v
-
-
-class SymMatrix:
-    """Dense symmetric matrix, symmetrized at construction.
-
-    Stores 0.5 * (A + A^T); asymmetry beyond roundoff in the input is the
-    caller's bug, not ours to preserve.
-    """
-
-    __slots__ = ("array",)
-
-    def __init__(self, entries):
-        a = np.asarray(entries, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {a.shape}")
-        if not np.all(np.isfinite(a)):
-            raise ValueError("matrix has non-finite entries")
-        sym = 0.5 * (a + a.T)
-        sym.setflags(write=False)
-        self.array = sym
-
-    @property
-    def size(self) -> int:
-        return self.array.shape[0]
-
-    def __repr__(self) -> str:
-        return f"SymMatrix(size={self.size})"
 
 
 def gram_schmidt(vectors, rank_rtol: float = RANK_RTOL) -> tuple[np.ndarray, np.ndarray]:
@@ -98,115 +69,25 @@ def gram_schmidt(vectors, rank_rtol: float = RANK_RTOL) -> tuple[np.ndarray, np.
     return V, norms
 
 
-def jacobi_eigh(M, max_sweeps: int = _JACOBI_SWEEPS) -> tuple[np.ndarray, np.ndarray]:
-    """Full eigendecomposition of a small symmetric matrix by cyclic Jacobi.
-
-    Returns ``(eigenvalues, eigenvectors)`` with eigenvalues ascending and
-    eigenvectors in the matching columns. Sorting is stable, so exact ties
-    keep their sweep order. Raises ConvergenceFailure after ``max_sweeps``
-    full sweeps (never observed below dimension ~50; we stay under 10).
-    """
-    if isinstance(M, SymMatrix):
-        A = M.array.copy()
-    else:
-        A = np.asarray(M, dtype=float)
-        if A.ndim != 2 or A.shape[0] != A.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {A.shape}")
-        A = 0.5 * (A + A.T)
-    n = A.shape[0]
-    V = np.eye(n)
-    if n == 1:
-        return A[0, :1].copy(), V
-
-    scale = float(np.linalg.norm(A))
-    if scale == 0.0:
-        return np.zeros(n), V
-
-    off_mask = ~np.eye(n, dtype=bool)
-    for _ in range(max_sweeps):
-        # norm of the off-diagonal part; never form it by subtracting big sums
-        off = float(np.linalg.norm(A[off_mask]))
-        if off <= 1e-14 * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if abs(apq) <= 1e-18 * scale:
-                    continue
-                theta = 0.5 * (A[q, q] - A[p, p]) / apq
-                t = np.sign(theta) / (abs(theta) + np.hypot(1.0, theta)) if theta != 0.0 else 1.0
-                c = 1.0 / np.hypot(1.0, t)
-                s = t * c
-                # Rotate rows/columns p and q of A, keep symmetry exact.
-                Ap, Aq = A[:, p].copy(), A[:, q].copy()
-                A[:, p] = c * Ap - s * Aq
-                A[:, q] = s * Ap + c * Aq
-                Ap, Aq = A[p, :].copy(), A[q, :].copy()
-                A[p, :] = c * Ap - s * Aq
-                A[q, :] = s * Ap + c * Aq
-                A[p, q] = A[q, p] = 0.0
-                Vp, Vq = V[:, p].copy(), V[:, q].copy()
-                V[:, p] = c * Vp - s * Vq
-                V[:, q] = s * Vp + c * Vq
-    else:
-        raise ConvergenceFailure(f"Jacobi did not converge in {max_sweeps} sweeps")
-
-    vals = np.diag(A).copy()
-    order = np.argsort(vals, kind="stable")
-    return vals[order], V[:, order]
-
-
-def smallest_eigenpair(M) -> tuple[float, np.ndarray]:
-    """Eigenpair with the minimal eigenvalue of a symmetric matrix.
-
-    The eigenvector is unit norm. For tied eigenvalues the result is the
-    deterministic first column of the converged Jacobi rotation, which is all
-    a caller may rely on when the eigenspace is multi-dimensional.
-    """
-    vals, vecs = jacobi_eigh(M)
-    u = vecs[:, 0]
-    return float(vals[0]), u / np.linalg.norm(u)
-
-
 def solve_linear(A, b) -> np.ndarray:
-    """Solve ``A x = b`` by Gaussian elimination with partial pivoting.
+    """Solve the square system ``A x = b`` with LAPACK.
 
-    Raises SingularSystem when the best available pivot falls below
-    ``1e-13 * ||A||``.
+    Raises SingularSystem when the smallest singular value of ``A`` is at
+    or below ``1e-13 * ||A||_F``; raises ValueError on a non-square matrix,
+    a mismatched right-hand side or non-finite entries.
     """
-    U = np.array(A, dtype=float)
-    x = np.array(b, dtype=float)
-    if U.ndim != 2 or U.shape[0] != U.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {U.shape}")
-    n = U.shape[0]
-    if x.shape != (n,):
-        raise ValueError(f"right-hand side shape {x.shape} does not match system size {n}")
-    if not (np.all(np.isfinite(U)) and np.all(np.isfinite(x))):
+    A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {A.shape}")
+    n = A.shape[0]
+    if b.shape != (n,):
+        raise ValueError(f"right-hand side shape {b.shape} does not match system size {n}")
+    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
         raise ValueError("system has non-finite entries")
 
-    anorm = float(np.linalg.norm(U))
-    pivot_floor = 1e-13 * anorm
-    for col in range(n):
-        p = col + int(np.argmax(np.abs(U[col:, col])))
-        if abs(U[p, col]) <= pivot_floor:
-            raise SingularSystem(f"pivot {U[p, col]:.3e} below {pivot_floor:.3e} at column {col}")
-        if p != col:
-            U[[col, p]] = U[[p, col]]
-            x[[col, p]] = x[[p, col]]
-        factors = U[col + 1:, col] / U[col, col]
-        U[col + 1:, col:] -= np.outer(factors, U[col, col:])
-        x[col + 1:] -= factors * x[col]
-
-    out = np.empty(n)
-    for i in range(n - 1, -1, -1):
-        out[i] = (x[i] - U[i, i + 1:] @ out[i + 1:]) / U[i, i]
-    return out
-
-
-def sample_covariance(samples: Sequence[np.ndarray]) -> SymMatrix:
-    """Mean-centered covariance of a stack of row vectors (1/N convention)."""
-    X = np.asarray(samples, dtype=float)
-    if X.ndim != 2 or X.shape[0] < 2:
-        raise ValueError("need at least two samples")
-    D = X - X.mean(axis=0)
-    return SymMatrix(D.T @ D / X.shape[0])
+    floor = 1e-13 * float(np.linalg.norm(A))
+    smallest = float(np.linalg.svd(A, compute_uv=False)[-1])
+    if smallest <= floor:
+        raise SingularSystem(f"smallest singular value {smallest:.3e} at or below {floor:.3e}")
+    return np.linalg.solve(A, b)

@@ -20,10 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import Curve, reparam_to_arclength
+from .curves import Curve, as_unit_speed
 from .frenet import frenet_grid
 from .focal import focal_curve
-from .linalg import as_vector, jacobi_eigh, sample_covariance
+from .linalg import as_vector
 from .numdiff import grid_derivative
 
 PERPENDICULAR_GUARD = 1e-3
@@ -45,8 +45,8 @@ class AxisFit:
     ``degenerate`` flags a covariance with a multi-dimensional near-null
     space; the axis is then the projection of the sample mean onto that
     space (every direction in it minimizes the variance equally, so the
-    mean breaks the tie), falling back to the first eigenvector when the
-    mean carries no information either.
+    mean breaks the tie), falling back to the first eigenvector returned by
+    LAPACK (``np.linalg.eigh``) when the mean carries no information either.
     """
 
     axis: np.ndarray
@@ -69,7 +69,8 @@ def estimate_axis(samples) -> AxisFit:
     if np.max(np.abs(norms - 1.0)) > 1e-6:
         raise ValueError("samples must be unit vectors")
 
-    vals, vecs = jacobi_eigh(sample_covariance(X))
+    D = X - X.mean(axis=0)
+    vals, vecs = np.linalg.eigh(D.T @ D / X.shape[0])
     degenerate = bool(vals.size > 1 and vals[1] - vals[0] <= _NULLSPACE_TIE)
     if degenerate:
         null = vecs[:, vals <= vals[0] + _NULLSPACE_TIE]
@@ -263,13 +264,8 @@ def verify_focal_slant(
         return TheoremReport(m, int(k), int(k_prime), base, None, float("nan"), False,
                              note="base curve is not k-slant; premise fails")
 
-    unit = curve
-    ugrid = grid
-    speeds = [np.linalg.norm(curve.evaluator(float(s), 1)[1]) for s in grid[:: max(grid.size // 16, 1)]]
-    if max(abs(v - 1.0) for v in speeds) > 1e-8:
-        unit = reparam_to_arclength(curve)
-        ugrid = np.linspace(unit.domain[0], unit.domain[1], grid.size)
-
+    unit = as_unit_speed(curve)
+    ugrid = grid if unit is curve else unit.grid(grid.size)
     mirror = focal_curve(unit, ugrid)
     inner = np.asarray(mirror.grid(grid.size))
     trim = 3

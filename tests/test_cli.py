@@ -97,8 +97,12 @@ def test_analyze_circle_csv(tmp_path):
     k = header.index("kappa_1")
     assert all(row[k] == pytest.approx(0.5, abs=1e-9) for row in rows)
     report = json.loads(out.with_suffix(".json").read_text())
-    assert report["schema_version"] == 1
+    assert report["schema_version"] == 2
+    assert "seed" not in report
     assert report["classification"]["is_w_curve"] is True
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--input", spec, "--output", str(out), "--seed", "42"])
+    assert exc.value.code == EXIT_INPUT_ERROR
 
 
 def test_analyze_straight_line_is_numeric_failure(tmp_path):
@@ -232,6 +236,12 @@ def test_dim_flag_contradiction(tmp_path, helix_spec):
     ["verify", "--grid-points", "32"],
     ["verify", "--k", "9"],
     ["slant", "--k", "0"],
+    ["analyze", "--grid-points", "10000000000000"],
+    ["slant", "--tolerance", "nan"],
+    ["slant", "--tolerance", "inf"],
+    ["analyze", "--step", "inf"],
+    ["analyze", "--step", "nan"],
+    ["analyze", "--step", "0"],
 ])
 def test_flag_out_of_range_is_input_error(tmp_path, helix_spec, capsys, args):
     rc = main([*args, "--input", helix_spec, "--output", str(tmp_path / "x")])

@@ -4,16 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from focalframe import (
-    ConvergenceFailure,
-    DegenerateFlag,
-    SingularSystem,
-    SymMatrix,
-    gram_schmidt,
-    smallest_eigenpair,
-    solve_linear,
-)
-from focalframe.linalg import jacobi_eigh, sample_covariance
+from focalframe import DegenerateFlag, SingularSystem, gram_schmidt, solve_linear
 
 
 # ---------------------------------------------------------------- gram_schmidt
@@ -82,64 +73,6 @@ def test_gram_schmidt_orthogonality_and_span(V):
             assert np.linalg.norm(resid) < 1e-10 * max(1.0, np.linalg.norm(v))
 
 
-# ------------------------------------------------------------------ eigensolver
-
-def test_smallest_eigenpair_identity():
-    val, vec = smallest_eigenpair(np.eye(3))
-    assert val == pytest.approx(1.0, abs=1e-12)
-    np.testing.assert_allclose(np.eye(3) @ vec, val * vec, atol=1e-12)
-
-
-def test_smallest_eigenpair_diagonal():
-    val, vec = smallest_eigenpair(np.diag([3.0, 1.0, 2.0]))
-    assert val == pytest.approx(1.0, abs=1e-12)
-    assert abs(abs(vec[1]) - 1.0) < 1e-12
-
-
-def test_smallest_eigenpair_rank2_covariance_nullspace():
-    # four samples +-e1, +-e2: covariance diag(1/2, 1/2, 0), nullspace e3
-    samples = np.array([[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0]], dtype=float)
-    cov = sample_covariance(samples)
-    val, vec = smallest_eigenpair(cov)
-    assert val == pytest.approx(0.0, abs=1e-14)
-    assert abs(abs(vec[2]) - 1.0) < 1e-10
-
-
-def test_smallest_eigenpair_two_sample_covariance_is_rank_one():
-    # two samples only: the nullspace is 2-d, so only the eigenvalue and the
-    # residual are pinned down, not the direction
-    cov = sample_covariance(np.array([[1.0, 0, 0], [0, 1.0, 0]]))
-    val, vec = smallest_eigenpair(cov)
-    assert val == pytest.approx(0.0, abs=1e-14)
-    np.testing.assert_allclose(cov.array @ vec, np.zeros(3), atol=1e-12)
-
-
-def test_jacobi_residuals_on_random_matrices():
-    rng = np.random.default_rng(1234)
-    for _ in range(1000):
-        n = int(rng.integers(2, 9))
-        M = rng.normal(size=(n, n))
-        M = 0.5 * (M + M.T)
-        scale = np.linalg.norm(M)
-        vals, vecs = jacobi_eigh(M)
-        resid = np.max(np.abs(M @ vecs - vecs * vals))
-        assert resid < 1e-10 * max(scale, 1e-30)
-        np.testing.assert_allclose(vals, np.linalg.eigvalsh(M), atol=1e-11 * max(scale, 1.0))
-
-
-def test_jacobi_budget_exhaustion():
-    M = np.array([[1.0, 0.5], [0.5, 2.0]])
-    with pytest.raises(ConvergenceFailure):
-        jacobi_eigh(M, max_sweeps=0)
-
-
-def test_symmatrix_symmetrizes():
-    m = SymMatrix([[1.0, 2.0], [0.0, 3.0]])
-    np.testing.assert_allclose(m.array, [[1.0, 1.0], [1.0, 3.0]])
-    with pytest.raises(ValueError):
-        SymMatrix([[1.0, 2.0, 3.0]])
-
-
 # ----------------------------------------------------------------- linear solve
 
 def test_solve_identity():
@@ -157,6 +90,12 @@ def test_solve_hand_2x2():
 def test_solve_singular():
     with pytest.raises(SingularSystem):
         solve_linear([[1.0, 1.0], [1.0, 1.0]], (1.0, 2.0))
+
+
+def test_solve_near_singular():
+    # smallest singular value about 5.6e-16, far below 1e-13 * ||A||_F = 2e-13
+    with pytest.raises(SingularSystem):
+        solve_linear([[1.0, 1.0], [1.0, 1.0 + 1e-15]], (1.0, 2.0))
 
 
 @given(st.integers(2, 7), st.integers(0, 10_000))

@@ -38,6 +38,24 @@ def test_helix_tangents_give_exact_axis(helix):
     assert not fit.degenerate
 
 
+def test_covariance_nullspace_gives_axis():
+    # +-e1 and +-e2: covariance diag(1/2, 1/2, 0), a 1-d null space along e3
+    samples = np.tile(np.vstack([np.eye(3)[:2], -np.eye(3)[:2]]), (2, 1))
+    fit = ff.estimate_axis(samples)
+    assert axis_angle(fit.axis, E3) < 1e-12
+    assert fit.cos_theta == 0.0
+    assert not fit.degenerate
+
+
+def test_uninformative_mean_falls_back_to_first_eigenvector():
+    # +-e1 only: zero mean and a 2-d null space, so nothing breaks the tie
+    e1 = np.eye(3)[0]
+    fit = ff.estimate_axis(np.tile(np.vstack([e1, -e1]), (4, 1)))
+    assert fit.degenerate
+    assert np.linalg.norm(fit.axis) == pytest.approx(1.0, abs=1e-15)
+    assert abs(fit.axis @ e1) < 1e-15
+
+
 def test_random_unit_vectors_have_no_cone_structure():
     rng = np.random.default_rng(42)
     v = rng.normal(size=(100, 3))
