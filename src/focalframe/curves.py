@@ -36,8 +36,8 @@ from .errors import (
     OutOfDomain,
     RegularityFailure,
 )
-from .linalg import gram_schmidt
-from .numdiff import fd_weights, window_slice
+from .linalg import gram_schmidt, gram_schmidt_rows
+from .numdiff import fd_weights, window_starts
 from .series import (
     factorials,
     series_compose,
@@ -50,6 +50,7 @@ from .series import (
 _DOMAIN_SLACK = 1e-9
 _PROBE_POINTS = 64
 _DEFAULT_ODE_STEPS = 4096
+_MAX_ODE_STEPS = 1 << 20
 _TWO_PI = 2.0 * math.pi
 _CHECKPOINTS = 512
 _NEWTON_STEPS = 60
@@ -65,7 +66,9 @@ class Curve:
     whose rows are the position and derivatives up to ``order``; given a
     1-d numpy array of N parameters it returns shape (N, order + 1,
     dimension). Use the module-level :func:`eval_derivatives` for the
-    domain- and order-checked entry point.
+    domain-, order- and shape-checked entry point, which takes either form.
+    Analytic and sampled curves evaluate an array in one pass; arclength and
+    synthesized curves map their scalar path over it.
     """
 
     dimension: int
@@ -90,16 +93,36 @@ class Curve:
         return np.linspace(self.domain[0], self.domain[1], n)
 
 
-def _check_domain(curve: Curve, t: float) -> float:
+def _is_array(t) -> bool:
+    # Cheaper than np.ndim on a float, which is the common scalar case.
+    return isinstance(t, np.ndarray) and t.ndim > 0
+
+
+def _check_domain(curve: Curve, t):
+    """Clamp ``t`` (a scalar or a 1-d array) into the domain, allowing for slack.
+
+    Raises OutOfDomain naming the first value beyond the slack (NaN included).
+    """
     lo, hi = curve.domain
     slack = _DOMAIN_SLACK * max(1.0, abs(lo), abs(hi))
-    if not (lo - slack <= t <= hi + slack):
-        raise OutOfDomain(f"t={t!r} outside [{lo!r}, {hi!r}]")
-    return min(max(t, lo), hi)
+    if not _is_array(t):
+        if not (lo - slack <= t <= hi + slack):
+            raise OutOfDomain(f"t={t!r} outside [{lo!r}, {hi!r}]")
+        return min(max(t, lo), hi)
+    if t.ndim != 1:
+        raise ValueError(f"expected a scalar or a 1-d array of parameters, got shape {t.shape}")
+    bad = np.flatnonzero(~((lo - slack <= t) & (t <= hi + slack)))
+    if bad.size:
+        raise OutOfDomain(f"t={float(t[bad[0]])!r} outside [{lo!r}, {hi!r}]")
+    return np.clip(t, lo, hi)
 
 
-def eval_derivatives(curve: Curve, t: float, order: int) -> np.ndarray:
-    """Position and derivatives of ``curve`` at ``t``, rows 0..order."""
+def eval_derivatives(curve: Curve, t, order: int) -> np.ndarray:
+    """Position and derivatives of ``curve`` at ``t``, rows 0..order.
+
+    A scalar ``t`` gives shape (order + 1, dimension); a 1-d array of N
+    parameters gives (N, order + 1, dimension) from one evaluator call.
+    """
     if order < 0:
         raise ValueError("order must be nonnegative")
     if order > curve.max_order:
@@ -107,9 +130,12 @@ def eval_derivatives(curve: Curve, t: float, order: int) -> np.ndarray:
             f"order {order} exceeds max_order {curve.max_order} of this {curve.kind} curve"
         )
     t = _check_domain(curve, t)
+    shape = (order + 1, curve.dimension)
+    if _is_array(t):
+        shape = (t.size, *shape)
     out = np.asarray(curve.evaluator(t, order), dtype=float)
-    if out.shape != (order + 1, curve.dimension):
-        raise RuntimeError(f"evaluator returned shape {out.shape}")
+    if out.shape != shape:
+        raise RuntimeError(f"evaluator returned shape {out.shape}, expected {shape}")
     return out
 
 
@@ -154,7 +180,7 @@ def _pointwise(scalar_evaluator: Callable[[float, int], np.ndarray], dimension: 
     """Evaluator meeting the array contract by mapping a scalar one over the points."""
 
     def evaluator(t, order: int) -> np.ndarray:
-        if not (isinstance(t, np.ndarray) and t.ndim):
+        if not _is_array(t):
             return scalar_evaluator(t, order)
         out = np.empty((t.size, order + 1, dimension))
         for i, x in enumerate(t.tolist()):
@@ -211,7 +237,7 @@ def curve_from_coordinates(
         raise BadParameters(f"{label or 'curve'}: parameters must be finite")
 
     def evaluator(t, order: int) -> np.ndarray:
-        if not (isinstance(t, np.ndarray) and t.ndim):
+        if not _is_array(t):
             return np.array([[c.eval(t, j) for c in coords] for j in range(order + 1)])
         arg = np.multiply.outer(t, freq) + phase
         out = np.stack([(amp * freq**j * np.sin(arg + j * 0.5 * math.pi)) @ owner
@@ -341,18 +367,21 @@ def make_salkowski(n: float, domain: tuple[float, float] | None = None) -> Curve
 def _validate_salkowski(curve: Curve, n: float) -> None:
     # Constant-angle gate: reject the construction rather than ship a curve
     # whose normal does not actually ride the cone.
-    cosines, kappa1 = [], []
-    for derivs in curve.evaluator(curve.grid(33), 2):
-        orth, norms = gram_schmidt(derivs[1:])
-        cosines.append(abs(orth[1, 2] / norms[1]))
-        kappa1.append(norms[1] / (norms[0] * norms[0]))
-    drift = float(np.max(np.abs(np.asarray(cosines) - abs(n))))
+    ts = curve.grid(33)
+    orth, norms, failed = gram_schmidt_rows(curve.evaluator(ts, 2)[:, 1:])
+    if failed.any():
+        bad = int(np.argmax(failed > 0))
+        raise BadParameters(f"Frenet flag degenerates at t={float(ts[bad])!r}; "
+                            "construction rejected")
+    cosines = np.abs(orth[:, 1, 2] / norms[:, 1])
+    kappa1 = norms[:, 1] / (norms[:, 0] * norms[:, 0])
+    drift = float(np.max(np.abs(cosines - abs(n))))
     if drift > 1e-6:
         raise BadParameters(
             f"normal-axis cosine drifts from |n|={abs(n)} (max err {drift:.2e}); "
             "construction rejected"
         )
-    if np.max(np.abs(np.asarray(kappa1) - 1.0)) > 1e-6:
+    if np.max(np.abs(kappa1 - 1.0)) > 1e-6:
         raise BadParameters("first curvature is not the expected constant 1")
 
 
@@ -538,7 +567,9 @@ def sampled_curve(
 
     Derivative order j uses a window of j + 6 nearest nodes, giving at least
     6th-order accuracy for orders 1-2 and 4th-order beyond; orders above 5
-    are refused because difference noise outgrows them.
+    are refused because difference noise outgrows them. An array of
+    parameters gets every window from one ``searchsorted`` and every
+    stencil from one stacked :func:`fd_weights` call.
     """
     t = np.asarray(ts, dtype=float)
     P = np.asarray(points, dtype=float)
@@ -552,15 +583,16 @@ def sampled_curve(
         raise BadParameters("samples contain non-finite values")
     max_order = int(min(max_order, 5, t.size - 6))
 
-    def evaluator(x: float, order: int) -> np.ndarray:
+    def evaluator(x, order: int) -> np.ndarray:
+        xs = np.atleast_1d(np.asarray(x, dtype=float))
         size = min(order + 6, t.size)
-        center = int(np.clip(np.searchsorted(t, x), 0, t.size - 1))
-        sl = window_slice(t.size, center, size)
-        w = fd_weights(t[sl], x, order)
-        return w @ P[sl]
+        centers = np.clip(np.searchsorted(t, xs), 0, t.size - 1)
+        idx = window_starts(t.size, centers, size)[:, None] + np.arange(size)
+        out = fd_weights(t[idx], xs, order) @ P[idx]
+        return out if _is_array(x) else out[0]
 
     return make_curve(P.shape[1], (float(t[0]), float(t[-1])), "sampled",
-                      max_order, _pointwise(evaluator, P.shape[1]), label)
+                      max_order, evaluator, label)
 
 
 # ---------------------------------------------------------------------------
@@ -621,8 +653,8 @@ class SplineProfile(ProfileFunction):
         y = np.asarray(values, dtype=float)
         if s.size < 5:
             raise InvalidProfile("need at least 5 sample rows for a spline profile")
-        left = fd_weights(s[:5], s[0], 1)[1] @ y[:5]
-        right = fd_weights(s[-5:], s[-1], 1)[1] @ y[-5:]
+        w = fd_weights(np.stack([s[:5], s[-5:]]), s[[0, -1]], 1)[:, 1]
+        left, right = w[0] @ y[:5], w[1] @ y[-5:]
         self._spline = CubicSpline(s, y, bc_type=((1, float(left)), (1, float(right))))
 
     def __call__(self, s: float, order: int = 0) -> float:
@@ -740,7 +772,8 @@ def synthesize_from_curvatures(
     after every step. The result is unit speed by construction. Derivatives
     above the first are reconstructed from the interpolated frame and the
     profile's own derivatives, so the returned curve supports max_order
-    m + 2.
+    m + 2. A step that needs more than ``_MAX_ODE_STEPS`` (2^20) steps
+    raises BadParameters before anything is allocated.
     """
     m = profile.count
     if dim != m + 1:
@@ -749,8 +782,11 @@ def synthesize_from_curvatures(
     length = hi - lo
     if step is None:
         step = length / _DEFAULT_ODE_STEPS
-    if step <= 0:
+    if not step > 0:
         raise BadParameters("step must be positive")
+    if not length / step <= _MAX_ODE_STEPS:
+        raise BadParameters(f"step {step!r} needs {length / step:.3g} integrator steps over "
+                            f"length {length!r}; at most {_MAX_ODE_STEPS} are allowed")
     n_steps = max(int(math.ceil(length / step)), 8)
     h = length / n_steps
 

@@ -80,6 +80,7 @@ def focal_curvatures(curve: Curve, grid) -> list[FocalData]:
     _require_unit_speed(frames)
 
     kappa = np.array([fd.curvatures for fd in frames])  # (N, m)
+    normals = np.array([fd.frame[1:] for fd in frames])  # (N, m, dim)
     c = np.zeros((ss.size, m + 1))  # column 0 holds the implicit c_0 = 0
     c[:, 1] = 1.0 / kappa[:, 0]
     for i in range(1, m):
@@ -88,26 +89,19 @@ def focal_curvatures(curve: Curve, grid) -> list[FocalData]:
     dcm = grid_derivative(c[:, m], ss)
     signed_speed = dcm + kappa[:, m - 1] * c[:, m - 1] if m >= 2 else dcm
 
-    out = []
-    for j, fd in enumerate(frames):
-        coeffs = c[j, 1:]
-        point = eval_derivatives(curve, fd.s, 0)[0] + coeffs @ fd.frame[1:]
-        a_signed = float(signed_speed[j])
-        eps = 0 if abs(a_signed) < VERTEX_TOL else (1 if a_signed > 0 else -1)
-        alphas = np.arange(1, m + 1)
-        deltas = np.where(alphas % 2 == 0, eps, -eps) * int(np.sign(kappa[j, m - 1]))
-        out.append(
-            FocalData(
-                s=fd.s,
-                focal_curvatures=coeffs.copy(),
-                focal_point=point,
-                A=abs(a_signed),
-                epsilon=eps,
-                deltas=deltas,
-                R_m=float(np.linalg.norm(coeffs)),
-            )
-        )
-    return out
+    coeffs = c[:, 1:]
+    points = eval_derivatives(curve, ss, 0)[:, 0] + np.einsum("nk,nkd->nd", coeffs, normals)
+    eps = np.where(np.abs(signed_speed) < VERTEX_TOL, 0, np.where(signed_speed > 0, 1, -1))
+    alphas = np.arange(1, m + 1)
+    deltas = (np.where(alphas % 2 == 0, eps[:, None], -eps[:, None])
+              * np.sign(kappa[:, m - 1:]).astype(int))
+    radii = np.linalg.norm(coeffs, axis=1)
+    return [
+        FocalData(s=fd.s, focal_curvatures=coeffs[j].copy(), focal_point=points[j],
+                  A=abs(float(signed_speed[j])), epsilon=int(eps[j]), deltas=deltas[j],
+                  R_m=float(radii[j]))
+        for j, fd in enumerate(frames)
+    ]
 
 
 def osculating_center_oracle(curve: Curve, s: float) -> np.ndarray:

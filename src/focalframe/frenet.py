@@ -3,10 +3,11 @@
 The frame at a point comes from orthogonalizing the derivative stack
 without normalization; the curvature functions are quotients of the
 resulting norms, so they are positive by construction and invariant
-under reparametrization. Everything operates pointwise over immutable
-curves; the only sequential step is the sign-alignment pass over a grid,
-which exists to keep downstream axis estimation free of spurious frame
-flips.
+under reparametrization. A grid is processed in one pass: one array call
+to the derivative oracle, one stacked Gram-Schmidt over all rows, and
+array arithmetic for frames, curvatures and the sign alignment, which
+keeps downstream axis estimation free of spurious frame flips. A single
+point is the one-row case of the same pass.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import Curve, eval_derivatives
-from .errors import DegenerateFlag, DivisionGuard, ReducedOrder
-from .linalg import gram_schmidt
+from .errors import DivisionGuard, ReducedOrder
+from .linalg import gram_schmidt_rows
 
 DEFAULT_CLASSIFY_TOL = 1e-6
 
@@ -37,46 +38,28 @@ class FrenetData:
     osculating_order: int
 
 
-def frenet_apparatus(curve: Curve, s: float, order: int | None = None) -> FrenetData:
-    """Frenet data of ``curve`` at ``s`` for osculating order ``order``.
-
-    Defaults to the ambient dimension (a generic curve). Raises
-    ReducedOrder with the failing derivative index when the derivatives
-    stop being linearly independent at ``s``.
-    """
+def _osculating_order(curve: Curve, order: int | None) -> int:
     d = curve.dimension if order is None else int(order)
     if not 2 <= d <= curve.dimension:
         raise ValueError(f"order must lie in [2, {curve.dimension}], got {d}")
-    derivs = eval_derivatives(curve, s, d)[1:]
-    try:
-        orth, norms = gram_schmidt(derivs)
-    except DegenerateFlag as exc:
-        raise ReducedOrder(exc.index, s) from exc
-    frame = orth / norms[:, None]
-    curvatures = norms[1:] / (norms[:-1] * norms[0])
-    frame.setflags(write=False)
-    curvatures.setflags(write=False)
-    return FrenetData(float(s), float(norms[0]), frame, curvatures, d)
+    return d
 
 
-def align_frames(frames: list[np.ndarray]) -> list[np.ndarray]:
-    """Sign-align each frame vector with its predecessor along a grid.
+def _alignment_signs(frames: np.ndarray) -> np.ndarray:
+    """Signs that make each frame vector agree with its aligned predecessor.
 
-    On a generic curve the raw frames are already continuous and this is a
-    no-op; it only acts when numerical noise near a degeneracy flips an
-    orthogonalization sign.
+    A vector is flipped when its dot with the predecessor, as already
+    aligned, is negative. Flipping a row negates its dot with the next
+    row, so the sign of a row is the running product of the signs of the
+    raw dots since the last exact zero dot, where it restarts at +1.
     """
-    if not frames:
-        return []
-    out = [np.array(frames[0])]
-    for F in frames[1:]:
-        G = np.array(F)
-        prev = out[-1]
-        for i in range(G.shape[0]):
-            if float(G[i] @ prev[i]) < 0.0:
-                G[i] = -G[i]
-        out.append(G)
-    return out
+    dots = np.einsum("rid,rid->ri", frames[1:], frames[:-1])
+    step = np.where(dots < 0.0, -1.0, 1.0)
+    run = np.cumprod(np.concatenate([np.ones((1, dots.shape[1])), step]), axis=0)
+    rows = np.arange(frames.shape[0])[:, None]
+    zero = np.concatenate([np.zeros((1, dots.shape[1]), bool), dots == 0.0])
+    restart = np.maximum.accumulate(np.where(zero, rows, 0), axis=0)
+    return run * np.take_along_axis(run, restart, axis=0)
 
 
 def frenet_grid(
@@ -85,15 +68,34 @@ def frenet_grid(
     order: int | None = None,
     align: bool = True,
 ) -> list[FrenetData]:
-    """Frenet data over a parameter grid, sign-aligned by default."""
-    data = [frenet_apparatus(curve, float(s), order) for s in np.asarray(grid, dtype=float)]
-    if align and len(data) > 1:
-        aligned = align_frames([fd.frame for fd in data])
-        data = [
-            FrenetData(fd.s, fd.speed, F, fd.curvatures, fd.osculating_order)
-            for fd, F in zip(data, aligned)
-        ]
-    return data
+    """Frenet data over a parameter grid, sign-aligned by default.
+
+    Osculating order ``order`` defaults to the ambient dimension (a generic
+    curve). Raises ReducedOrder with the failing derivative index and
+    parameter of the first grid row whose derivatives stop being linearly
+    independent.
+    """
+    d = _osculating_order(curve, order)
+    ss = np.asarray(grid, dtype=float)
+    if ss.size == 0:
+        return []
+    orth, norms, failed = gram_schmidt_rows(eval_derivatives(curve, ss, d)[:, 1:])
+    bad = np.flatnonzero(failed)
+    if bad.size:
+        raise ReducedOrder(int(failed[bad[0]]), float(ss[bad[0]]))
+    frames = orth / norms[:, :, None]
+    if align:
+        frames *= _alignment_signs(frames)[:, :, None]
+    curvatures = norms[:, 1:] / (norms[:, :-1] * norms[:, :1])
+    frames.setflags(write=False)
+    curvatures.setflags(write=False)
+    return [FrenetData(s, v, F, K, d)
+            for s, v, F, K in zip(ss.tolist(), norms[:, 0].tolist(), frames, curvatures)]
+
+
+def frenet_apparatus(curve: Curve, s: float, order: int | None = None) -> FrenetData:
+    """Frenet data of ``curve`` at ``s``: the one-row case of :func:`frenet_grid`."""
+    return frenet_grid(curve, [s], order)[0]
 
 
 @dataclass(frozen=True)
@@ -102,7 +104,7 @@ class CurvatureTable:
 
     s: np.ndarray
     curvatures: np.ndarray  # (N, d-1), NaN on flagged rows
-    speed: np.ndarray
+    speed: np.ndarray  # NaN where the first derivative itself vanishes
     reduced_order: np.ndarray  # 0 where fine, else the failing derivative index
 
     @property
@@ -111,22 +113,14 @@ class CurvatureTable:
 
 
 def curvature_table(curve: Curve, grid, order: int | None = None) -> CurvatureTable:
-    d = curve.dimension if order is None else int(order)
+    """Curvatures and speed over a grid from one pass, degenerate rows flagged."""
+    d = _osculating_order(curve, order)
     ss = np.asarray(grid, dtype=float)
-    n = ss.size
-    kappas = np.full((n, d - 1), np.nan)
-    speed = np.full(n, np.nan)
-    reduced = np.zeros(n, dtype=int)
-    for i, s in enumerate(ss):
-        try:
-            fd = frenet_apparatus(curve, float(s), d)
-        except ReducedOrder as exc:
-            reduced[i] = exc.order
-            if exc.order > 1:
-                speed[i] = float(np.linalg.norm(eval_derivatives(curve, float(s), 1)[1]))
-            continue
-        kappas[i] = fd.curvatures
-        speed[i] = fd.speed
+    _, norms, reduced = gram_schmidt_rows(eval_derivatives(curve, ss, d)[:, 1:])
+    ok = reduced == 0
+    kappas = np.full((ss.size, d - 1), np.nan)
+    kappas[ok] = norms[ok, 1:] / (norms[ok, :-1] * norms[ok, :1])
+    speed = np.where(ok | (reduced > 1), norms[:, 0], np.nan)
     return CurvatureTable(ss, kappas, speed, reduced)
 
 

@@ -3,9 +3,12 @@
 Ambient dimensions are tiny (at most eight in practice). Orthogonalization
 is modified Gram-Schmidt, kept here because it returns the unnormalized
 norms the curvature quotients are built from and flags rank loss by
-index; the solve is LAPACK's, behind a conditioning check. All functions
-are pure, never mutate their inputs, and are safe to call from multiple
-threads.
+index. It comes in two shapes: :func:`gram_schmidt` for one flag, which
+raises on rank loss, and :func:`gram_schmidt_rows` for a stack of flags
+(one per grid row), which reports rank loss per row. Pick by the data:
+the stacked kernel costs more than the loop on a single flag. The solve
+is LAPACK's, behind a conditioning check. All functions are pure, never
+mutate their inputs, and are safe to call from multiple threads.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ def as_vector(x, dim: int | None = None) -> np.ndarray:
     return v
 
 
-def gram_schmidt(vectors, rank_rtol: float = RANK_RTOL) -> tuple[np.ndarray, np.ndarray]:
+def gram_schmidt(vectors) -> tuple[np.ndarray, np.ndarray]:
     """Orthogonalize a sequence of vectors without normalizing them.
 
     Uses the modified (sequential re-projection) variant: each vector is
@@ -46,7 +49,7 @@ def gram_schmidt(vectors, rank_rtol: float = RANK_RTOL) -> tuple[np.ndarray, np.
     directly.
 
     Raises DegenerateFlag (with the failing 1-based index) when a reduced
-    vector falls below ``rank_rtol * ||v_1||**index``.
+    vector falls below ``RANK_RTOL * ||v_1||**index``.
     """
     V = np.array(vectors, dtype=float)
     if V.ndim != 2:
@@ -62,11 +65,45 @@ def gram_schmidt(vectors, rank_rtol: float = RANK_RTOL) -> tuple[np.ndarray, np.
         for j in range(i):
             V[i] -= (V[i] @ V[j]) / (norms[j] * norms[j]) * V[j]
         n = float(np.linalg.norm(V[i]))
-        tol = rank_rtol * norms[0] ** (i + 1) if i > 0 else 0.0
+        tol = RANK_RTOL * norms[0] ** (i + 1) if i > 0 else 0.0
         if n <= tol or n == 0.0:
             raise DegenerateFlag(i + 1, n, tol)
         norms[i] = n
     return V, norms
+
+
+def gram_schmidt_rows(stack) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`gram_schmidt` on every row of a ``(N, k, dim)`` stack at once.
+
+    Returns ``(orthogonal, norms, failed)`` of shapes ``(N, k, dim)``,
+    ``(N, k)`` and ``(N,)``. ``failed[r]`` is the 1-based index of row r's
+    first vector at or below the rank tolerance (the rule of
+    :func:`gram_schmidt`), 0 where the row is fine. Entries of a failed row
+    from its failing index on are not meaningful. Raises ValueError on a
+    wrong shape or non-finite input.
+    """
+    V = np.array(stack, dtype=float)
+    if V.ndim != 3:
+        raise ValueError(f"expected a (rows, vectors, dim) stack, got shape {V.shape}")
+    _, k, dim = V.shape
+    if k > dim:
+        raise ValueError(f"{k} vectors cannot be independent in dimension {dim}")
+    if not np.all(np.isfinite(V)):
+        raise ValueError("input vectors have non-finite entries")
+
+    norms = np.empty(V.shape[:2])
+    failed = np.zeros(V.shape[0], dtype=int)
+    # A failed row may divide by a zero norm further on; its values are never read.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i in range(k):
+            for j in range(i):
+                coef = np.einsum("nd,nd->n", V[:, i], V[:, j]) / (norms[:, j] * norms[:, j])
+                V[:, i] -= coef[:, None] * V[:, j]
+            n = np.linalg.norm(V[:, i], axis=1)
+            tol = RANK_RTOL * norms[:, 0] ** (i + 1) if i > 0 else 0.0
+            failed[(failed == 0) & ((n <= tol) | (n == 0.0))] = i + 1
+            norms[:, i] = n
+    return V, norms, failed
 
 
 def solve_linear(A, b) -> np.ndarray:

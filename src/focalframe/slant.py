@@ -47,6 +47,10 @@ class AxisFit:
     space (every direction in it minimizes the variance equally, so the
     mean breaks the tie), falling back to the first eigenvector returned by
     LAPACK (``np.linalg.eigh``) when the mean carries no information either.
+    The sign follows :func:`estimate_axis`: mean cosine nonnegative, or the
+    largest-magnitude component positive when ``|cos_theta| <=
+    PERPENDICULAR_GUARD``, so ``cos_theta`` can be negative (down to
+    ``-PERPENDICULAR_GUARD``) only in that band.
     """
 
     axis: np.ndarray
@@ -59,8 +63,14 @@ def estimate_axis(samples) -> AxisFit:
     """Fit the direction whose angle to the samples varies least.
 
     Samples must be unit vectors of one dimension, already sign-aligned
-    along the grid; the axis sign is chosen to make the mean cosine
-    nonnegative.
+    along the grid. The axis sign makes the mean cosine nonnegative, except
+    when the mean cosine is within ``PERPENDICULAR_GUARD`` of zero: then
+    the axis's largest-magnitude component (the first one on ties) is made
+    positive instead. In that band the sign comes from the axis, not from
+    the data, so a perpendicular fit (whose mean cosine sign is roundoff)
+    gets a reproducible axis, and the returned mean cosine can be as low as
+    ``-PERPENDICULAR_GUARD``. Verdicts do not depend on the sign: the
+    perpendicular exclusion and the axis comparison both use magnitudes.
     """
     X = np.asarray(samples, dtype=float)
     if X.ndim != 2 or X.shape[0] < 8:
@@ -82,7 +92,12 @@ def estimate_axis(samples) -> AxisFit:
     axis = axis / np.linalg.norm(axis)
 
     dots = X @ axis
-    if dots.mean() < 0.0:
+    mean = dots.mean()
+    if abs(mean) <= PERPENDICULAR_GUARD:
+        flip = axis[np.argmax(np.abs(axis))] < 0.0
+    else:
+        flip = mean < 0.0
+    if flip:
         axis = -axis
         dots = -dots
     mean = float(dots.mean())
@@ -179,7 +194,7 @@ def coefficient_residuals(curve: Curve, U, grid) -> ResidualTable:
     data = frenet_grid(curve, ss, order=m + 1)
     a = np.array([fd.frame @ axis for fd in data])        # (N, m+1)
     kappa = np.array([fd.curvatures for fd in data])      # (N, m)
-    da = np.column_stack([grid_derivative(a[:, j], ss) for j in range(m + 1)])
+    da = grid_derivative(a, ss)
 
     P = np.empty((m + 1, ss.size))
     P[0] = da[:, 0] - kappa[:, 0] * a[:, 1]

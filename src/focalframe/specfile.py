@@ -155,10 +155,9 @@ def build_curve(spec: CurveSpec, step: float | None = None) -> Curve:
 
 def samples_spec_dict(curve: Curve, n_rows: int) -> dict:
     """Serialize a curve as a samples-type spec over a uniform grid."""
-    rows = []
-    for t in curve.grid(int(n_rows)):
-        point = eval_derivatives(curve, float(t), 0)[0]
-        rows.append([float(t), *map(float, point)])
+    ts = curve.grid(int(n_rows))
+    points = eval_derivatives(curve, ts, 0)[:, 0]
+    rows = np.column_stack([ts, points]).tolist()
     return {
         "type": "samples",
         "dim": curve.dimension,

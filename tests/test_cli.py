@@ -242,9 +242,15 @@ def test_dim_flag_contradiction(tmp_path, helix_spec):
     ["analyze", "--step", "inf"],
     ["analyze", "--step", "nan"],
     ["analyze", "--step", "0"],
+    ["synthesize", "--step", "1e-300"],
 ])
 def test_flag_out_of_range_is_input_error(tmp_path, helix_spec, capsys, args):
-    rc = main([*args, "--input", helix_spec, "--output", str(tmp_path / "x")])
+    spec = helix_spec
+    if args[0] == "synthesize":
+        spec = write_spec(tmp_path, "curv.json", {
+            "type": "curvatures", "dim": 3, "params": {},
+            "rows": [[float(s), 0.4, 0.2] for s in range(8)]})
+    rc = main([*args, "--input", spec, "--output", str(tmp_path / "x")])
     assert rc == EXIT_INPUT_ERROR
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1

@@ -66,6 +66,32 @@ def test_out_of_domain_and_order_errors(helix):
         ff.eval_derivatives(helix, 1.0, helix.max_order + 1)
 
 
+def test_array_call_checks_like_scalar_call(helix):
+    ts = np.array([1.0, 100.0, -50.0])
+    with pytest.raises(OutOfDomain, match="t=100.0 outside"):
+        ff.eval_derivatives(helix, ts, 1)
+    with pytest.raises(OutOfDomain):
+        ff.eval_derivatives(helix, np.array([1.0, np.nan]), 1)
+    with pytest.raises(OrderUnsupported):
+        ff.eval_derivatives(helix, helix.grid(4), helix.max_order + 1)
+    with pytest.raises(ValueError):
+        ff.eval_derivatives(helix, helix.grid(4).reshape(2, 2), 1)
+    # slack beyond the ends is clamped, as for a scalar
+    lo, hi = helix.domain
+    got = ff.eval_derivatives(helix, np.array([lo - 1e-12, hi + 1e-12]), 1)
+    np.testing.assert_array_equal(got, ff.eval_derivatives(helix, np.array([lo, hi]), 1))
+
+
+def test_evaluator_shape_is_checked_for_arrays():
+    def scalar_only(t, order):
+        return np.zeros((order + 1, 2))
+
+    curve = make_curve(2, (0.0, 1.0), "analytic", 2, scalar_only, check_regularity=False)
+    assert ff.eval_derivatives(curve, 0.5, 1).shape == (2, 2)
+    with pytest.raises(RuntimeError, match="expected"):
+        ff.eval_derivatives(curve, np.array([0.2, 0.5]), 1)
+
+
 def _sampled_helix(helix):
     ts = helix.grid(256)
     return ff.sampled_curve(ts, np.array([helix.point(float(t)) for t in ts]))
@@ -326,6 +352,16 @@ def test_planar_profile_in_two_dimensions_is_accepted():
     profile = ff.CurvatureProfile.constants([1.0], (0.0, 1.0))
     curve = ff.synthesize_from_curvatures(profile, 2)
     assert curve.dimension == 2
+
+
+def test_synthesis_caps_the_step_count(monkeypatch):
+    monkeypatch.setattr(curves, "_MAX_ODE_STEPS", 16)
+    profile = ff.CurvatureProfile.constants([0.05, 0.02], (0.0, 1.6))
+    assert ff.synthesize_from_curvatures(profile, 3, step=0.1).dimension == 3
+    with pytest.raises(BadParameters, match="step 0.09"):
+        ff.synthesize_from_curvatures(profile, 3, step=0.09)
+    with pytest.raises(BadParameters):
+        ff.synthesize_from_curvatures(profile, 3, step=5e-324)
 
 
 def test_synthesis_rejects_bad_frame():

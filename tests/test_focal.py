@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 import focalframe as ff
-from focalframe.curves import CurvatureProfile, ProfileFunction
+from focalframe.curves import (
+    CurvatureProfile,
+    ProfileFunction,
+    TrigCoordinate,
+    curve_from_coordinates,
+)
 from focalframe.errors import FocalNotRegular, NotGeneric, NotUnitSpeed, RegularityFailure
 from focalframe.numdiff import grid_derivative
 
@@ -98,6 +103,24 @@ def test_oracle_equivalence(builder, n):
         for fd in table[3:-3]
     )
     assert worst < 1e-6
+
+
+def test_recursion_converges_at_fourth_order():
+    # elliptical helix (cos t, 0.93 sin t, t) at arclength; worst focal-point
+    # gap to the oracle over every row, boundary rows included
+    curve = curve_from_coordinates((
+        TrigCoordinate(terms=((1.0, 1.0, 0.5 * math.pi),)),
+        TrigCoordinate(terms=((0.93, 1.0, 0.0),)),
+        TrigCoordinate(slope=1.0),
+    ), (0.0, 2 * math.pi), label="elliptical helix")
+    unit = ff.reparam_to_arclength(curve)
+    gaps = []
+    for n in (64, 128, 256, 512):
+        table = ff.focal_curvatures(unit, unit.grid(n))
+        gaps.append(max(np.linalg.norm(fd.focal_point - ff.osculating_center_oracle(unit, fd.s))
+                        for fd in table))
+    orders = np.log2(np.array(gaps[:-1]) / np.array(gaps[1:]))
+    assert np.all((3.5 < orders) & (orders < 5.0)), (gaps, orders)
 
 
 def test_spherical_wcurve_focal_degenerates_to_center(wcurve4):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from focalframe import DegenerateFlag, SingularSystem, gram_schmidt, solve_linear
+from focalframe.linalg import gram_schmidt_rows
 
 
 # ---------------------------------------------------------------- gram_schmidt
@@ -71,6 +72,44 @@ def test_gram_schmidt_orthogonality_and_span(V):
         for v in V[:p]:
             resid = v - basis.T @ (basis @ v)
             assert np.linalg.norm(resid) < 1e-10 * max(1.0, np.linalg.norm(v))
+
+
+# ------------------------------------------------------------ gram_schmidt_rows
+
+def test_gram_schmidt_rows_match_one_flag_calls():
+    rng = np.random.default_rng(11)
+    stack = rng.normal(size=(40, 4, 6)) * rng.uniform(0.1, 10.0, (40, 1, 1))
+    stack[7, 2] = 2.0 * stack[7, 0] - stack[7, 1]    # rank loss at vector 3
+    stack[19, 1] = 0.0                                 # rank loss at vector 2
+    stack[23] = 0.0                                    # rank loss at vector 1
+    stack[31, :3] = np.eye(6)[[0, 0, 0]] + np.outer([0.0, 1e-20, 2e-20], np.eye(6)[1])
+    # rank loss at vector 2, then again at vector 3: the first index counts
+    orth, norms, failed = gram_schmidt_rows(stack)
+    assert orth.shape == stack.shape and norms.shape == (40, 4)
+    for r in range(40):
+        try:
+            want_orth, want_norms = gram_schmidt(stack[r])
+        except DegenerateFlag as exc:
+            assert failed[r] == exc.index
+            continue
+        assert failed[r] == 0
+        np.testing.assert_allclose(norms[r], want_norms, rtol=1e-13)
+        np.testing.assert_allclose(orth[r], want_orth, rtol=0, atol=1e-13 * want_norms.max())
+    np.testing.assert_array_equal(np.flatnonzero(failed), [7, 19, 23, 31])
+    np.testing.assert_array_equal(failed[[7, 19, 23, 31]], [3, 2, 1, 2])
+
+
+def test_gram_schmidt_rows_input_checks():
+    with pytest.raises(ValueError):
+        gram_schmidt_rows(np.ones((2, 3)))
+    with pytest.raises(ValueError):
+        gram_schmidt_rows(np.ones((2, 3, 2)))
+    bad = np.eye(3)[None].repeat(2, axis=0)
+    bad[1, 2, 0] = np.nan
+    with pytest.raises(ValueError):
+        gram_schmidt_rows(bad)
+    empty = gram_schmidt_rows(np.empty((0, 2, 3)))
+    assert [a.shape for a in empty] == [(0, 2, 3), (0, 2), (0,)]
 
 
 # ----------------------------------------------------------------- linear solve

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from focalframe.numdiff import fd_weights, grid_derivative, window_slice
+from focalframe.numdiff import fd_weights, grid_derivative, window_starts
 from focalframe.series import (
     factorials,
     series_compose,
@@ -11,20 +11,24 @@ from focalframe.series import (
 )
 
 
+def one_stencil(nodes, x0, max_order):
+    return fd_weights([nodes], [x0], max_order)[0]
+
+
 def test_fd_weights_match_classical_central_stencil():
-    w = fd_weights([-2.0, -1.0, 0.0, 1.0, 2.0], 0.0, 2)
+    w = one_stencil([-2.0, -1.0, 0.0, 1.0, 2.0], 0.0, 2)
     np.testing.assert_allclose(w[1], np.array([1, -8, 0, 8, -1]) / 12.0, atol=1e-13)
     np.testing.assert_allclose(w[2], np.array([-1, 16, -30, 16, -1]) / 12.0, atol=1e-12)
 
 
 def test_fd_weights_match_classical_forward_stencil():
-    w = fd_weights([0.0, 1.0, 2.0, 3.0, 4.0], 0.0, 1)
+    w = one_stencil([0.0, 1.0, 2.0, 3.0, 4.0], 0.0, 1)
     np.testing.assert_allclose(w[1], np.array([-25, 48, -36, 16, -3]) / 12.0, atol=1e-12)
 
 
 def test_fd_weights_interpolate_at_order_zero():
     nodes = np.array([0.0, 0.3, 0.9, 1.4])
-    w = fd_weights(nodes, 0.55, 0)
+    w = one_stencil(nodes, 0.55, 0)
     coeffs = np.array([2.0, -1.0, 0.5, 0.25])  # cubic through the nodes
     vals = np.polyval(coeffs, nodes)
     assert w[0] @ vals == pytest.approx(np.polyval(coeffs, 0.55), abs=1e-12)
@@ -45,12 +49,83 @@ def test_grid_derivative_vector_valued_accuracy():
     assert np.max(np.abs(grid_derivative(y, t) - dy)) < 40 * h**4
 
 
-def test_window_slice_clamps():
-    assert window_slice(10, 0, 5) == slice(0, 5)
-    assert window_slice(10, 9, 5) == slice(5, 10)
-    assert window_slice(10, 5, 5) == slice(3, 8)
+def test_window_starts_clamps():
+    np.testing.assert_array_equal(window_starts(10, [0, 9, 5], 5), [0, 5, 3])
+    assert window_starts(10, 5, 5) == 3
     with pytest.raises(ValueError):
-        window_slice(4, 0, 5)
+        window_starts(4, 0, 5)
+
+
+def _nonuniform_windows(rng, rows, n):
+    nodes = np.sort(rng.uniform(-2.0, 2.0, (rows, n)), axis=1) * rng.uniform(0.01, 10.0, (rows, 1))
+    centers = nodes[:, 0] + rng.uniform(0.0, 1.0, rows) * (nodes[:, -1] - nodes[:, 0])
+    return nodes, centers
+
+
+def fornberg_scalar(x, x0, max_order):
+    """Reference: Fornberg's recursion on one stencil, one scalar at a time."""
+    n = len(x)
+    C = np.zeros((n, max_order + 1))
+    C[0, 0] = 1.0
+    c1 = 1.0
+    c4 = x[0] - x0
+    for i in range(1, n):
+        mn = min(i, max_order)
+        c2 = 1.0
+        c5 = c4
+        c4 = x[i] - x0
+        for j in range(i):
+            c3 = x[i] - x[j]
+            c2 *= c3
+            if j == i - 1:
+                for k in range(mn, 0, -1):
+                    C[i, k] = c1 * (k * C[i - 1, k - 1] - c5 * C[i - 1, k]) / c2
+                C[i, 0] = -c1 * c5 * C[i - 1, 0] / c2
+            for k in range(mn, 0, -1):
+                C[j, k] = (c4 * C[j, k] - k * C[j, k - 1]) / c3
+            C[j, 0] = c4 * C[j, 0] / c3
+        c1 = c2
+    return C.T
+
+
+@pytest.mark.parametrize("n,max_order", [(2, 1), (5, 1), (7, 4), (11, 5)])
+def test_stacked_fd_weights_bit_identical_to_rows(n, max_order):
+    nodes, centers = _nonuniform_windows(np.random.default_rng(n), 9, n)
+    stacked = fd_weights(nodes, centers, max_order)
+    assert stacked.shape == (9, max_order + 1, n)
+    for r in range(9):
+        np.testing.assert_array_equal(stacked[r], one_stencil(nodes[r], centers[r], max_order))
+        np.testing.assert_array_equal(stacked[r],
+                                      fornberg_scalar(nodes[r], centers[r], max_order))
+
+
+def test_fd_weights_shape_checks():
+    with pytest.raises(ValueError):
+        fd_weights(np.zeros((3, 4)), np.zeros(2), 1)
+    with pytest.raises(ValueError):
+        fd_weights(np.arange(4.0), 0.0, 1)
+    with pytest.raises(ValueError):
+        fd_weights(np.arange(4.0)[None], 0.0, 1)
+    with pytest.raises(ValueError):
+        fd_weights(np.arange(2.0)[None], np.zeros(1), 2)
+
+
+def test_grid_derivative_nonuniform_matches_row_loop():
+    rng = np.random.default_rng(5)
+    t = np.cumsum(rng.uniform(0.01, 0.05, 60))
+    y = np.column_stack([np.sin(3 * t), np.exp(t)])
+    loop, scale = np.empty_like(y), np.empty_like(y)
+    for i in range(t.size):
+        lo = min(max(i - 2, 0), t.size - 5)
+        w = one_stencil(t[lo:lo + 5], t[i], 1)[1]
+        loop[i] = w @ y[lo:lo + 5]
+        scale[i] = np.abs(w) @ np.abs(y[lo:lo + 5])
+    # Two 5-term dot products summed in different orders differ by at most
+    # a few ulps of sum |w_j y_j|.
+    bound = 10 * np.finfo(float).eps * scale
+    got = grid_derivative(y, t)
+    assert np.all(np.abs(got - loop) <= bound)
+    assert np.all(np.abs(grid_derivative(y[:, 0], t) - loop[:, 0]) <= bound[:, 0])
 
 
 # ------------------------------------------------------------------ series

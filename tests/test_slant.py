@@ -56,6 +56,22 @@ def test_uninformative_mean_falls_back_to_first_eigenvector():
     assert abs(fit.axis @ e1) < 1e-15
 
 
+def test_perpendicular_axis_sign_ignores_sample_order():
+    # unit vectors on a great circle: the fitted axis is its pole and the
+    # mean cosine is roundoff, so the sign comes from the axis itself
+    pole = np.array([1.0, 2.0, 3.0]) / math.sqrt(14.0)
+    v1 = np.cross(pole, E3)
+    v1 /= np.linalg.norm(v1)
+    v2 = np.cross(pole, v1)
+    for n in range(8, 40):
+        th = np.linspace(0.3, 2.9, n)
+        X = np.cos(th)[:, None] * v1 + np.sin(th)[:, None] * v2
+        fit, rev = ff.estimate_axis(X), ff.estimate_axis(X[::-1])
+        assert abs(fit.cos_theta) < 1e-15
+        np.testing.assert_allclose(fit.axis, pole, atol=1e-12)
+        np.testing.assert_allclose(rev.axis, pole, atol=1e-12)
+
+
 def test_random_unit_vectors_have_no_cone_structure():
     rng = np.random.default_rng(42)
     v = rng.normal(size=(100, 3))
