@@ -20,16 +20,14 @@ def survey(label, curve, grid_points):
     grid = curve.grid(grid_points)
     print(f"\n{label}  (ambient dimension {m + 1})")
     detected = []
-    for k in range(1, m + 2):
-        rep = ff.is_k_slant(curve, k, grid)
+    for rep in ff.slant_reports(curve, range(1, m + 2), grid):
         tag = "slant" if rep.is_slant else ("perpendicular" if rep.excluded_perpendicular else "no")
-        print(f"  k={k}: {tag:13s} cos={rep.cos_theta: .6f} deviation={rep.deviation:.2e}")
+        print(f"  k={rep.k}: {tag:13s} cos={rep.cos_theta: .6f} deviation={rep.deviation:.2e}")
         if rep.is_slant:
-            detected.append(k)
-    for k in detected:
-        rep = ff.verify_focal_slant(curve, k, grid)
+            detected.append(rep.k)
+    for rep in ff.verify_focal_slants(curve, detected, grid):
         state = "ok" if rep.passed else "FAILED"
-        print(f"  focal: k={k} -> k'={rep.k_prime} {state} "
+        print(f"  focal: k={rep.k} -> k'={rep.k_prime} {state} "
               f"(deviation {rep.focal.deviation:.2e}, axis angle {rep.axis_angle:.2e})")
 
 

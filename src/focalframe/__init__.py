@@ -66,8 +66,10 @@ from .slant import (
     coefficient_residuals,
     estimate_axis,
     is_k_slant,
+    slant_reports,
     theorem_target_index,
     verify_focal_slant,
+    verify_focal_slants,
 )
 
 __version__ = "0.1.0"

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
-from .curves import Curve, as_unit_speed
+from .curves import Curve, as_unit_speed, eval_derivatives
 from .errors import (
     BadParameters,
     FocalFrameError,
@@ -38,7 +38,7 @@ from .errors import (
 )
 from .focal import MIN_GRID, focal_curvatures, focal_relations_check
 from .frenet import classify, curvature_table
-from .slant import is_k_slant, verify_focal_slant
+from .slant import slant_reports, verify_focal_slants
 from .specfile import build_curve, load_curve_spec, samples_spec_dict, save_spec
 
 SCHEMA_VERSION = 2
@@ -85,7 +85,7 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list[float]]) -> None:
+def _write_csv(path: Path, header: list[str], rows) -> None:
     lines = [",".join(header)]
     lines += [",".join(_fmt(v) for v in row) for row in rows]
     path.write_text("\n".join(lines) + "\n")
@@ -103,9 +103,12 @@ def _load(config: RunConfig) -> Curve:
     return build_curve(spec, step=config.step)
 
 
-def _check_k(config: RunConfig, curve: Curve) -> None:
-    if config.k is not None and not 1 <= config.k <= curve.dimension:
+def _ks(config: RunConfig, curve: Curve) -> list[int]:
+    if config.k is None:
+        return list(range(1, curve.dimension + 1))
+    if not 1 <= config.k <= curve.dimension:
         raise SpecFileError(f"--k must lie in [1, {curve.dimension}], got {config.k}")
+    return [config.k]
 
 
 def _meta(config: RunConfig) -> dict:
@@ -124,10 +127,8 @@ def _cmd_analyze(config: RunConfig, out: Path) -> int:
     dim, d = curve.dimension, curve.dimension
     header = (["s"] + [f"x{i}" for i in range(dim)]
               + [f"kappa_{i}" for i in range(1, d)] + ["speed"])
-    rows = []
-    for i, s in enumerate(table.s):
-        point = curve.evaluator(float(s), 0)[0]
-        rows.append([s, *point, *table.curvatures[i], table.speed[i]])
+    points = eval_derivatives(curve, table.s, 0)[:, 0]
+    rows = zip(table.s, *points.T, *table.curvatures.T, table.speed)
     _write_csv(out.with_suffix(".csv"), header, rows)
 
     n_ok = int(table.ok.sum())
@@ -156,13 +157,13 @@ def _cmd_focal(config: RunConfig, out: Path) -> int:
     header = (["s"] + [f"C{i}" for i in range(curve.dimension)]
               + [f"c_{i}" for i in range(1, m + 1)]
               + ["A", "epsilon", "R_m", "is_vertex"])
-    rows = [[fd.s, *fd.focal_point, *fd.focal_curvatures,
-             fd.A, fd.epsilon, fd.R_m, int(fd.is_vertex)] for fd in table]
+    rows = zip(table.s, *table.focal_point.T, *table.focal_curvatures.T,
+               table.A, table.epsilon, table.R_m, table.is_vertex)
     _write_csv(out.with_suffix(".csv"), header, rows)
 
-    payload = _meta(config) | {"n_vertices": sum(fd.is_vertex for fd in table)}
+    payload = _meta(config) | {"n_vertices": int(table.is_vertex.sum())}
     try:
-        payload["relations"] = focal_relations_check(curve, grid).to_dict()
+        payload["relations"] = focal_relations_check(curve, grid, table=table).to_dict()
         status = EXIT_OK
     except FocalFrameError as exc:
         payload["relations"] = None
@@ -174,10 +175,9 @@ def _cmd_focal(config: RunConfig, out: Path) -> int:
 
 def _cmd_slant(config: RunConfig, out: Path) -> int:
     curve = _load(config)
-    _check_k(config, curve)
+    ks = _ks(config, curve)
     grid = curve.grid(config.grid_points)
-    ks = [config.k] if config.k is not None else list(range(1, curve.dimension + 1))
-    reports = [is_k_slant(curve, k, grid, config.tolerance) for k in ks]
+    reports = slant_reports(curve, ks, grid, config.tolerance)
     payload = _meta(config) | {"reports": [r.to_dict() for r in reports]}
     _write_json(out.with_suffix(".json"), payload)
     return EXIT_OK
@@ -185,25 +185,17 @@ def _cmd_slant(config: RunConfig, out: Path) -> int:
 
 def _cmd_verify(config: RunConfig, out: Path) -> int:
     curve = _load(config)
-    _check_k(config, curve)
-    grid = curve.grid(config.grid_points)
-    m = curve.dimension - 1
-    if config.k is not None:
-        ks = [config.k]
-    else:
-        ks = [k for k in range(1, m + 2)
-              if is_k_slant(curve, k, grid, config.tolerance).is_slant]
-    reports = []
-    for k in ks:
-        reports.append(verify_focal_slant(curve, k, grid, tol=config.tolerance,
-                                          focal_tol=config.tolerance))
+    reports = verify_focal_slants(curve, _ks(config, curve), curve.grid(config.grid_points),
+                                  tol=config.tolerance, focal_tol=config.tolerance)
+    if config.k is None:  # every index was tried; report the ones the base curve has
+        reports = [r for r in reports if r.base.is_slant]
     all_passed = bool(reports) and all(r.passed for r in reports)
     payload = _meta(config) | {
-        "verified_k": ks,
+        "verified_k": [r.k for r in reports],
         "all_passed": all_passed,
         "reports": [r.to_dict() for r in reports],
     }
-    if not ks:
+    if not reports:
         payload["note"] = "no slant index detected on the base curve; nothing to verify"
     _write_json(out.with_suffix(".json"), payload)
     return EXIT_OK if all_passed else EXIT_VERIFY_FAILED

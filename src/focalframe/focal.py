@@ -9,7 +9,8 @@ the osculating-center conditions on the squared-distance family directly:
 its first m+1 parameter derivatives vanish at the center, which is a
 plain linear system in the center coordinates. Tests and the acceptance
 gate hold the two routes against each other; neither may be rewired to
-call the other.
+call the other. The focal curve and the frame-relation check both read
+the one :class:`FocalData` table that a grid's recursion produces.
 """
 
 from __future__ import annotations
@@ -21,48 +22,45 @@ import numpy as np
 
 from .curves import Curve, eval_derivatives, sampled_curve
 from .errors import FocalNotRegular, NotGeneric, NotUnitSpeed, ReducedOrder, RegularityFailure
-from .frenet import FrenetData, frenet_grid
+from .frenet import FrenetData, RowTable, _alignment_signs, frenet_grid
 from .linalg import solve_linear
 from .numdiff import grid_derivative
 
 VERTEX_TOL = 1e-10
 _UNIT_SPEED_TOL = 1e-6
 MIN_GRID = 64
+# Rows of a sampled focal curve left out at each end of a comparison: its
+# one-sided difference stencils there are its least accurate data.
+END_TRIM = 3
 
 
 @dataclass(frozen=True)
-class FocalData:
-    """Focal quantities of a unit-speed generic curve at one parameter.
+class FocalData(RowTable):
+    """Focal quantities of a unit-speed generic curve over grid rows.
 
     ``focal_curvatures`` are the frame coefficients of the focal point;
     ``A`` is the focal curve's speed, ``epsilon`` the sign of its signed
     version (0 exactly at a vertex), ``deltas`` the per-normal signs that
-    govern how the focal frame maps back onto the base frame, and ``R_m``
-    the osculating hypersphere radius.
+    govern how the focal frame maps back onto the base frame, ``R_m`` the
+    osculating hypersphere radius and ``frenet`` the base curve's Frenet
+    data. Each field has a leading row axis; one row drops it.
     """
 
-    s: float
+    s: np.ndarray
     focal_curvatures: np.ndarray
     focal_point: np.ndarray
-    A: float
-    epsilon: int
+    A: np.ndarray
+    epsilon: np.ndarray
     deltas: np.ndarray
-    R_m: float
+    R_m: np.ndarray
+    frenet: FrenetData
 
     @property
-    def is_vertex(self) -> bool:
+    def is_vertex(self):
         return self.A < VERTEX_TOL
 
 
-def _require_unit_speed(data: list[FrenetData]) -> None:
-    worst = max(abs(fd.speed - 1.0) for fd in data)
-    if worst > _UNIT_SPEED_TOL:
-        raise NotUnitSpeed(
-            f"speed deviates from 1 by {worst:.3e}; reparametrize to arclength first"
-        )
-
-
-def focal_curvatures(curve: Curve, grid) -> list[FocalData]:
+def focal_curvatures(curve: Curve, grid) -> FocalData:
     """Focal curvatures, focal points and sign data over a uniform grid.
 
     The recursion needs the whole grid at once because each coefficient
@@ -77,10 +75,12 @@ def focal_curvatures(curve: Curve, grid) -> list[FocalData]:
         frames = frenet_grid(curve, ss, order=m + 1)
     except ReducedOrder as exc:
         raise NotGeneric(f"curve is not generic on the grid: {exc}") from exc
-    _require_unit_speed(frames)
+    worst = float(np.max(np.abs(frames.speed - 1.0)))
+    if worst > _UNIT_SPEED_TOL:
+        raise NotUnitSpeed(f"speed deviates from 1 by {worst:.3e}; "
+                           "reparametrize to arclength first")
 
-    kappa = np.array([fd.curvatures for fd in frames])  # (N, m)
-    normals = np.array([fd.frame[1:] for fd in frames])  # (N, m, dim)
+    kappa = frames.curvatures  # (N, m)
     c = np.zeros((ss.size, m + 1))  # column 0 holds the implicit c_0 = 0
     c[:, 1] = 1.0 / kappa[:, 0]
     for i in range(1, m):
@@ -90,18 +90,15 @@ def focal_curvatures(curve: Curve, grid) -> list[FocalData]:
     signed_speed = dcm + kappa[:, m - 1] * c[:, m - 1] if m >= 2 else dcm
 
     coeffs = c[:, 1:]
-    points = eval_derivatives(curve, ss, 0)[:, 0] + np.einsum("nk,nkd->nd", coeffs, normals)
+    points = (eval_derivatives(curve, ss, 0)[:, 0]
+              + np.einsum("nk,nkd->nd", coeffs, frames.frame[:, 1:]))
     eps = np.where(np.abs(signed_speed) < VERTEX_TOL, 0, np.where(signed_speed > 0, 1, -1))
     alphas = np.arange(1, m + 1)
     deltas = (np.where(alphas % 2 == 0, eps[:, None], -eps[:, None])
               * np.sign(kappa[:, m - 1:]).astype(int))
-    radii = np.linalg.norm(coeffs, axis=1)
-    return [
-        FocalData(s=fd.s, focal_curvatures=coeffs[j].copy(), focal_point=points[j],
-                  A=abs(float(signed_speed[j])), epsilon=int(eps[j]), deltas=deltas[j],
-                  R_m=float(radii[j]))
-        for j, fd in enumerate(frames)
-    ]
+    return FocalData(s=frames.s, focal_curvatures=coeffs, focal_point=points,
+                     A=np.abs(signed_speed), epsilon=eps, deltas=deltas,
+                     R_m=np.linalg.norm(coeffs, axis=1), frenet=frames)
 
 
 def osculating_center_oracle(curve: Curve, s: float) -> np.ndarray:
@@ -126,6 +123,18 @@ def osculating_center_oracle(curve: Curve, s: float) -> np.ndarray:
     return solve_linear(A, b)
 
 
+def _sampled_focal_curve(curve: Curve, table: FocalData) -> Curve:
+    keep = ~table.is_vertex
+    n_keep = int(np.count_nonzero(keep))
+    if not n_keep:
+        raise RegularityFailure("every grid row is a vertex: the focal set degenerates to a point")
+    if n_keep < 8:
+        raise FocalNotRegular(f"only {n_keep} of {len(table)} grid rows are away from vertices")
+    return sampled_curve(table.s[keep], table.focal_point[keep],
+                         max_order=min(curve.dimension, 5),
+                         label=f"focal({curve.label or curve.kind})")
+
+
 def focal_curve(curve: Curve, grid) -> Curve:
     """The focal curve as a sampled curve through the focal points.
 
@@ -134,20 +143,7 @@ def focal_curve(curve: Curve, grid) -> Curve:
     regularity probe (a circle's focal set is a single point), the
     construction raises.
     """
-    table = focal_curvatures(curve, grid)
-    keep = [fd for fd in table if not fd.is_vertex]
-    if not keep:
-        raise RegularityFailure(
-            "every grid row is a vertex: the focal set degenerates to a point"
-        )
-    if len(keep) < 8:
-        raise FocalNotRegular(
-            f"only {len(keep)} of {len(table)} grid rows are away from vertices"
-        )
-    ts = np.array([fd.s for fd in keep])
-    pts = np.array([fd.focal_point for fd in keep])
-    return sampled_curve(ts, pts, max_order=min(curve.dimension, 5),
-                         label=f"focal({curve.label or curve.kind})")
+    return _sampled_focal_curve(curve, focal_curvatures(curve, grid))
 
 
 @dataclass(frozen=True)
@@ -189,66 +185,45 @@ class FocalRelationsReport:
         }
 
 
-def _expected_signs(m: int) -> tuple[np.ndarray, np.ndarray]:
-    # Sign vectors (T, N_1..N_{m-1}, N_m) of the fixed even/odd frame maps.
-    base = [1] + [(-1) ** a for a in range(1, m)]
-    even = np.array(base + [1])
-    odd = np.array(base + [-1])
-    return even, odd
-
-
-def focal_relations_check(curve: Curve, grid, trim: int = 3) -> FocalRelationsReport:
+def focal_relations_check(curve: Curve, grid, *, table=None) -> FocalRelationsReport:
     """Measure how the focal curve's frame and curvatures track the base curve's.
 
-    ``trim`` boundary points are excluded at each end: the focal curve is
-    sampled, and its one-sided difference stencils near the ends are the
-    least accurate data in the whole comparison.
+    ``table`` is ``focal_curvatures(curve, grid)`` when the caller has it.
+    Vertex rows are dropped, and so are ``END_TRIM`` rows at each end of
+    the rest, where the sampled focal curve is least accurate.
     """
     ss = np.asarray(grid, dtype=float)
     m = curve.dimension - 1
-    table = focal_curvatures(curve, ss)
-    focal = focal_curve(curve, ss)
-    kept = np.array([not fd.is_vertex for fd in table])
-    ss = ss[kept]
-    table = [fd for fd in table if not fd.is_vertex]
-    base = frenet_grid(curve, ss, order=m + 1)
+    if table is None:
+        table = focal_curvatures(curve, ss)
+    elif not np.array_equal(table.s, ss):
+        raise ValueError("table was computed on a different grid")
+    focal = _sampled_focal_curve(curve, table)
+    kept = table[~table.is_vertex]
+    ss = kept.s
+    # The table's frames were aligned along the full grid; aligning the kept
+    # rows again among themselves gives the frames of a grid without the
+    # vertex rows, which is the grid the focal curve is sampled on.
+    base = kept.frenet.frame * _alignment_signs(kept.frenet.frame)[:, :, None]
     mirror = frenet_grid(focal, ss, order=m + 1)
 
-    if trim and ss.size > 2 * trim + 4:
-        inner = slice(trim, ss.size - trim)
-    else:
-        inner = slice(None)
-    idx = range(*inner.indices(ss.size))
-    n_interior = len(list(idx))
-
-    kres = 0.0
-    chain = 0.0
-    dots = np.empty((n_interior, m + 1))
-    for row, i in enumerate(idx):
-        A = table[i].A
-        k_base = base[i].curvatures
-        k_foc = mirror[i].curvatures
-        expected = k_base[::-1] / A
-        kres = max(kres, float(np.max(np.abs(k_foc - expected))))
-        quotients = k_foc * A / k_base[::-1]
-        chain = max(chain, float(np.max(quotients) - np.min(quotients)))
-        F, G = base[i].frame, mirror[i].frame
-        dots[row, 0] = float(G[0] @ F[m])           # focal tangent vs last normal
-        for a in range(1, m):
-            dots[row, a] = float(G[a] @ F[m - a])   # focal normal a vs normal m-a
-        dots[row, m] = float(G[m] @ F[0])           # focal last normal vs tangent
+    inner = slice(END_TRIM, ss.size - END_TRIM) if ss.size > 2 * END_TRIM + 4 else slice(None)
+    A = kept.A[inner, None]
+    k_base = kept.frenet.curvatures[inner, ::-1]
+    k_foc = mirror.curvatures[inner]
+    kres = float(np.max(np.abs(k_foc - k_base / A)))
+    quotients = k_foc * A / k_base
+    chain = float(np.max(quotients.max(axis=1) - quotients.min(axis=1)))
+    # focal frame vector a against base frame vector m - a
+    dots = (mirror.frame[inner, :, None, :] @ base[inner, ::-1, :, None])[..., 0, 0]
 
     align = np.abs(dots).min(axis=0)
     signs = np.sign(dots.mean(axis=0)).astype(int)
-    even, odd = _expected_signs(m)
-    if np.array_equal(signs, even):
-        pattern = "even"
-    elif np.array_equal(signs, odd):
-        pattern = "odd"
-    else:
-        pattern = "mixed"
-    eps_vals = [table[i].epsilon for i in idx]
-    eps = int(np.sign(sum(eps_vals)))
+    # sign vectors (T, N_1..N_{m-1}, N_m) of the fixed even and odd frame maps
+    flips = [(-1) ** a for a in range(1, m)]
+    patterns = {(1, *flips, 1): "even", (1, *flips, -1): "odd"}
+    pattern = patterns.get(tuple(signs.tolist()), "mixed")
+    eps = int(np.sign(kept.epsilon[inner].sum()))
 
     return FocalRelationsReport(
         m=m,
@@ -260,5 +235,5 @@ def focal_relations_check(curve: Curve, grid, trim: int = 3) -> FocalRelationsRe
         observed_signs=signs,
         pattern=pattern,
         epsilon=eps,
-        n_interior=n_interior,
+        n_interior=int(dots.shape[0]),
     )

@@ -7,12 +7,12 @@ under reparametrization. A grid is processed in one pass: one array call
 to the derivative oracle, one stacked Gram-Schmidt over all rows, and
 array arithmetic for frames, curvatures and the sign alignment, which
 keeps downstream axis estimation free of spurious frame flips. A single
-point is the one-row case of the same pass.
+point is the one-row case of the same array-backed :class:`FrenetData`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -23,19 +23,44 @@ from .linalg import gram_schmidt_rows
 DEFAULT_CLASSIFY_TOL = 1e-6
 
 
-@dataclass(frozen=True)
-class FrenetData:
-    """Frame, curvatures and speed of a curve at one parameter value.
+def _row(value, index):
+    out = value[index]
+    return out.item() if isinstance(out, np.generic) else out
 
-    ``frame`` rows are the unit tangent followed by the unit normals;
-    ``curvatures`` has one entry fewer than the frame has rows.
+
+class RowTable:
+    """Sequence access for a dataclass whose fields share a leading row axis.
+
+    An integer index gives one row, with Python scalars for numbers; a
+    slice or an index array gives the table of those rows.
     """
 
-    s: float
-    speed: float
+    def __len__(self) -> int:
+        return len(self.s)
+
+    def __getitem__(self, index):
+        return type(self)(*(_row(getattr(self, f.name), index) for f in fields(self)))
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+
+@dataclass(frozen=True)
+class FrenetData(RowTable):
+    """Frames, curvatures and speed of a curve over N grid rows.
+
+    ``s`` and ``speed`` are (N,); ``frame`` (N, d, dim) holds the unit
+    tangent and then the unit normals; ``curvatures`` is (N, d-1).
+    """
+
+    s: np.ndarray
+    speed: np.ndarray
     frame: np.ndarray
     curvatures: np.ndarray
-    osculating_order: int
+
+    @property
+    def osculating_order(self) -> int:
+        return self.frame.shape[-2]
 
 
 def _osculating_order(curve: Curve, order: int | None) -> int:
@@ -67,7 +92,7 @@ def frenet_grid(
     grid,
     order: int | None = None,
     align: bool = True,
-) -> list[FrenetData]:
+) -> FrenetData:
     """Frenet data over a parameter grid, sign-aligned by default.
 
     Osculating order ``order`` defaults to the ambient dimension (a generic
@@ -76,9 +101,7 @@ def frenet_grid(
     independent.
     """
     d = _osculating_order(curve, order)
-    ss = np.asarray(grid, dtype=float)
-    if ss.size == 0:
-        return []
+    ss = np.array(grid, dtype=float)
     orth, norms, failed = gram_schmidt_rows(eval_derivatives(curve, ss, d)[:, 1:])
     bad = np.flatnonzero(failed)
     if bad.size:
@@ -87,10 +110,10 @@ def frenet_grid(
     if align:
         frames *= _alignment_signs(frames)[:, :, None]
     curvatures = norms[:, 1:] / (norms[:, :-1] * norms[:, :1])
-    frames.setflags(write=False)
-    curvatures.setflags(write=False)
-    return [FrenetData(s, v, F, K, d)
-            for s, v, F, K in zip(ss.tolist(), norms[:, 0].tolist(), frames, curvatures)]
+    speed = norms[:, 0]
+    for a in (ss, speed, frames, curvatures):
+        a.setflags(write=False)
+    return FrenetData(ss, speed, frames, curvatures)
 
 
 def frenet_apparatus(curve: Curve, s: float, order: int | None = None) -> FrenetData:

@@ -10,7 +10,8 @@ the cone (a constant right angle is excluded by definition).
 
 The focal verification builds the focal curve and checks that the slant
 index migrates to its mirrored position, including that both curves
-share one axis. Detections for different k are independent and the
+share one axis. Several indices share one Frenet pass per curve and one
+focal curve. Each k's fit reads only its own frame vector and the
 covariance accumulation order is fixed, so results are deterministic.
 """
 
@@ -22,7 +23,7 @@ import numpy as np
 
 from .curves import Curve, as_unit_speed
 from .frenet import frenet_grid
-from .focal import focal_curve
+from .focal import END_TRIM, focal_curve
 from .linalg import as_vector
 from .numdiff import grid_derivative
 
@@ -131,33 +132,31 @@ class SlantReport:
         }
 
 
-def frame_vector_samples(curve: Curve, k: int, grid) -> np.ndarray:
-    """Sign-aligned samples of the k-th frame vector (k=1 is the tangent)."""
-    m = curve.dimension - 1
-    if not 1 <= k <= m + 1:
-        raise ValueError(f"k must lie in [1, {m + 1}], got {k}")
-    data = frenet_grid(curve, grid, order=m + 1)
-    return np.array([fd.frame[k - 1] for fd in data])
-
-
-def is_k_slant(curve: Curve, k: int, grid=None, tol: float | None = None) -> SlantReport:
-    """Detect whether the k-th frame vector keeps a constant, non-right angle."""
+def slant_reports(curve: Curve, ks, grid=None, tol: float | None = None) -> list[SlantReport]:
+    """Slant verdicts for each index in ``ks`` from one Frenet pass over the grid."""
     if grid is None:
         grid = curve.grid(256)
     if tol is None:
         tol = default_slant_tol(curve)
-    fit = estimate_axis(frame_vector_samples(curve, k, grid))
-    excluded = abs(fit.cos_theta) <= PERPENDICULAR_GUARD
-    return SlantReport(
-        k=int(k),
-        axis=fit.axis,
-        cos_theta=fit.cos_theta,
-        deviation=fit.deviation,
-        is_slant=bool(fit.deviation < tol and not excluded),
-        excluded_perpendicular=bool(excluded),
-        tolerance=float(tol),
-        degenerate_axis=fit.degenerate,
-    )
+    m, ks = curve.dimension - 1, list(ks)
+    bad = [k for k in ks if not 1 <= k <= m + 1]
+    if bad:
+        raise ValueError(f"k must lie in [1, {m + 1}], got {bad[0]}")
+    frames = frenet_grid(curve, grid, order=m + 1).frame
+    reports = []
+    for k in ks:
+        # contiguous samples, so the fit's BLAS calls see one memory layout
+        fit = estimate_axis(np.ascontiguousarray(frames[:, k - 1]))
+        excluded = abs(fit.cos_theta) <= PERPENDICULAR_GUARD
+        reports.append(SlantReport(int(k), fit.axis, fit.cos_theta, fit.deviation,
+                                   bool(fit.deviation < tol and not excluded), bool(excluded),
+                                   float(tol), fit.degenerate))
+    return reports
+
+
+def is_k_slant(curve: Curve, k: int, grid=None, tol: float | None = None) -> SlantReport:
+    """Detect whether the k-th frame vector keeps a constant, non-right angle."""
+    return slant_reports(curve, [k], grid, tol)[0]
 
 
 @dataclass(frozen=True)
@@ -192,8 +191,8 @@ def coefficient_residuals(curve: Curve, U, grid) -> ResidualTable:
     axis = as_vector(U, curve.dimension)
     axis = axis / np.linalg.norm(axis)
     data = frenet_grid(curve, ss, order=m + 1)
-    a = np.array([fd.frame @ axis for fd in data])        # (N, m+1)
-    kappa = np.array([fd.curvatures for fd in data])      # (N, m)
+    a = data.frame @ axis     # (N, m+1)
+    kappa = data.curvatures   # (N, m)
     da = grid_derivative(a, ss)
 
     P = np.empty((m + 1, ss.size))
@@ -253,47 +252,52 @@ class TheoremReport:
         }
 
 
-def verify_focal_slant(
-    curve: Curve,
-    k: int,
-    grid=None,
-    tol: float | None = None,
-    focal_tol: float | None = None,
-) -> TheoremReport:
-    """Check that a k-slant curve has an (m-k+2)-slant focal curve, same axis.
+def verify_focal_slants(curve: Curve, ks, grid=None, tol: float | None = None,
+                        focal_tol: float | None = None) -> list[TheoremReport]:
+    """For each k in ``ks``, check that a k-slant curve has an (m-k+2)-slant focal curve.
 
-    The base verdict runs on the curve as given. The focal construction
-    needs an arclength parametrization, so the curve is reparametrized
-    when its speed is not 1, and the focal verdict runs on an interior
-    sub-grid (three points trimmed per end) to keep one-sided stencil
-    noise out of the cone statistics. Axis agreement is the angle between
-    the two estimated axes modulo sign.
+    The base verdicts run on the curve as given. When any is slant, the
+    focal curve is built once, from the arclength version of the curve,
+    and its verdicts run on an interior sub-grid (``END_TRIM`` points
+    trimmed per end) that keeps one-sided stencil noise out of the cone
+    statistics. Axis agreement is the angle between the two axes modulo sign.
     """
     if grid is None:
         grid = curve.grid(256)
     grid = np.asarray(grid, dtype=float)
-    m = curve.dimension - 1
-    k_prime = theorem_target_index(k, m)
-    base = is_k_slant(curve, k, grid, tol)
-    if not base.is_slant:
-        return TheoremReport(m, int(k), int(k_prime), base, None, float("nan"), False,
-                             note="base curve is not k-slant; premise fails")
+    m, ks = curve.dimension - 1, list(ks)
+    k_primes = [theorem_target_index(k, m) for k in ks]
+    bases = slant_reports(curve, ks, grid, tol)
+    mirrored = [kp for kp, base in zip(k_primes, bases) if base.is_slant]
+    if mirrored:
+        unit = as_unit_speed(curve)
+        ugrid = grid if unit is curve else unit.grid(grid.size)
+        mirror = focal_curve(unit, ugrid)
+        inner = mirror.grid(grid.size)[END_TRIM:-END_TRIM]
+        focal_reports = iter(slant_reports(mirror, mirrored, inner,
+                                           SAMPLED_TOL if focal_tol is None else focal_tol))
 
-    unit = as_unit_speed(curve)
-    ugrid = grid if unit is curve else unit.grid(grid.size)
-    mirror = focal_curve(unit, ugrid)
-    inner = np.asarray(mirror.grid(grid.size))
-    trim = 3
-    inner = inner[trim:-trim]
-    focal_report = is_k_slant(mirror, k_prime, inner,
-                              SAMPLED_TOL if focal_tol is None else focal_tol)
+    reports = []
+    for k, k_prime, base in zip(ks, k_primes, bases):
+        if not base.is_slant:
+            reports.append(TheoremReport(m, int(k), int(k_prime), base, None, float("nan"),
+                                         False, note="base curve is not k-slant; premise fails"))
+            continue
+        focal_report = next(focal_reports)
+        cosang = abs(float(base.axis @ focal_report.axis))
+        axis_angle = float(np.arccos(min(1.0, cosang)))
+        passed = bool(focal_report.is_slant and axis_angle < AXIS_ANGLE_TOL)
+        note = ""
+        if 2 <= k <= m and (k == 2 or k == m):
+            note = ("interior index reflection applied at a boundary index (k=2 or "
+                    "k=m): the closed range is implemented, the open range is the "
+                    "commonly stated one")
+        reports.append(TheoremReport(m, int(k), int(k_prime), base, focal_report,
+                                     axis_angle, passed, note))
+    return reports
 
-    cosang = abs(float(base.axis @ focal_report.axis))
-    axis_angle = float(np.arccos(min(1.0, cosang)))
-    passed = bool(base.is_slant and focal_report.is_slant and axis_angle < AXIS_ANGLE_TOL)
-    note = ""
-    if 2 <= k <= m and (k == 2 or k == m):
-        note = ("interior index reflection applied at a boundary index (k=2 or "
-                "k=m): the closed range is implemented, the open range is the "
-                "commonly stated one")
-    return TheoremReport(m, int(k), int(k_prime), base, focal_report, axis_angle, passed, note)
+
+def verify_focal_slant(curve: Curve, k: int, grid=None, tol: float | None = None,
+                       focal_tol: float | None = None) -> TheoremReport:
+    """The one-index case of :func:`verify_focal_slants`."""
+    return verify_focal_slants(curve, [k], grid, tol, focal_tol)[0]

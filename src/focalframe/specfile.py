@@ -68,7 +68,7 @@ def parse_curve_spec(raw) -> CurveSpec:
         raise SpecFileError(f"type must be one of {CURVE_TYPES}, got {ctype!r}")
     try:
         dim = int(raw["dim"])
-    except (KeyError, TypeError, ValueError):
+    except (KeyError, TypeError, ValueError, OverflowError):
         raise SpecFileError("spec needs an integer 'dim'") from None
 
     params = raw.get("params", {})
@@ -107,12 +107,14 @@ def load_curve_spec(path) -> CurveSpec:
     return parse_curve_spec(raw)
 
 
+@np.errstate(over="raise", divide="raise", invalid="raise")
 def build_curve(spec: CurveSpec, step: float | None = None) -> Curve:
     """Instantiate the curve a spec describes.
 
     For ``curvatures`` specs the curve is synthesized from a spline profile
     through the rows, starting at the origin with the standard frame;
-    ``step`` (or params.step) overrides the integrator's step size.
+    ``step`` (or params.step) overrides the integrator's step size. Values
+    that overflow or go non-finite while building raise SpecFileError.
     """
     try:
         if spec.type == "circle":
@@ -149,7 +151,7 @@ def build_curve(spec: CurveSpec, step: float | None = None) -> Curve:
         return synthesize_from_curvatures(profile, spec.dim, step=step)
     except KeyError as exc:
         raise SpecFileError(f"type {spec.type!r} is missing param {exc.args[0]!r}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, FloatingPointError) as exc:
         raise SpecFileError(f"bad value in spec params: {exc}") from exc
 
 

@@ -1,9 +1,15 @@
+import contextlib
 import csv
+import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from focalframe.cli import (
     EXIT_INPUT_ERROR,
@@ -15,6 +21,7 @@ from focalframe.cli import (
 )
 from focalframe.errors import SpecFileError
 from focalframe.specfile import (
+    CURVE_TYPES,
     build_curve,
     load_curve_spec,
     parse_curve_spec,
@@ -212,6 +219,39 @@ def test_focal_circle_is_numeric_failure(tmp_path):
     assert payload["relations"] is None
 
 
+# ------------------------------------------------------------- compute once
+
+@pytest.mark.parametrize("command,spec,passes", [
+    ("focal", {"type": "helix", "dim": 3, "params": {"a": 2.0, "b": 1.0}}, 2),
+    ("slant", {"type": "wcurve", "dim": 5,
+               "params": {"radii": [1.0, 1.0], "frequencies": [1.0, 2.0], "pitch": 1.0}}, 1),
+    ("verify", {"type": "wcurve", "dim": 5,
+                "params": {"radii": [1.0, 1.0], "frequencies": [1.0, 2.0], "pitch": 1.0}}, 3),
+])
+def test_each_command_runs_one_frenet_pass_per_curve(tmp_path, monkeypatch, command, spec,
+                                                      passes):
+    # focal: the curve and its focal curve; slant: the curve, for every k;
+    # verify (k = 1, 3, 5 are slant): the curve, its arclength version and
+    # the focal curve, shared by every k
+    import focalframe.focal
+    import focalframe.slant
+
+    calls = []
+
+    def counted(real):
+        def frenet_grid(curve, *args, **kwargs):
+            calls.append(curve.label)
+            return real(curve, *args, **kwargs)
+        return frenet_grid
+
+    for module in (focalframe.focal, focalframe.slant):
+        monkeypatch.setattr(module, "frenet_grid", counted(module.frenet_grid))
+    path = write_spec(tmp_path, "spec.json", spec)
+    rc = main([command, "--input", path, "--output", str(tmp_path / "out"), "--grid-points", "128"])
+    assert rc == EXIT_OK
+    assert len(calls) == passes, calls
+
+
 # ----------------------------------------------------------------- exit behavior
 
 def test_missing_input_is_input_error(tmp_path):
@@ -259,7 +299,13 @@ def test_flag_out_of_range_is_input_error(tmp_path, helix_spec, capsys, args):
 @pytest.mark.parametrize("fields", [
     {"params": {"a": "nan", "b": 1.0}},
     {"params": {"a": 2.0, "b": 1.0}, "domain": ["x", 1.0]},
-], ids=["nan-param", "text-domain"])
+    # found by the exit-code fuzz test: each printed overflow warnings before its error line
+    {"type": "curvatures", "dim": 2, "params": {},
+     "rows": [[0.0, 1.0], [0.1, 1.0], [-3e121, 1.0], [0.3, 1.0], [0.4, 1.0], [0.5, 1.0]]},
+    {"type": "curvatures", "dim": 3, "params": {"step": 0.3},
+     "rows": [[0.0, 1.0, -1e198]] + [[0.4 * i, 1.0, 1.0] for i in range(1, 5)]},
+    {"params": {"a": 2.0, "b": 1.0}, "dim": -math.inf},  # raised OverflowError
+], ids=["nan-param", "text-domain", "huge-node", "huge-last-curvature", "infinite-dim"])
 def test_bad_spec_value_is_input_error(tmp_path, capsys, fields):
     spec = write_spec(tmp_path, "bad.json", {"type": "helix", "dim": 3, **fields})
     assert main(["analyze", "--input", spec, "--output", str(tmp_path / "x")]) == EXIT_INPUT_ERROR
@@ -275,3 +321,121 @@ def test_outputs_are_byte_identical(tmp_path, helix_spec):
     main(["analyze", "--input", helix_spec, "--output", str(a)])
     main(["analyze", "--input", helix_spec, "--output", str(b)])
     assert a.with_suffix(".csv").read_bytes() == b.with_suffix(".csv").read_bytes()
+
+
+# ------------------------------------------------------------ exit-code fuzzing
+
+_JUNK = st.one_of(st.none(), st.booleans(), st.text(max_size=3), st.just([]), st.just({}))
+_ANY_NUMBER = st.one_of(st.floats(allow_nan=True, allow_infinity=True), st.integers(-3, 3))
+_POSITIVE = st.floats(0.05, 3.0)
+_ODD_VALUE = st.one_of(_ANY_NUMBER, _JUNK)
+
+
+@st.composite
+def _maybe(draw, valid, weight=4):
+    """Mostly a valid value, sometimes any number or a wrong type."""
+    return draw(valid if draw(st.integers(0, weight)) else _ODD_VALUE)
+
+
+@st.composite
+def _params(draw, ctype, dim):
+    if ctype == "circle":
+        params = {"r": draw(_maybe(_POSITIVE))}
+    elif ctype == "helix":
+        params = {"a": draw(_maybe(_POSITIVE)), "b": draw(_maybe(_POSITIVE))}
+    elif ctype == "salkowski":
+        params = {"n": draw(_maybe(st.floats(-0.95, 0.95)))}
+    elif ctype == "wcurve":
+        blocks = max(1, dim // 2) if isinstance(dim, int) else 1
+        lists = st.lists(_maybe(_POSITIVE), min_size=0, max_size=3)
+        params = {
+            "radii": draw(_maybe(st.lists(_POSITIVE, min_size=blocks, max_size=blocks))
+                          | lists),
+            "frequencies": draw(_maybe(st.just([float(i + 1) for i in range(blocks)])) | lists),
+            "pitch": draw(_maybe(_POSITIVE)),
+        }
+    elif ctype == "curvatures":
+        params = {"step": draw(st.floats(0.02, 1.0))} if draw(st.booleans()) else {}
+    else:
+        params = {}
+    if draw(st.integers(0, 9)) == 0:
+        params["unknown"] = 1.0
+    keys = sorted(params)
+    return {k: params[k] for k in keys if draw(st.integers(0, 7))}
+
+
+@st.composite
+def _rows(draw, ctype, dim):
+    width = dim + (1 if ctype == "samples" else 0) if isinstance(dim, int) and 1 <= dim <= 6 else 3
+    n = draw(st.integers(0, 64))
+    length = draw(st.floats(0.5, 4.0))
+    t = np.linspace(0.0, length, n)
+    # smooth data; one odd cell or a reversal below make it bad
+    if ctype == "samples":
+        x = np.column_stack([np.cos(t * (j + 1) + j) for j in range(width - 1)]) if n else []
+        rows = np.column_stack([t, x]).tolist() if n else []
+    else:
+        levels = np.array([draw(_POSITIVE) for _ in range(width - 1)])
+        wobble = draw(st.floats(-1.0, 1.0)) * np.sin(t)[:, None]
+        rows = np.column_stack([t, levels * (1.0 + 0.5 * wobble)]).tolist()
+    if rows and draw(st.booleans()):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, width - 1))
+        rows[i][j] = draw(_ODD_VALUE)
+    if rows and draw(st.integers(0, 5)) == 0:
+        rows = rows[::-1]
+    return draw(_maybe(st.just(rows), 6))
+
+
+@st.composite
+def _specs(draw):
+    ctype = draw(_maybe(st.sampled_from(CURVE_TYPES), 8))
+    fitting = {"circle": 2, "helix": 3, "salkowski": 3}.get(ctype if isinstance(ctype, str) else "")
+    dim = draw(_maybe(st.integers(1, 6) if fitting is None else st.just(fitting), 8))
+    spec = {"type": ctype, "dim": dim}
+    if draw(st.integers(0, 9)):
+        spec["params"] = draw(_params(ctype, dim))
+    else:
+        spec["params"] = draw(_ODD_VALUE)
+    if draw(st.integers(0, 3)) == 0:
+        spec["domain"] = draw(st.one_of(st.lists(_maybe(st.floats(-4.0, 8.0)), min_size=2,
+                                                 max_size=2),
+                                        st.lists(_ANY_NUMBER, max_size=3), _JUNK))
+    if ctype in ("samples", "curvatures") or draw(st.integers(0, 9)) == 0:
+        spec["rows"] = draw(_rows(ctype, dim))
+    return spec
+
+
+@st.composite
+def _flags(draw):
+    command = draw(st.sampled_from(["analyze", "focal", "slant", "verify", "synthesize"]))
+    grid = draw(st.sampled_from([64, 128]) | st.integers(16, 128))
+    flags = [command, "--grid-points", str(grid)]
+    for flag, values in [
+        ("--tolerance", st.floats(allow_nan=True, allow_infinity=True) | st.floats(1e-8, 1e-2)),
+        ("--k", st.integers(-1, 7)),
+        ("--dim", st.integers(0, 7)),
+        ("--step", st.floats(1e-3, 2.0)),
+    ]:
+        if draw(st.integers(0, 3)) == 0:
+            # "--flag=value": argparse reads a separate "-1e+16" as an option
+            flags.append(f"{flag}={draw(values)!r}")
+    return flags
+
+
+def run_main(spec, flags):
+    """Run the CLI in process on ``spec``; returns (exit code, stderr text)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "spec.json"
+        path.write_text(json.dumps(spec))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = main([*flags, "--input", str(path), "--output", str(Path(tmp) / "out")])
+    return rc, err.getvalue()
+
+
+@given(spec=_specs(), flags=_flags())
+@settings(max_examples=40)
+def test_exit_code_contract_holds_for_any_spec_and_flags(spec, flags):
+    rc, err = run_main(spec, flags)
+    assert rc in (EXIT_OK, EXIT_VERIFY_FAILED, EXIT_INPUT_ERROR, EXIT_NUMERIC_FAILURE)
+    assert err.count("\n") <= 1

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -11,6 +12,8 @@ from focalframe.curves import (
     curve_from_coordinates,
 )
 from focalframe.errors import FocalNotRegular, NotGeneric, NotUnitSpeed, RegularityFailure
+from focalframe.focal import FocalRelationsReport
+from focalframe.frenet import _alignment_signs
 from focalframe.numdiff import grid_derivative
 
 SQRT5 = math.sqrt(5.0)
@@ -191,12 +194,11 @@ def test_focal_not_regular_when_too_few_rows_survive(monkeypatch):
     unit = ff.reparam_to_arclength(ff.make_helix(2.0, 1.0))
     grid = unit.grid(64)
     table = ff.focal_curvatures(unit, grid)
-    starved = [
-        fd if i < 4 else type(fd)(
-            fd.s, fd.focal_curvatures, fd.focal_point, 0.0, 0, fd.deltas, fd.R_m
-        )
-        for i, fd in enumerate(table)
-    ]
+    starved_rows = np.arange(len(table)) >= 4
+    starved = dataclasses.replace(table, A=np.where(starved_rows, 0.0, table.A),
+                                  epsilon=np.where(starved_rows, 0, table.epsilon))
+    with pytest.raises(FocalNotRegular):
+        ff.focal_relations_check(unit, grid, table=starved)
     monkeypatch.setattr(ff.focal, "focal_curvatures", lambda *a, **k: starved)
     with pytest.raises(FocalNotRegular):
         ff.focal.focal_curve(unit, grid)
@@ -248,6 +250,122 @@ def test_ellipse_focal_points_match_classic_evolute(ellipse_arc):
         np.testing.assert_allclose(fd.focal_point, evolute, atol=1e-8)
 
 
+# ------------------------------------------- array relations against the row loop
+
+def focal_relations_loop(curve, grid, table, trim=3):
+    """Reference frame-relation check: one row at a time, with the base
+    frames recomputed on the grid without its vertex rows."""
+    ss = np.asarray(grid, dtype=float)
+    m = curve.dimension - 1
+    kept = np.array([not fd.is_vertex for fd in table])
+    ss = ss[kept]
+    table = [fd for fd in table if not fd.is_vertex]
+    focal = ff.sampled_curve(ss, np.array([fd.focal_point for fd in table]),
+                             max_order=min(curve.dimension, 5))
+    base = list(ff.frenet_grid(curve, ss, order=m + 1))
+    mirror = list(ff.frenet_grid(focal, ss, order=m + 1))
+    inner = slice(trim, ss.size - trim) if ss.size > 2 * trim + 4 else slice(None)
+    idx = range(*inner.indices(ss.size))
+    kres = chain = 0.0
+    dots = np.empty((len(idx), m + 1))
+    for row, i in enumerate(idx):
+        A = table[i].A
+        k_base = base[i].curvatures
+        k_foc = mirror[i].curvatures
+        kres = max(kres, float(np.max(np.abs(k_foc - k_base[::-1] / A))))
+        quotients = k_foc * A / k_base[::-1]
+        chain = max(chain, float(np.max(quotients) - np.min(quotients)))
+        F, G = base[i].frame, mirror[i].frame
+        dots[row, 0] = float(G[0] @ F[m])
+        for a in range(1, m):
+            dots[row, a] = float(G[a] @ F[m - a])
+        dots[row, m] = float(G[m] @ F[0])
+    align = np.abs(dots).min(axis=0)
+    signs = np.sign(dots.mean(axis=0)).astype(int)
+    flips = [(-1) ** a for a in range(1, m)]
+    even, odd = np.array([1, *flips, 1]), np.array([1, *flips, -1])
+    pattern = ("even" if np.array_equal(signs, even)
+               else "odd" if np.array_equal(signs, odd) else "mixed")
+    eps = int(np.sign(sum(table[i].epsilon for i in idx)))
+    return FocalRelationsReport(m, kres, chain, float(align[0]), align[1:m].copy(),
+                                float(align[m]), signs, pattern, eps, len(idx))
+
+
+def synthesized_e4():
+    profile = CurvatureProfile(
+        (ff.curves.LinearProfile(1.0, 0.2), ff.curves.ConstantProfile(0.8),
+         ff.curves.ConstantProfile(0.5)),
+        (0.0, 2.0),
+    )
+    return ff.synthesize_from_curvatures(profile, 4)
+
+
+def ramp_curve():
+    return ff.synthesize_from_curvatures(CurvatureProfile((_RampProfile(2.0),), (0.0, 4.0)), 2)
+
+
+def unit_wcurve5():
+    r = math.sqrt(6.0)  # speed of the E5 W-curve, scaled out of its frequencies
+    return ff.make_wcurve([1.0, 1.0], [1.0 / r, 2.0 / r], pitch=1.0 / r, dim=5,
+                          domain=(0.0, 2 * math.pi * r))
+
+
+@pytest.mark.parametrize("name,n", [("helix", 256), ("ellipse", 128), ("synthesized_e4", 256),
+                                    ("ramp", 128), ("wcurve5_gap", 128)])
+def test_relations_match_row_loop_exactly(name, n, unit_helix, ellipse_arc):
+    curve = {"helix": lambda: unit_helix,
+             "ellipse": lambda: ff.reparam_to_arclength(ellipse_arc),
+             "synthesized_e4": synthesized_e4, "ramp": ramp_curve,
+             "wcurve5_gap": unit_wcurve5}[name]()
+    grid = curve.grid(n)
+    table = ff.focal_curvatures(curve, grid)
+    reports = [ff.focal_relations_check(curve, grid, table=table)]
+    if name == "wcurve5_gap":
+        # vertex rows mid-grid: the base frames of the kept rows need aligning again
+        gap = (np.arange(n) >= 40) & (np.arange(n) < 60)
+        table = dataclasses.replace(table, A=np.where(gap, 0.0, table.A),
+                                    epsilon=np.where(gap, 0, table.epsilon))
+        reports = [ff.focal_relations_check(curve, grid, table=table)]
+    else:
+        reports.append(ff.focal_relations_check(curve, grid))
+    want = focal_relations_loop(curve, grid, table)
+    for got in reports:
+        for field in dataclasses.fields(FocalRelationsReport):
+            np.testing.assert_array_equal(getattr(got, field.name), getattr(want, field.name),
+                                          err_msg=field.name)
+    if name in ("ramp", "wcurve5_gap"):
+        assert table.is_vertex.any() and want.n_interior < n - 2 * 3
+
+
+def test_relations_reject_a_table_from_another_grid(unit_helix):
+    table = ff.focal_curvatures(unit_helix, unit_helix.grid(128))
+    with pytest.raises(ValueError):
+        ff.focal_relations_check(unit_helix, unit_helix.grid(129), table=table)
+
+
+@pytest.mark.parametrize("name", ["wcurve4", "ramp"])
+def test_realigned_slice_equals_frames_of_the_kept_rows(name, wcurve4):
+    # The relations check takes its base frames from the focal table: the
+    # kept rows of the full-grid frames, aligned again among themselves.
+    # That must be exactly the frames of the grid without the dropped rows.
+    if name == "wcurve4":
+        curve = ff.reparam_to_arclength(wcurve4)
+        grid = curve.grid(96)
+        keep = np.ones(grid.size, bool)
+        keep[30:50] = False  # a 20-row gap
+    else:
+        curve = ramp_curve()
+        grid = curve.grid(128)
+        keep = ~ff.focal_curvatures(curve, grid).is_vertex
+    full = ff.frenet_grid(curve, grid)[keep]
+    want = ff.frenet_grid(curve, grid[keep])
+    realigned = full.frame * _alignment_signs(full.frame)[:, :, None]
+    np.testing.assert_array_equal(realigned, want.frame)
+    np.testing.assert_array_equal(full.curvatures, want.curvatures)
+    if name == "wcurve4":
+        assert np.count_nonzero(full.frame != want.frame) > 0  # a plain slice is not enough
+
+
 # ----------------------------------------------------- scalar recursion residual
 
 def test_radius_consistency(unit_helix, helix_focal_table):
@@ -266,6 +384,16 @@ def test_last_scalar_equation_residual(ellipse_arc):
     R2 = np.array([fd.R_m**2 for fd in table])
     resid = np.abs(grid_derivative(c1, grid) - grid_derivative(R2, grid) / (2 * c1))
     assert np.max(resid[3:-3]) < 1e-5
+
+
+def test_focal_table_rows_carry_their_frenet_row(helix_focal_table):
+    assert helix_focal_table.is_vertex.shape == (256,)
+    row = helix_focal_table[7]
+    assert isinstance(row, ff.FocalData) and row.is_vertex is False
+    assert type(row.A) is float and type(row.epsilon) is int
+    assert row.frenet.s == row.s == helix_focal_table.s[7]
+    np.testing.assert_array_equal(row.frenet.frame, helix_focal_table.frenet.frame[7])
+    assert sum(fd.is_vertex for fd in helix_focal_table) == 0
 
 
 def test_deltas_follow_sign_rule(helix_focal_table):

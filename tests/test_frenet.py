@@ -208,6 +208,20 @@ def test_frenet_apparatus_is_one_row_of_the_grid(wcurve5):
         assert one.s == fd.s and one.osculating_order == 5
 
 
+def test_grid_table_indexes_slices_and_iterates(helix):
+    table = ff.frenet_grid(helix, helix.grid(12))
+    assert len(table) == 12 and table.frame.shape == (12, 3, 3)
+    row = table[5]
+    assert isinstance(row, ff.FrenetData) and row.frame.shape == (3, 3)
+    assert type(row.s) is float and type(row.speed) is float and row.osculating_order == 3
+    part = table[3:-3]
+    assert isinstance(part, ff.FrenetData) and len(part) == 6
+    np.testing.assert_array_equal(part.curvatures, table.curvatures[3:-3])
+    assert [r.s for r in table] == helix.grid(12).tolist()
+    with pytest.raises(ValueError):
+        table.frame[0, 0, 0] = 1.0  # shared with every row, so read-only
+
+
 def test_alignment_signs_match_the_loop_exactly():
     rng = np.random.default_rng(7)
     # Slowly turning frames with random sign flips, then rows that are

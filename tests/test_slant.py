@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,11 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import focalframe as ff
-from focalframe.slant import (
-    AXIS_ANGLE_TOL,
-    frame_vector_samples,
-    theorem_target_index,
-)
+from focalframe.slant import AXIS_ANGLE_TOL, theorem_target_index
 
 E3 = np.array([0.0, 0.0, 1.0])
 
@@ -30,8 +27,7 @@ def test_constant_samples_recover_their_direction():
 
 
 def test_helix_tangents_give_exact_axis(helix):
-    samples = frame_vector_samples(helix, 1, helix.grid(64))
-    fit = ff.estimate_axis(samples)
+    fit = ff.estimate_axis(ff.frenet_grid(helix, helix.grid(64)).frame[:, 0])
     assert axis_angle(fit.axis, E3) < 1e-9
     assert fit.cos_theta == pytest.approx(1 / math.sqrt(5), abs=1e-12)
     assert fit.deviation < 1e-9
@@ -237,6 +233,34 @@ def test_wcurve5_focal_migration_every_admissible_k(wcurve5, k, k_prime):
     assert rep.passed
     assert rep.focal.deviation < 1e-4
     assert rep.axis_angle < AXIS_ANGLE_TOL
+
+
+def report_json(report):
+    # JSON floats round-trip exactly, so equal text means equal bits (NaN included)
+    return json.dumps(report.to_dict(), sort_keys=True)
+
+
+@pytest.mark.parametrize("name", ["helix", "salkowski", "wcurve5", "random"])
+def test_shared_passes_equal_one_index_calls(name, helix, salkowski, wcurve5):
+    curve = {"helix": helix, "salkowski": salkowski, "wcurve5": wcurve5,
+             "random": ff.random_trig_curve(3, seed=42)}[name]
+    ks = list(range(1, curve.dimension + 1))
+    grid = curve.grid(128)
+    shared = ff.slant_reports(curve, ks, grid)
+    assert [report_json(r) for r in shared] == [
+        report_json(ff.is_k_slant(curve, k, grid)) for k in ks]
+    theorems = ff.verify_focal_slants(curve, ks, grid)
+    assert [report_json(r) for r in theorems] == [
+        report_json(ff.verify_focal_slant(curve, k, grid)) for k in ks]
+    assert [r.k for r in theorems] == ks
+    assert [r.base.is_slant for r in theorems] == [r.is_slant for r in shared]
+
+
+def test_shared_passes_validate_every_index(helix):
+    with pytest.raises(ValueError):
+        ff.slant_reports(helix, [1, 4])
+    with pytest.raises(ValueError):
+        ff.verify_focal_slants(helix, [0, 1])
 
 
 def test_verification_fails_honestly_on_non_slant_curve():
