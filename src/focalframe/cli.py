@@ -236,8 +236,16 @@ def run(config: RunConfig) -> int:
         return EXIT_NUMERIC_FAILURE
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors instead of printing usage and exiting, so that
+    :func:`main` reports them on one line like every other input error."""
+
+    def error(self, message: str):
+        raise argparse.ArgumentError(None, message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="focalframe",
         description="Frenet frames, focal curves and slant-helix verification.",
     )
@@ -264,7 +272,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except argparse.ArgumentError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
     try:
         config = RunConfig(
             command=args.command,

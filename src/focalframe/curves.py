@@ -19,13 +19,13 @@ construction and evaluators share no state.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss, legint, legvander
-from scipy.interpolate import CubicSpline
 
 from .errors import (
     BadParameters,
@@ -144,10 +144,11 @@ def _probe_regularity(curve: Curve) -> None:
     speeds = np.linalg.norm(np.asarray(curve.evaluator(ts, 1), dtype=float)[:, 1], axis=-1)
     if not np.all(np.isfinite(speeds)):
         raise RegularityFailure("derivative oracle returned non-finite values on probe grid")
-    floor = 1e-12 * max(1.0, float(speeds.max()))
-    if speeds.min() <= floor:
-        bad = ts[int(np.argmin(speeds))]
-        raise RegularityFailure(f"speed {speeds.min():.3e} near zero at t={bad!r}")
+    scale = max(1.0, float(speeds.max()))
+    if speeds.min() <= 1e-12 * scale:
+        bad = float(ts[int(np.argmin(speeds))])
+        raise RegularityFailure(f"speed {speeds.min():.3e} at t={bad!r} is not above "
+                                f"1e-12 * max(1, largest probe speed {speeds.max():.1e})")
 
 
 def make_curve(
@@ -643,24 +644,69 @@ class SplineProfile(ProfileFunction):
     """Clamped cubic interpolant of sampled curvature values.
 
     End slopes are estimated from one-sided 4th-order stencils so clamping
-    does not flatten the ends artificially. Derivative orders above 3 are
-    reported as zero, which bounds how far synthesized curves built from
-    sampled profiles can push their reconstructed derivative order.
+    does not flatten the ends artificially. The knot slopes solve the
+    tridiagonal system of ``scipy.interpolate.CubicSpline`` with clamped
+    ends, in one O(N) elimination sweep, and each span holds its cubic's
+    coefficients. Evaluation is scalar: the span is found by bisection
+    (points past either end use the end span) and orders 0-3 are
+    evaluated by Horner's rule. Derivative orders above 3 are reported
+    as zero, which bounds how far synthesized curves built from sampled
+    profiles can push their reconstructed derivative order.
     """
 
     def __init__(self, s_nodes, values):
         s = np.asarray(s_nodes, dtype=float)
         y = np.asarray(values, dtype=float)
+        if s.ndim != 1 or y.shape != s.shape:
+            raise InvalidProfile(f"spline nodes and values must be matching 1-d rows, "
+                                 f"got shapes {s.shape} and {y.shape}")
         if s.size < 5:
             raise InvalidProfile("need at least 5 sample rows for a spline profile")
+        if not (np.all(np.isfinite(s)) and np.all(np.isfinite(y))):
+            raise InvalidProfile("spline nodes and values must be finite")
+        dx = np.diff(s)
+        if np.any(dx <= 0.0):
+            raise InvalidProfile("spline nodes must be strictly increasing")
         w = fd_weights(np.stack([s[:5], s[-5:]]), s[[0, -1]], 1)[:, 1]
-        left, right = w[0] @ y[:5], w[1] @ y[-5:]
-        self._spline = CubicSpline(s, y, bc_type=((1, float(left)), (1, float(right))))
+        slope = np.diff(y) / dx
+        # The knot slopes m solve the tridiagonal system of CubicSpline, row i
+        # being lower[i] m[i-1] + diag[i] m[i] + upper[i] m[i+1] = rhs[i]. An
+        # interior row reads dx[i] m[i-1] + 2 (dx[i-1] + dx[i]) m[i] + dx[i-1] m[i+1]
+        # = 3 (dx[i] slope[i-1] + dx[i-1] slope[i]); the end rows clamp m[0] and
+        # m[-1] to the stencil slopes. The system is diagonally dominant, so one
+        # Thomas sweep without pivoting solves it, leaving m in rhs.
+        lower = [0.0] + dx[1:].tolist() + [0.0]
+        diag = [1.0] + (2.0 * (dx[:-1] + dx[1:])).tolist() + [1.0]
+        upper = [0.0] + dx[:-1].tolist() + [0.0]
+        inner = 3.0 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+        rhs = [float(w[0] @ y[:5])] + inner.tolist() + [float(w[1] @ y[-5:])]
+        for i in range(1, s.size):
+            f = lower[i] / diag[i - 1]
+            diag[i] -= f * upper[i - 1]
+            rhs[i] -= f * rhs[i - 1]
+        rhs[-1] /= diag[-1]
+        for i in range(s.size - 2, -1, -1):
+            rhs[i] = (rhs[i] - upper[i] * rhs[i + 1]) / diag[i]
+        m = np.array(rhs)
+        t = (m[:-1] + m[1:] - 2.0 * slope) / dx
+        self._nodes = s.tolist()
+        self._inner = self._nodes[1:-1]
+        self._coef = np.column_stack([t / dx, (slope - m[:-1]) / dx - t, m[:-1], y[:-1]]).tolist()
 
     def __call__(self, s: float, order: int = 0) -> float:
         if order > 3:
             return 0.0
-        return float(self._spline(s, nu=order))
+        s = float(s)
+        i = bisect.bisect_right(self._inner, s)
+        d = s - self._nodes[i]
+        c3, c2, c1, c0 = self._coef[i]
+        if order == 0:
+            return ((c3 * d + c2) * d + c1) * d + c0
+        if order == 1:
+            return (3.0 * c3 * d + 2.0 * c2) * d + c1
+        if order == 2:
+            return 6.0 * c3 * d + 2.0 * c2
+        return 6.0 * c3
 
 
 @dataclass(frozen=True)
@@ -805,7 +851,7 @@ def synthesize_from_curvatures(
     for s in nodes:
         vals = profile.values(s)
         if np.any(vals[:-1] <= 0.0):
-            raise InvalidProfile(f"curvature became non-positive at s={s!r}")
+            raise InvalidProfile(f"curvature became non-positive at s={float(s)!r}")
         last_max = max(last_max, abs(float(vals[-1])))
     if m >= 2 and last_max < 1e-14:
         raise InvalidProfile(
@@ -831,7 +877,7 @@ def synthesize_from_curvatures(
         F = F + (h / 6.0) * (k1f + 2.0 * k2f + 2.0 * k3f + k4f)
         drift = float(np.max(np.abs(F @ F.T - np.eye(dim))))
         if drift > 1e-10:
-            raise NonOrthonormalFrame(f"frame drift {drift:.2e} in one step at s={s!r}")
+            raise NonOrthonormalFrame(f"frame drift {drift:.2e} in one step at s={float(s)!r}")
         F = _orthonormalize_rows(F)
         gammas[i + 1], frames[i + 1] = g, F
 

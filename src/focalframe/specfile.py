@@ -66,10 +66,12 @@ def parse_curve_spec(raw) -> CurveSpec:
     ctype = raw.get("type")
     if ctype not in CURVE_TYPES:
         raise SpecFileError(f"type must be one of {CURVE_TYPES}, got {ctype!r}")
-    try:
-        dim = int(raw["dim"])
-    except (KeyError, TypeError, ValueError, OverflowError):
-        raise SpecFileError("spec needs an integer 'dim'") from None
+    dim = raw.get("dim")
+    if isinstance(dim, bool) or not isinstance(dim, (int, float)):
+        raise SpecFileError("spec needs an integer 'dim'")
+    if isinstance(dim, float) and not dim.is_integer():
+        raise SpecFileError(f"'dim' must be an integer, got {dim!r}")
+    dim = int(dim)
 
     params = raw.get("params", {})
     if not isinstance(params, dict):
@@ -114,8 +116,17 @@ def build_curve(spec: CurveSpec, step: float | None = None) -> Curve:
     For ``curvatures`` specs the curve is synthesized from a spline profile
     through the rows, starting at the origin with the standard frame;
     ``step`` (or params.step) overrides the integrator's step size. Values
-    that overflow or go non-finite while building raise SpecFileError.
+    that overflow or go non-finite while building, and a ``dim`` that is
+    not the dimension of the curve built, raise SpecFileError.
     """
+    curve = _instantiate(spec, step)
+    if curve.dimension != spec.dim:
+        raise SpecFileError(f"spec dim {spec.dim} contradicts the {curve.dimension}-dimensional "
+                            f"{spec.type} it describes")
+    return curve
+
+
+def _instantiate(spec: CurveSpec, step: float | None) -> Curve:
     try:
         if spec.type == "circle":
             return make_circle(float(spec.params["r"]), spec.domain or (0.0, 2.0 * np.pi))

@@ -3,6 +3,9 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -11,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import focalframe
 from focalframe.cli import (
     EXIT_INPUT_ERROR,
     EXIT_NUMERIC_FAILURE,
@@ -96,7 +100,7 @@ def test_run_config_validation():
 
 # ----------------------------------------------------------------------- analyze
 
-def test_analyze_circle_csv(tmp_path):
+def test_analyze_circle_csv(tmp_path, capsys):
     spec = write_spec(tmp_path, "c.json", {"type": "circle", "dim": 2, "params": {"r": 2.0}})
     out = tmp_path / "out"
     assert main(["analyze", "--input", spec, "--output", str(out)]) == EXIT_OK
@@ -107,9 +111,10 @@ def test_analyze_circle_csv(tmp_path):
     assert report["schema_version"] == 2
     assert "seed" not in report
     assert report["classification"]["is_w_curve"] is True
-    with pytest.raises(SystemExit) as exc:
-        main(["analyze", "--input", spec, "--output", str(out), "--seed", "42"])
-    assert exc.value.code == EXIT_INPUT_ERROR
+    capsys.readouterr()
+    rc = main(["analyze", "--input", spec, "--output", str(out), "--seed", "42"])
+    assert rc == EXIT_INPUT_ERROR
+    assert capsys.readouterr().err == "error: unrecognized arguments: --seed 42\n"
 
 
 def test_analyze_straight_line_is_numeric_failure(tmp_path):
@@ -283,6 +288,7 @@ def test_dim_flag_contradiction(tmp_path, helix_spec):
     ["analyze", "--step", "nan"],
     ["analyze", "--step", "0"],
     ["synthesize", "--step", "1e-300"],
+    ["slant", "--tolerance", "-1e+16"],  # argparse reads the value as an unknown flag
 ])
 def test_flag_out_of_range_is_input_error(tmp_path, helix_spec, capsys, args):
     spec = helix_spec
@@ -305,12 +311,23 @@ def test_flag_out_of_range_is_input_error(tmp_path, helix_spec, capsys, args):
     {"type": "curvatures", "dim": 3, "params": {"step": 0.3},
      "rows": [[0.0, 1.0, -1e198]] + [[0.4 * i, 1.0, 1.0] for i in range(1, 5)]},
     {"params": {"a": 2.0, "b": 1.0}, "dim": -math.inf},  # raised OverflowError
-], ids=["nan-param", "text-domain", "huge-node", "huge-last-curvature", "infinite-dim"])
+    {"params": {"a": 2.0, "b": 1.0}, "dim": 2.5},  # was truncated to 2
+    {"params": {"a": 2.0, "b": 1.0}, "dim": 7},  # the helix is 3-dimensional
+], ids=["nan-param", "text-domain", "huge-node", "huge-last-curvature", "infinite-dim",
+        "fractional-dim", "wrong-dim"])
 def test_bad_spec_value_is_input_error(tmp_path, capsys, fields):
     spec = write_spec(tmp_path, "bad.json", {"type": "helix", "dim": 3, **fields})
     assert main(["analyze", "--input", spec, "--output", str(tmp_path / "x")]) == EXIT_INPUT_ERROR
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_cli_import_does_not_load_scipy():
+    src = Path(focalframe.__file__).resolve().parent.parent
+    code = "import sys, focalframe.cli; print(sorted(m for m in sys.modules if 'scipy' in m))"
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert proc.stdout == "[]\n"
 
 
 def test_outputs_are_byte_identical(tmp_path, helix_spec):

@@ -10,6 +10,7 @@ from focalframe import curves
 from focalframe.curves import (
     ConstantProfile,
     SinusoidProfile,
+    SplineProfile,
     TrigCoordinate,
     curve_from_coordinates,
     make_curve,
@@ -23,6 +24,7 @@ from focalframe.errors import (
     OutOfDomain,
     RegularityFailure,
 )
+from focalframe.numdiff import fd_weights
 
 SQRT5 = math.sqrt(5.0)
 
@@ -310,6 +312,114 @@ def test_sampled_curve_zero_speed_rejected():
     pts = np.zeros((16, 2))  # constant point
     with pytest.raises(RegularityFailure):
         ff.sampled_curve(ts, pts)
+
+
+def _exponential_evaluator(t, order):
+    """(e^{40t}, 0): its speed spans 17 orders of magnitude over [0, 1]."""
+    e = np.exp(40.0 * np.asarray(t, dtype=float))
+    rows = [np.stack([40.0**j * e, np.zeros_like(e)], axis=-1) for j in range(order + 1)]
+    return np.stack(rows, axis=-2)
+
+
+def test_regularity_failure_names_its_relative_floor():
+    with pytest.raises(RegularityFailure) as exc:
+        make_curve(2, (0.0, 1.0), "analytic", 2, _exponential_evaluator)
+    assert str(exc.value) == ("speed 4.000e+01 at t=0.0 is not above "
+                              "1e-12 * max(1, largest probe speed 9.4e+18)")
+
+
+# ----------------------------------------------------------------- spline profile
+
+def _spline_nodes(rng, n, jitter):
+    """n nodes over a random length, interior ones moved by up to jitter spacings."""
+    s = np.linspace(0.0, rng.uniform(0.5, 12.0), n)
+    s[1:-1] += rng.uniform(-jitter, jitter, n - 2) * s[1]
+    return s
+
+
+def _end_slopes(s, y):
+    w = fd_weights(np.stack([s[:5], s[-5:]]), s[[0, -1]], 1)[:, 1]
+    return float(w[0] @ y[:5]), float(w[1] @ y[-5:])
+
+
+@pytest.mark.parametrize("jitter", [0.0, 0.3], ids=["uniform", "jittered"])
+def test_spline_profile_matches_scipy_cubic_spline(jitter):
+    interpolate = pytest.importorskip("scipy.interpolate")
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        n = int(rng.integers(5, 160))
+        s = _spline_nodes(rng, n, jitter)
+        y = rng.uniform(0.3, 2.0, n)
+        left, right = _end_slopes(s, y)
+        ref_spline = interpolate.CubicSpline(s, y, bc_type=((1, left), (1, right)))
+        profile = SplineProfile(s, y)
+        xs = np.concatenate([s, rng.uniform(s[0] - 0.5, s[-1] + 0.5, 64)])
+        for order in range(4):
+            ref = ref_spline(xs, nu=order)
+            got = np.array([profile(x, order) for x in xs])
+            assert np.max(np.abs(got - ref)) <= 1e-14 * max(1.0, np.max(np.abs(ref)))
+
+
+def test_spline_profile_reproduces_a_cubic():
+    s = _spline_nodes(np.random.default_rng(3), 23, 0.3)
+    c = (0.7, -0.4, 0.15, -0.02)
+    derivs = [np.polynomial.Polynomial(c).deriv(j) for j in range(4)]
+    profile = SplineProfile(s, derivs[0](s))
+    for x in np.linspace(s[0] - 1.0, s[-1] + 1.0, 101):
+        for order in range(4):
+            value = profile(x, order)
+            assert type(value) is float
+            assert value == pytest.approx(derivs[order](x), rel=1e-11, abs=1e-11)
+        assert profile(x, 4) == 0.0
+
+
+def test_spline_profile_is_c2_at_the_knots():
+    rng = np.random.default_rng(5)
+    s = _spline_nodes(rng, 40, 0.3)
+    profile = SplineProfile(s, rng.uniform(0.3, 2.0, s.size))
+    for knot in s[1:-1]:
+        before = np.nextafter(knot, -np.inf)  # still in the span left of the knot
+        for order in range(3):
+            assert profile(before, order) == pytest.approx(profile(knot, order), abs=1e-11)
+    # the third derivative is piecewise constant and does jump
+    assert profile(np.nextafter(s[7], -np.inf), 3) != profile(s[7], 3)
+
+
+def test_spline_profile_clamps_to_the_stencil_end_slopes():
+    rng = np.random.default_rng(9)
+    s = _spline_nodes(rng, 30, 0.3)
+    y = rng.uniform(0.3, 2.0, s.size)
+    left, right = _end_slopes(s, y)
+    profile = SplineProfile(s, y)
+    assert profile(s[0], 1) == left
+    assert profile(s[-1], 1) == pytest.approx(right, rel=1e-12, abs=1e-12)
+
+
+def test_spline_profile_extends_its_end_spans():
+    rng = np.random.default_rng(13)
+    s = _spline_nodes(rng, 12, 0.3)
+    profile = SplineProfile(s, rng.uniform(0.3, 2.0, s.size))
+    for base, x in [(s[0], s[0] - 0.7), (s[-2], s[-1] + 0.7)]:
+        # a cubic equals its Taylor expansion at the start of its span
+        taylor = [profile(base, j) / math.factorial(j) for j in range(4)]
+        for order in range(4):
+            expected = np.polynomial.Polynomial(taylor).deriv(order)(x - base)
+            assert profile(x, order) == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("s,y", [
+    (np.zeros((2, 5)), np.ones((2, 5))),
+    (np.arange(6.0), np.ones(5)),
+    (np.arange(4.0), np.ones(4)),
+    ([0.0, 1.0, math.nan, 3.0, 4.0], np.ones(5)),
+    (np.arange(5.0), [1.0, 1.0, math.inf, 1.0, 1.0]),
+    ([0.0, 1.0, 2.0, 2.0, 3.0], np.ones(5)),
+    ([4.0, 3.0, 2.0, 1.0, -1.0], np.ones(5)),
+], ids=["2-d", "length-mismatch", "too-few", "nan-node", "inf-value", "repeated-node",
+        "decreasing"])
+def test_spline_profile_rejects_bad_rows(s, y):
+    with pytest.raises(InvalidProfile):
+        SplineProfile(s, y)
 
 
 # ---------------------------------------------------------------------- synthesis
