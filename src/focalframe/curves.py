@@ -20,6 +20,7 @@ construction and evaluators share no state.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -38,14 +39,7 @@ from .errors import (
 )
 from .linalg import gram_schmidt, gram_schmidt_rows
 from .numdiff import fd_weights, window_starts
-from .series import (
-    factorials,
-    series_compose,
-    series_diff,
-    series_mul,
-    series_reverse,
-    series_sqrt,
-)
+from .series import factorials, series_diff, series_mul, series_reverse_powers, series_sqrt
 
 _DOMAIN_SLACK = 1e-9
 _PROBE_POINTS = 64
@@ -67,8 +61,9 @@ class Curve:
     1-d numpy array of N parameters it returns shape (N, order + 1,
     dimension). Use the module-level :func:`eval_derivatives` for the
     domain-, order- and shape-checked entry point, which takes either form.
-    Analytic and sampled curves evaluate an array in one pass; arclength and
-    synthesized curves map their scalar path over it.
+    Analytic, sampled and arclength curves evaluate an array in one pass
+    (for an arclength curve a scalar is the one-row case of that pass);
+    only synthesized curves still map a scalar path over it.
     """
 
     dimension: int
@@ -418,6 +413,25 @@ _GL_NODES, _GL_WEIGHTS = leggauss(20)
 _GL_TO_LEGENDRE = _GL_WEIGHTS[:, None] * legvander(_GL_NODES, 19) * (np.arange(20) + 0.5)
 
 
+def _legendre_to_power(degree: int) -> np.ndarray:
+    """Row k holds the power coefficients of the Legendre polynomial P_k.
+
+    Bonnet's recurrence (k + 1) P_{k+1} = (2k + 1) x P_k - k P_{k-1} gives
+    every coefficient exactly in floating point up to degree 20.
+    """
+    table = np.eye(degree + 1)
+    for k in range(1, degree):
+        table[k + 1, 1:] = (2 * k + 1) * table[k, :-1]
+        table[k + 1] = (table[k + 1] - k * table[k - 1]) / (k + 1)
+    return table
+
+
+# On a span of 1/512 of the domain the Legendre coefficients decay fast, so
+# the power form loses nothing that the Newton stop rule can see.
+_LEGENDRE_TO_POWER = _legendre_to_power(20)
+_POWERS = np.arange(21.0)[None, :]
+
+
 def arc_length(curve: Curve, t0: float, t1: float) -> float:
     """Length of the arc between parameters t0 <= t1, from the table that
     :func:`reparam_to_arclength` builds, with spans no wider than its own."""
@@ -435,78 +449,98 @@ class _ArclengthMap:
     The speeds at the 20 Gauss-Legendre nodes of every span between
     consecutive ``edges`` come from one oracle call. On each span, mapped to
     x in [-1, 1], ds/dx is their interpolant and s(x) - s(-1) its
-    antiderivative, both kept as Legendre coefficients.
+    antiderivative, both built as Legendre coefficients and kept as power
+    coefficients in x, so that a Newton step over any number of points is
+    a fixed handful of array operations.
     """
 
     def __init__(self, curve: Curve, edges: np.ndarray):
-        self.ts = edges
-        self.half = 0.5 * np.diff(edges)
-        nodes = (edges[:-1] + self.half)[:, None] + self.half[:, None] * _GL_NODES
+        half = 0.5 * np.diff(edges)
+        nodes = (edges[:-1] + half)[:, None] + half[:, None] * _GL_NODES
         derivs = np.asarray(curve.evaluator(nodes.ravel(), 1), dtype=float)
         speeds = np.linalg.norm(derivs[:, 1], axis=-1).reshape(nodes.shape)
         bad = np.flatnonzero(~(np.isfinite(speeds) & (speeds > 0.0)))
         if bad.size:
             raise RegularityFailure(f"speed {speeds.flat[bad[0]]:.3e} at "
                                     f"t={nodes.flat[bad[0]]!r} in the arclength table")
-        self.rate = speeds @ _GL_TO_LEGENDRE * self.half[:, None]
-        self.arc = legint(self.rate, lbnd=-1.0, axis=1)
-        self.cum = np.concatenate([[0.0], np.cumsum(self.half * (speeds @ _GL_WEIGHTS))])
+        rate = speeds @ _GL_TO_LEGENDRE * half[:, None]
+        self.cum = np.concatenate([[0.0], np.cumsum(half * (speeds @ _GL_WEIGHTS))])
         self.total = float(self.cum[-1])
+        # Per span: power coefficients of s(x) - s(-1) and of ds/dx (degree 19,
+        # padded to 20) as the two columns of a (21, 2) block, and the span's
+        # first arclength, its length (at least 1e-300, a divisor of the start
+        # guess), first parameter and half width.
+        self.poly = np.stack([legint(rate, lbnd=-1.0, axis=1) @ _LEGENDRE_TO_POWER,
+                              rate @ _LEGENDRE_TO_POWER[:20]], axis=2)
+        self.span = np.column_stack([self.cum[:-1], np.maximum(np.diff(self.cum), 1e-300),
+                                     edges[:-1], half])
 
-    def invert(self, s: float) -> float:
-        """Parameter at arclength s: bracketed Newton on one span's polynomial."""
-        s = min(max(s, 0.0), self.total)
-        i = int(np.clip(np.searchsorted(self.cum, s) - 1, 0, self.half.size - 1))
-        target = float(s - self.cum[i])
-        arc, rate = self.arc[i].tolist(), self.rate[i].tolist()
-        start, half = float(self.ts[i]), float(self.half[i])
-        lo, hi = -1.0, 1.0
-        x = min(max(-1.0 + 2.0 * target / max(self.cum[i + 1] - self.cum[i], 1e-300), lo), hi)
+    def invert(self, s: np.ndarray) -> np.ndarray:
+        """Parameters at the arclengths ``s`` (a 1-d array).
+
+        Bracketed Newton on each point's span polynomial, all points at once:
+        a point leaves the active set once its step is below 1e-15 relative
+        in t. Raises ConvergenceFailure naming the first s still active after
+        ``_NEWTON_STEPS`` steps.
+        """
+        s = np.minimum(np.maximum(s, 0.0), self.total)
+        i = np.searchsorted(self.cum[1:-1], s)
+        s_lo, width, start, half = self.span[i].T
+        poly = self.poly[i]
+        target = s - s_lo
+        x = np.minimum(np.maximum(-1.0 + 2.0 * target / width, -1.0), 1.0)
+        lo, hi = -1.0, 1.0  # arrays after the first step
+        active = np.arange(s.size)
+        t = np.empty_like(s)
         for _ in range(_NEWTON_STEPS):
-            p = [1.0, x]  # P_0(x) .. P_20(x) by the three-term recurrence
-            for k in range(1, len(arc) - 1):
-                p.append(((2 * k + 1) * x * p[k] - k * p[k - 1]) / (k + 1))
-            err = sum(map(float.__mul__, p, arc)) - target
-            if err > 0.0:
-                hi = x
-            else:
-                lo = x
-            slope = sum(map(float.__mul__, p, rate))
-            x_new = x - err / slope if slope > 0.0 else math.nan  # nan: bisect
-            if not (lo <= x_new <= hi):
-                x_new = 0.5 * (lo + hi)
-            t = start + half * (1.0 + x_new)
-            if err == 0.0 or half * abs(x_new - x) <= 1e-15 * max(1.0, abs(t)):
+            err, slope = (x[:, None, None] ** _POWERS @ poly)[:, 0].T
+            err = err - target
+            above = err > 0.0
+            hi = np.where(above, x, hi)
+            lo = np.where(above, lo, x)
+            x_new = x - err / np.where(slope > 0.0, slope, np.nan)  # nan: bisect
+            x_new = np.where((lo <= x_new) & (x_new <= hi), x_new, 0.5 * (lo + hi))
+            t_new = start + half * (1.0 + x_new)
+            done = (err == 0.0) | (half * np.abs(x_new - x)
+                                   <= 1e-15 * np.maximum(1.0, np.abs(t_new)))
+            t[active[done]] = t_new[done]
+            if done.all():
                 return t
-            x = x_new
-        raise ConvergenceFailure(
-            f"arclength inversion at s={s!r} did not converge in {_NEWTON_STEPS} Newton steps"
-        )
+            keep = ~done
+            active, x, lo, hi = active[keep], x_new[keep], lo[keep], hi[keep]
+            target, poly, start, half = target[keep], poly[keep], start[keep], half[keep]
+        raise ConvergenceFailure(f"arclength inversion at s={float(s[active[0]])!r} did not "
+                                 f"converge in {_NEWTON_STEPS} Newton steps")
 
 
 def _derivs_through_substitution(base: np.ndarray, order: int, fact: np.ndarray) -> np.ndarray:
     """Derivatives w.r.t. arclength from derivatives w.r.t. the old parameter.
 
-    Works in Taylor-coefficient space: build the series of the old parameter
-    as a function of arclength by inverting the local length series, then
-    compose coordinate-wise.
+    ``base`` is a stack of shape (N, order + 1, dim). Works in
+    Taylor-coefficient space: the length series is the integral of the
+    square root of |velocity|^2, its powers-table inverse gives the old
+    parameter as a series in arclength, and one contraction composes every
+    coordinate with it.
     """
-    dim = base.shape[1]
     n = order + 1
     gcoef = base / fact[:n, None]
-    dcoef = gcoef[1:] * np.arange(1, n)[:, None]  # series of the velocity
-    w = np.zeros(order)
-    for j in range(order):
-        for i in range(j + 1):
-            w[j] += float(dcoef[i] @ dcoef[j - i])
-    v = series_sqrt(w, order)
-    scoef = np.zeros(n)
-    scoef[1:] = v / np.arange(1, n)
-    tcoef = series_reverse(scoef, n)
-    out = np.empty((n, dim))
-    for c in range(dim):
-        out[:, c] = series_compose(gcoef[:, c], tcoef, n)
-    return out * fact[:n, None]
+    dcoef = gcoef[:, 1:] * np.arange(1, n)[:, None]  # series of the velocity
+    # |velocity|^2: the Cauchy product sums dcoef[i] . dcoef[k] over i + k = j
+    gram = (dcoef @ dcoef.transpose(0, 2, 1)).reshape(len(base), order * order)
+    perm, starts = _cauchy_order(order)
+    w = np.add.reduceat(gram[:, perm], starts, axis=1)
+    P = series_reverse_powers(series_sqrt(w, order) / np.arange(1, n), n)
+    # f(T) = sum_k f_k T^k, added from the highest power down as Horner's rule
+    # does; the order matters at roundoff where the terms cancel heavily
+    return np.einsum("nkc,nkj->njc", gcoef[:, ::-1], P[:, ::-1]) * fact[:n, None]
+
+
+@functools.lru_cache(maxsize=None)
+def _cauchy_order(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices (i, k) of an order x order table sorted by i + k < order,
+    and where each anti-diagonal starts."""
+    perm = [i * order + (j - i) for j in range(order) for i in range(j + 1)]
+    return np.array(perm), np.array([j * (j + 1) // 2 for j in range(order)])
 
 
 def reparam_to_arclength(curve: Curve, checkpoints: int = _CHECKPOINTS) -> Curve:
@@ -515,28 +549,31 @@ def reparam_to_arclength(curve: Curve, checkpoints: int = _CHECKPOINTS) -> Curve
     The length table takes one array call to the base oracle (20
     Gauss-Legendre nodes on each of ``checkpoints`` spans) and raises
     :class:`RegularityFailure` at a non-finite or non-positive node speed.
-    Each evaluation inverts it by bracketed Newton on one span's polynomial
-    (:class:`ConvergenceFailure` if the step budget runs out), then makes one
-    scalar base call and rebuilds the derivative oracle by power-series
-    substitution, so the unit-speed identity holds to roundoff rather than
-    to the accuracy of the inversion.
+    An evaluation of N arclengths (a scalar is the one-row case) inverts the
+    table for all of them in one bracketed Newton solve
+    (:class:`ConvergenceFailure` if the step budget runs out), makes one
+    base oracle call at the N parameters and rebuilds the derivative oracle
+    by one stacked power-series substitution, so the unit-speed identity
+    holds to roundoff rather than to the accuracy of the inversion.
     """
     amap = _ArclengthMap(curve, curve.grid(checkpoints + 1))
     fact = factorials(curve.max_order + 1)
 
-    def evaluator(s: float, order: int) -> np.ndarray:
-        t = amap.invert(s)
-        base = np.asarray(curve.evaluator(t, max(order, 1)), dtype=float)
+    def evaluator(s, order: int) -> np.ndarray:
+        rows = s if _is_array(s) else np.array([s], dtype=float)
+        base = np.asarray(curve.evaluator(amap.invert(rows), max(order, 1)), dtype=float)
         if order == 0:
-            return base[:1]
-        return _derivs_through_substitution(base[: order + 1], order, fact)
+            out = base[:, :1]
+        else:
+            out = _derivs_through_substitution(base[:, :order + 1], order, fact)
+        return out if _is_array(s) else out[0]
 
     return make_curve(
         curve.dimension,
         (0.0, amap.total),
         curve.kind,
         curve.max_order,
-        _pointwise(evaluator, curve.dimension),
+        evaluator,
         label=f"arclength({curve.label or curve.kind})",
         check_regularity=False,
     )
@@ -667,31 +704,16 @@ class SplineProfile(ProfileFunction):
         dx = np.diff(s)
         if np.any(dx <= 0.0):
             raise InvalidProfile("spline nodes must be strictly increasing")
-        w = fd_weights(np.stack([s[:5], s[-5:]]), s[[0, -1]], 1)[:, 1]
-        slope = np.diff(y) / dx
-        # The knot slopes m solve the tridiagonal system of CubicSpline, row i
-        # being lower[i] m[i-1] + diag[i] m[i] + upper[i] m[i+1] = rhs[i]. An
-        # interior row reads dx[i] m[i-1] + 2 (dx[i-1] + dx[i]) m[i] + dx[i-1] m[i+1]
-        # = 3 (dx[i] slope[i-1] + dx[i-1] slope[i]); the end rows clamp m[0] and
-        # m[-1] to the stencil slopes. The system is diagonally dominant, so one
-        # Thomas sweep without pivoting solves it, leaving m in rhs.
-        lower = [0.0] + dx[1:].tolist() + [0.0]
-        diag = [1.0] + (2.0 * (dx[:-1] + dx[1:])).tolist() + [1.0]
-        upper = [0.0] + dx[:-1].tolist() + [0.0]
-        inner = 3.0 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
-        rhs = [float(w[0] @ y[:5])] + inner.tolist() + [float(w[1] @ y[-5:])]
-        for i in range(1, s.size):
-            f = lower[i] / diag[i - 1]
-            diag[i] -= f * upper[i - 1]
-            rhs[i] -= f * rhs[i - 1]
-        rhs[-1] /= diag[-1]
-        for i in range(s.size - 2, -1, -1):
-            rhs[i] = (rhs[i] - upper[i] * rhs[i + 1]) / diag[i]
-        m = np.array(rhs)
-        t = (m[:-1] + m[1:] - 2.0 * slope) / dx
+        try:
+            coef = _clamped_spline_coefficients(s, y, dx)
+        except FloatingPointError:
+            coef = None
+        if coef is None or not np.all(np.isfinite(coef)):
+            raise InvalidProfile(f"spline coefficients overflow with nodes {float(dx.min()):.3g} "
+                                 f"apart and values up to {float(np.max(np.abs(y))):.3g}")
         self._nodes = s.tolist()
         self._inner = self._nodes[1:-1]
-        self._coef = np.column_stack([t / dx, (slope - m[:-1]) / dx - t, m[:-1], y[:-1]]).tolist()
+        self._coef = coef.tolist()
 
     def __call__(self, s: float, order: int = 0) -> float:
         if order > 3:
@@ -707,6 +729,34 @@ class SplineProfile(ProfileFunction):
         if order == 2:
             return 6.0 * c3 * d + 2.0 * c2
         return 6.0 * c3
+
+
+@np.errstate(over="raise", divide="raise", invalid="raise")
+def _clamped_spline_coefficients(s: np.ndarray, y: np.ndarray, dx: np.ndarray) -> np.ndarray:
+    """Per-span cubic coefficients (c3, c2, c1, c0) of SplineProfile's clamped spline."""
+    w = fd_weights(np.stack([s[:5], s[-5:]]), s[[0, -1]], 1)[:, 1]
+    slope = np.diff(y) / dx
+    # The knot slopes m solve the tridiagonal system of CubicSpline, row i
+    # being lower[i] m[i-1] + diag[i] m[i] + upper[i] m[i+1] = rhs[i]. An
+    # interior row reads dx[i] m[i-1] + 2 (dx[i-1] + dx[i]) m[i] + dx[i-1] m[i+1]
+    # = 3 (dx[i] slope[i-1] + dx[i-1] slope[i]); the end rows clamp m[0] and
+    # m[-1] to the stencil slopes. The system is diagonally dominant, so one
+    # Thomas sweep without pivoting solves it, leaving m in rhs.
+    lower = [0.0] + dx[1:].tolist() + [0.0]
+    diag = [1.0] + (2.0 * (dx[:-1] + dx[1:])).tolist() + [1.0]
+    upper = [0.0] + dx[:-1].tolist() + [0.0]
+    inner = 3.0 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+    rhs = [float(w[0] @ y[:5])] + inner.tolist() + [float(w[1] @ y[-5:])]
+    for i in range(1, s.size):
+        f = lower[i] / diag[i - 1]
+        diag[i] -= f * upper[i - 1]
+        rhs[i] -= f * rhs[i - 1]
+    rhs[-1] /= diag[-1]
+    for i in range(s.size - 2, -1, -1):
+        rhs[i] = (rhs[i] - upper[i] * rhs[i + 1]) / diag[i]
+    m = np.array(rhs)
+    t = (m[:-1] + m[1:] - 2.0 * slope) / dx
+    return np.column_stack([t / dx, (slope - m[:-1]) / dx - t, m[:-1], y[:-1]])
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,16 @@
 """Truncated power-series arithmetic on plain coefficient arrays.
 
-A series is a 1-d float array ``a`` meaning ``f(x0 + h) = sum a[j] h**j``.
+A series is a float array ``a`` meaning ``f(x0 + h) = sum a[j] h**j``.
 Used for two jobs that would otherwise need nested chain rules to high
 order: rebuilding derivative oracles after arclength reparametrization,
 and reconstructing high derivatives of synthesized curves from their
-frame and curvature data. Truncation orders stay below ~10, so the
-O(n^2)-per-product cost is irrelevant.
+frame and curvature data.
+
+``series_mul`` and ``series_diff`` act on one series (the synthesized
+curves' frame ladder). ``series_sqrt`` and ``series_reverse_powers`` act
+on a stack of N series, shape (N, n), looping over the truncation order
+(below ~10) with array work over N, so an arclength grid is substituted in
+one pass (Griewank & Walther, *Evaluating Derivatives*, 2nd ed., ch. 13).
 """
 
 from __future__ import annotations
@@ -30,45 +35,43 @@ def series_diff(a: np.ndarray) -> np.ndarray:
 
 
 def series_sqrt(a: np.ndarray, n: int) -> np.ndarray:
-    """Square root of a series with a[0] > 0."""
-    if a[0] <= 0.0:
+    """Square roots of a stack of series, shape (N, m) -> (N, n); needs a[:, 0] > 0."""
+    if not (a[:, 0] > 0.0).all():
         raise ValueError("series_sqrt needs a positive leading coefficient")
-    s = np.zeros(n)
-    s[0] = math.sqrt(a[0])
+    s = np.zeros((len(a), n))
+    s[:, 0] = np.sqrt(a[:, 0])
+    twice = 2.0 * s[:, 0]
     for j in range(1, n):
-        acc = a[j] if j < a.size else 0.0
-        acc -= np.dot(s[1:j], s[j - 1:0:-1])
-        s[j] = acc / (2.0 * s[0])
+        acc = a[:, j] if j < a.shape[1] else 0.0
+        s[:, j] = (acc - (s[:, 1:j] * s[:, j - 1:0:-1]).sum(axis=1)) / twice
     return s
 
 
-def series_compose(f: np.ndarray, g: np.ndarray, n: int) -> np.ndarray:
-    """Coefficients of f(g(h)) for g with zero constant term (Horner form)."""
-    if abs(g[0]) > 0.0:
-        raise ValueError("series_compose requires g[0] == 0")
-    out = np.zeros(n)
-    out[0] = f[-1]
-    for c in f[-2::-1]:
-        out = series_mul(out, g, n)
-        out[0] += c
-    return out
+def series_reverse_powers(d: np.ndarray, n: int) -> np.ndarray:
+    """Powers of the compositional inverse of each series in a stack.
 
-
-def series_reverse(s: np.ndarray, n: int) -> np.ndarray:
-    """Compositional inverse of a series with s[0] == 0, s[1] != 0.
-
-    Fixed-point iteration t <- t - (s(t) - id)/s[1] gains one correct order
-    per pass, so n passes are always enough at truncation n.
+    Row r of ``d`` holds the coefficients of x^1, x^2, ... of a series
+    S(x) = d[r, 0] x + d[r, 1] x^2 + ... with d[r, 0] != 0 and no constant
+    term; ``d`` has shape (N, n - 1). Returns P of shape (N, n, n) with
+    ``P[:, k, j] = [x^j] T(x)^k``, where T is the inverse series
+    (S(T(x)) = x), so ``P[:, 1]`` is T itself and a series f composes as
+    ``f(T) = einsum("nk,nkj->nj", f, P)``. The table fills one column j at
+    a time: the powers k >= 2 need only the coefficients of T below j, and
+    the coefficient of x^j in S(T) then fixes T's j-th (Brent & Kung,
+    J. ACM 25, 1978). That is O(n^2) array operations.
     """
-    if abs(s[0]) > 0.0 or s[1] == 0.0:
-        raise ValueError("series_reverse needs s[0] == 0 and s[1] != 0")
-    ident = np.zeros(n)
+    if not d[:, 0].all():
+        raise ValueError("series_reverse_powers needs a nonzero linear coefficient")
+    P = np.zeros((len(d), n, n))
+    P[:, 0, 0] = 1.0
+    inv = 1.0 / d[:, 0]
     if n > 1:
-        ident[1] = 1.0
-    t = ident / s[1]
-    for _ in range(n):
-        t = t - (series_compose(s, t, n) - ident) / s[1]
-    return t
+        P[:, 1, 1] = inv
+    for j in range(2, n):
+        # P[k, j] = sum_{i=1}^{j-1} T[i] P[k-1, j-i] for k = 2..j
+        P[:, 2:j + 1, j] = (P[:, 1:j, j - 1:0:-1] * P[:, None, 1, 1:j]).sum(axis=2)
+        P[:, 1, j] = -(d[:, 1:j] * P[:, 2:j + 1, j]).sum(axis=1) * inv
+    return P
 
 
 def factorials(n: int) -> np.ndarray:

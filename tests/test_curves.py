@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.legendre import legint
 
 import focalframe as ff
 from focalframe import curves
@@ -209,9 +210,163 @@ def test_reparam_rejects_speed_vanishing_inside_domain():
 
 def test_inversion_budget_exhaustion_raises(salkowski, monkeypatch):
     unit = ff.reparam_to_arclength(salkowski)
+    knot = float(curves._ArclengthMap(salkowski, salkowski.grid(513)).cum[100])
     monkeypatch.setattr(curves, "_NEWTON_STEPS", 1)
-    with pytest.raises(ConvergenceFailure):
-        unit.point(0.37 * unit.domain[1])
+    s_bad = 0.37 * unit.domain[1]
+    with pytest.raises(ConvergenceFailure, match=f"at s={s_bad!r} did not converge in 1 "):
+        unit.point(s_bad)
+    # a span's first arclength converges in one step; the error names the
+    # first point of the array that did not
+    unit.point(knot)
+    with pytest.raises(ConvergenceFailure, match=f"at s={s_bad!r} did not"):
+        unit.evaluator(np.array([knot, s_bad, 0.2 * unit.domain[1]]), 2)
+
+
+# The scalar arclength route that array evaluation replaced, kept as the
+# parity reference: Legendre tables, one-point Newton with the three-term
+# recurrence, and fixed-point series reversion with Horner composition.
+
+def _ref_sqrt(a, n):
+    s = np.zeros(n)
+    s[0] = math.sqrt(a[0])
+    for j in range(1, n):
+        acc = a[j] if j < a.size else 0.0
+        acc -= np.dot(s[1:j], s[j - 1:0:-1])
+        s[j] = acc / (2.0 * s[0])
+    return s
+
+
+def _ref_mul(a, b, n):
+    out = np.convolve(a, b)[:n]
+    return np.pad(out, (0, n - out.size))
+
+
+def _ref_compose(f, g, n):
+    out = np.zeros(n)
+    out[0] = f[-1]
+    for c in f[-2::-1]:
+        out = _ref_mul(out, g, n)
+        out[0] += c
+    return out
+
+
+def _ref_reverse(s, n):
+    ident = np.zeros(n)
+    ident[1] = 1.0
+    t = ident / s[1]
+    for _ in range(n):
+        t = t - (_ref_compose(s, t, n) - ident) / s[1]
+    return t
+
+
+class _ScalarArclength:
+    def __init__(self, curve, checkpoints=512):
+        edges = curve.grid(checkpoints + 1)
+        self.curve, self.ts, self.half = curve, edges, 0.5 * np.diff(edges)
+        nodes = (edges[:-1] + self.half)[:, None] + self.half[:, None] * curves._GL_NODES
+        speeds = np.linalg.norm(curve.evaluator(nodes.ravel(), 1)[:, 1], axis=-1)
+        speeds = speeds.reshape(nodes.shape)
+        self.rate = speeds @ curves._GL_TO_LEGENDRE * self.half[:, None]
+        self.arc = legint(self.rate, lbnd=-1.0, axis=1)
+        self.cum = np.concatenate([[0.0], np.cumsum(self.half * (speeds @ curves._GL_WEIGHTS))])
+        self.total = float(self.cum[-1])
+        self.fact = curves.factorials(curve.max_order + 1)
+
+    def invert(self, s):
+        s = min(max(s, 0.0), self.total)
+        i = int(np.clip(np.searchsorted(self.cum, s) - 1, 0, self.half.size - 1))
+        target = float(s - self.cum[i])
+        arc, rate = self.arc[i].tolist(), self.rate[i].tolist()
+        start, half = float(self.ts[i]), float(self.half[i])
+        lo, hi = -1.0, 1.0
+        x = min(max(-1.0 + 2.0 * target / max(self.cum[i + 1] - self.cum[i], 1e-300), lo), hi)
+        for _ in range(60):
+            p = [1.0, x]
+            for k in range(1, len(arc) - 1):
+                p.append(((2 * k + 1) * x * p[k] - k * p[k - 1]) / (k + 1))
+            err = sum(map(float.__mul__, p, arc)) - target
+            if err > 0.0:
+                hi = x
+            else:
+                lo = x
+            slope = sum(map(float.__mul__, p, rate))
+            x_new = x - err / slope if slope > 0.0 else math.nan
+            if not (lo <= x_new <= hi):
+                x_new = 0.5 * (lo + hi)
+            t = start + half * (1.0 + x_new)
+            if err == 0.0 or half * abs(x_new - x) <= 1e-15 * max(1.0, abs(t)):
+                return t
+            x = x_new
+        raise ConvergenceFailure(f"reference inversion at s={s!r} did not converge")
+
+    def evaluate(self, s, order):
+        base = self.curve.evaluator(self.invert(s), max(order, 1))
+        if order == 0:
+            return base[:1]
+        n = order + 1
+        gcoef = base[:n] / self.fact[:n, None]
+        dcoef = gcoef[1:] * np.arange(1, n)[:, None]
+        w = np.zeros(order)
+        for j in range(order):
+            for i in range(j + 1):
+                w[j] += float(dcoef[i] @ dcoef[j - i])
+        scoef = np.zeros(n)
+        scoef[1:] = _ref_sqrt(w, order) / np.arange(1, n)
+        tcoef = _ref_reverse(scoef, n)
+        out = np.column_stack([_ref_compose(g, tcoef, n) for g in gcoef.T])
+        return out * self.fact[:n, None]
+
+
+_PARITY_CURVES = {
+    "salkowski-0.3": lambda: ff.make_salkowski(0.3),
+    "salkowski-0.7": lambda: ff.make_salkowski(0.7),
+    "helix": lambda: ff.make_helix(2.0, 1.0),
+    "ellipse-arc": lambda: ff.make_ellipse(2.0, 1.2, domain=(0.25, 1.35)),
+    "wcurve5": lambda: ff.make_wcurve([1.0, 1.0], [1.0, 2.0], pitch=1.0, dim=5),
+    "wcurve4": lambda: ff.make_wcurve([1.0, 0.6], [1.0, 2.0], dim=4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PARITY_CURVES))
+def test_array_arclength_matches_scalar_reference(name):
+    curve = _PARITY_CURVES[name]()
+    unit = ff.reparam_to_arclength(curve)
+    ref = _ScalarArclength(curve)
+    assert unit.domain[1] == ref.total
+    ss = np.linspace(0.0, ref.total, 97)
+    for order in range(curve.max_order + 1):
+        got = unit.evaluator(ss, order)
+        want = np.array([ref.evaluate(float(s), order) for s in ss])
+        assert got.shape == want.shape == (97, order + 1, curve.dimension)
+        # the bound scales with each derivative order's own largest entry
+        scale = np.max(np.abs(want), axis=(0, 2))
+        assert np.all(np.max(np.abs(got - want), axis=(0, 2)) <= 5e-14 * scale)
+        for i in range(0, 97, 8):
+            np.testing.assert_array_equal(unit.evaluator(float(ss[i]), order), got[i])
+
+
+def _steep_speed_evaluator(t, order):
+    # (t + 0.999 e log cosh(t / e), 0): the speed climbs from 0.001 to 1.999
+    # within a few e = 1e-4 of t = 0, inside one span of the length table
+    t = np.asarray(t, dtype=float)
+    zero = np.zeros_like(t)
+    u = t / 1e-4
+    rows = [np.stack([t + 0.999e-4 * (np.logaddexp(u, -u) - math.log(2.0)), zero], axis=-1),
+            np.stack([1.0 + 0.999 * np.tanh(u), zero], axis=-1)]
+    rows += [np.stack([zero, zero], axis=-1)] * (order - 1)
+    return np.stack(rows[: order + 1], axis=-2)
+
+
+def test_inversion_bisects_where_newton_leaves_the_bracket():
+    # Newton alone fails to converge on the span holding the climb; the
+    # bracket's bisection fallback must carry it
+    curve = make_curve(2, (-1.0, 1.0), "analytic", 3, _steep_speed_evaluator,
+                       check_regularity=False)
+    ref = _ScalarArclength(curve)
+    ss = np.linspace(0.0, ref.total, 2001)
+    t = curves._ArclengthMap(curve, curve.grid(513)).invert(ss)
+    assert np.all(np.diff(t) > 0.0)
+    np.testing.assert_allclose(t, [ref.invert(float(s)) for s in ss], rtol=0.0, atol=1e-15)
 
 
 def test_reparam_speed_is_one_everywhere(unit_salkowski):
@@ -419,6 +574,25 @@ def test_spline_profile_extends_its_end_spans():
         "decreasing"])
 def test_spline_profile_rejects_bad_rows(s, y):
     with pytest.raises(InvalidProfile):
+        SplineProfile(s, y)
+
+
+@pytest.mark.parametrize("spacing", [5e-324, 1e-300, 1e-150])
+def test_spline_profile_rejects_nodes_too_close_for_its_stencil(spacing):
+    # the end-slope stencil divides by products of node gaps and overflows;
+    # this used to print RuntimeWarnings and return a NaN spline
+    with pytest.raises(InvalidProfile, match=f"overflow with nodes {spacing:.3g} apart"):
+        SplineProfile(np.arange(8) * spacing, np.ones(8))
+
+
+def test_spline_profile_rejects_values_that_overflow_its_sweep():
+    # every numpy step stays finite; the elimination sweep over Python floats
+    # overflows to inf, which only the final finiteness check sees
+    s = [67.0053675483423, 67.05019191853646, 70.19048235030873, 563.2152411686978,
+         563.258213314536, 563.3888851813913]
+    y = [-2.074473006339373e+305, -1.8851634219697684e+305, 7.342613281604421e+303,
+         -9.97230689286379e+302, 1.8571958934663858e+301, 5.768307789170172e+304]
+    with pytest.raises(InvalidProfile, match="nodes 0.043 apart and values up to 2.07e"):
         SplineProfile(s, y)
 
 

@@ -1,14 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from focalframe.numdiff import fd_weights, grid_derivative, window_starts
-from focalframe.series import (
-    factorials,
-    series_compose,
-    series_mul,
-    series_reverse,
-    series_sqrt,
-)
+from focalframe.series import factorials, series_mul, series_reverse_powers, series_sqrt
 
 
 def one_stencil(nodes, x0, max_order):
@@ -136,35 +132,63 @@ def test_series_mul_truncates():
     np.testing.assert_allclose(series_mul(a, a, 2), [1.0, 2.0])
 
 
-def test_series_sqrt_squares_back():
-    a = np.array([4.0, 1.0, -0.3, 0.2, 0.05])
+def test_series_sqrt_squares_back_on_a_stack():
+    a = np.array([[4.0, 1.0, -0.3, 0.2, 0.05],
+                  [1.0, 0.0, 0.0, 0.0, 0.0],
+                  [0.25, -2.0, 3.0, 0.0, -1.0]])
     s = series_sqrt(a, 5)
-    np.testing.assert_allclose(series_mul(s, s, 5), a, atol=1e-13)
+    assert s.shape == (3, 5)
+    for row, want in zip(s, a):
+        np.testing.assert_allclose(series_mul(row, row, 5), want, atol=1e-13)
+    np.testing.assert_array_equal(s[0], series_sqrt(a[:1], 5)[0])
+    # truncation beyond the input's length treats the missing terms as zero
+    np.testing.assert_allclose(series_sqrt(np.array([[9.0, 6.0, 1.0]]), 4)[0], [3.0, 1.0, 0.0, 0.0],
+                               atol=1e-15)
+    with pytest.raises(ValueError):
+        series_sqrt(np.array([[1.0, 0.0], [0.0, 1.0]]), 2)
 
 
-def test_series_compose_against_known_expansion():
+def _sin_stack(scales, n):
+    """Rows sin(c x) / c, without their constant term, as (len(scales), n - 1)."""
+    d = np.zeros((len(scales), n - 1))
+    for k in range(1, n, 2):
+        d[:, k - 1] = (-1) ** (k // 2) * np.asarray(scales) ** (k - 1) / math.factorial(k)
+    return d
+
+
+def test_series_reverse_powers_inverts_sin_on_a_stack():
+    n = 8
+    scales = [1.0, 0.5, -1.3, 2.0]
+    d = _sin_stack(scales, n)
+    P = series_reverse_powers(d, n)
+    assert P.shape == (len(scales), n, n)
+    for c, table in zip(scales, P):
+        # the inverse of sin(c x)/c is arcsin(c x)/c = x + c^2 x^3/6 + 3 c^4 x^5/40 + 15 c^6 x^7/336
+        expected = np.zeros(n)
+        expected[[1, 3, 5, 7]] = [1.0, c**2 / 6, 3 * c**4 / 40, 15 * c**6 / 336]
+        np.testing.assert_allclose(table[1], expected, atol=1e-12)
+        np.testing.assert_array_equal(table[0], np.eye(n)[0])
+        for k in range(2, n):
+            np.testing.assert_allclose(table[k], series_mul(table[k - 1], table[1], n),
+                                       atol=1e-12)
+    # round trip: composing each sin row with its inverse gives the identity
+    sin_rows = np.column_stack([np.zeros(len(scales)), d])
+    round_trip = np.einsum("nk,nkj->nj", sin_rows, P)
+    np.testing.assert_allclose(round_trip, np.tile(np.eye(n)[1], (len(scales), 1)), atol=1e-12)
+    np.testing.assert_array_equal(P[2], series_reverse_powers(d[2:3], n)[0])
+
+
+def test_powers_table_composes_against_known_expansion():
     n = 6
-    fact = factorials(n)
-    exp_series = 1.0 / fact
-    sin_series = np.array([0.0, 1.0, 0.0, -1 / 6, 0.0, 1 / 120])
-    composed = series_compose(exp_series, sin_series, n)
+    exp_series = 1.0 / factorials(n)
+    # reversing arcsin gives the powers of sin
+    arcsin = np.array([[1.0, 0.0, 1 / 6, 0.0, 3 / 40]])
+    P = series_reverse_powers(arcsin, n)
+    composed = np.einsum("k,nkj->nj", exp_series, P)[0]
     # exp(sin x) = 1 + x + x^2/2 - x^4/8 - x^5/15 + ...
     np.testing.assert_allclose(composed, [1.0, 1.0, 0.5, 0.0, -1 / 8, -1 / 15], atol=1e-12)
 
 
-def test_series_reverse_inverts_sin():
-    import math
-
-    n = 8
-    sin_series = np.zeros(n)
-    for k in range(1, n, 2):
-        sin_series[k] = (-1) ** (k // 2) / math.factorial(k)
-    inv = series_reverse(sin_series, n)
-    # compositional inverse of sin is arcsin: x + x^3/6 + 3x^5/40 + 15x^7/336
-    expected = np.zeros(n)
-    expected[1], expected[3], expected[5], expected[7] = 1.0, 1 / 6, 3 / 40, 15 / 336
-    np.testing.assert_allclose(inv, expected, atol=1e-12)
-    round_trip = series_compose(sin_series, inv, n)
-    ident = np.zeros(n)
-    ident[1] = 1.0
-    np.testing.assert_allclose(round_trip, ident, atol=1e-12)
+def test_series_reverse_powers_needs_a_linear_term():
+    with pytest.raises(ValueError):
+        series_reverse_powers(np.array([[1.0, 0.5], [0.0, 1.0]]), 3)
