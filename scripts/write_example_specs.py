@@ -33,6 +33,12 @@ SPECS = {
         "domain": [0.0, 10.0],
         "rows": [[float(s), 0.4, 0.2] for s in np.linspace(0.0, 10.0, 128)],
     },
+    "varying_curvatures.json": {
+        "type": "curvatures", "dim": 3, "params": {},
+        "domain": [0.0, 10.0],
+        "rows": [[float(s), 1.0 + 0.2 * math.sin(s), 0.5 + 0.1 * math.cos(s)]
+                 for s in np.linspace(0.0, 10.0, 128)],
+    },
 }
 
 

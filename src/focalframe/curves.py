@@ -2,12 +2,17 @@
 
 A curve is an immutable value: a dimension, a parameter interval and an
 evaluator that returns the stack of derivatives up to a requested order.
-Three kinds exist. Analytic curves carry closed-form oracles to every
-supported order. Sampled curves differentiate fixed sample rows with
+Four kinds exist. Analytic curves carry closed-form oracles to every
+supported order. Arclength curves rebuild a base curve's oracle after
+reparametrization. Sampled curves differentiate fixed sample rows with
 finite-difference stencils and are trustworthy up to derivative order 5.
 Synthesized curves come out of integrating the frame equations for a
 prescribed curvature profile; their high derivatives are reconstructed
 from the frame and the profile, not differenced.
+
+Evaluators take arrays of N parameters only, and curvature profiles
+broadcast over arclength arrays. :func:`eval_derivatives` is the one
+entry point that also takes a scalar, as the one-row case.
 
 Curves must be C^{m+2}-smooth on their domain for the downstream focal
 and slant analyses to reach their stated tolerances; all builtin
@@ -19,7 +24,6 @@ construction and evaluators share no state.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 from dataclasses import dataclass, field
@@ -31,15 +35,16 @@ from numpy.polynomial.legendre import leggauss, legint, legvander
 from .errors import (
     BadParameters,
     ConvergenceFailure,
+    DegenerateFlag,
     InvalidProfile,
     NonOrthonormalFrame,
     OrderUnsupported,
     OutOfDomain,
     RegularityFailure,
 )
-from .linalg import gram_schmidt, gram_schmidt_rows
+from .linalg import RANK_RTOL, gram_schmidt, gram_schmidt_rows
 from .numdiff import fd_weights, window_starts
-from .series import factorials, series_diff, series_mul, series_reverse_powers, series_sqrt
+from .series import factorials, series_reverse_powers, series_sqrt
 
 _DOMAIN_SLACK = 1e-9
 _PROBE_POINTS = 64
@@ -56,21 +61,19 @@ _UNIT_SPEED_TOL = 1e-8
 class Curve:
     """Evaluable map from a real interval into E^{m+1}.
 
-    ``evaluator(t, order)`` returns an array of shape (order + 1, dimension)
-    whose rows are the position and derivatives up to ``order``; given a
-    1-d numpy array of N parameters it returns shape (N, order + 1,
-    dimension). Use the module-level :func:`eval_derivatives` for the
-    domain-, order- and shape-checked entry point, which takes either form.
-    Analytic, sampled and arclength curves evaluate an array in one pass
-    (for an arclength curve a scalar is the one-row case of that pass);
-    only synthesized curves still map a scalar path over it.
+    ``evaluator(t, order)`` takes a 1-d float array of N parameters inside
+    the domain and returns shape (N, order + 1, dimension): for each
+    parameter, the position and the derivatives up to ``order``. Every
+    kind evaluates the N points in one pass. Use the module-level
+    :func:`eval_derivatives` for the domain-, order- and shape-checked
+    entry point; it also takes a scalar, as the one-row case.
     """
 
     dimension: int
     domain: tuple[float, float]
     kind: str
     max_order: int
-    evaluator: Callable[[float, int], np.ndarray] = field(repr=False)
+    evaluator: Callable[[np.ndarray, int], np.ndarray] = field(repr=False)
     label: str = ""
 
     def point(self, t: float) -> np.ndarray:
@@ -88,35 +91,27 @@ class Curve:
         return np.linspace(self.domain[0], self.domain[1], n)
 
 
-def _is_array(t) -> bool:
-    # Cheaper than np.ndim on a float, which is the common scalar case.
-    return isinstance(t, np.ndarray) and t.ndim > 0
-
-
-def _check_domain(curve: Curve, t):
-    """Clamp ``t`` (a scalar or a 1-d array) into the domain, allowing for slack.
+def _check_domain(curve: Curve, t: np.ndarray) -> np.ndarray:
+    """Clamp the 1-d parameter array ``t`` into the domain, allowing for slack.
 
     Raises OutOfDomain naming the first value beyond the slack (NaN included).
     """
     lo, hi = curve.domain
     slack = _DOMAIN_SLACK * max(1.0, abs(lo), abs(hi))
-    if not _is_array(t):
-        if not (lo - slack <= t <= hi + slack):
-            raise OutOfDomain(f"t={t!r} outside [{lo!r}, {hi!r}]")
-        return min(max(t, lo), hi)
     if t.ndim != 1:
         raise ValueError(f"expected a scalar or a 1-d array of parameters, got shape {t.shape}")
-    bad = np.flatnonzero(~((lo - slack <= t) & (t <= hi + slack)))
-    if bad.size:
-        raise OutOfDomain(f"t={float(t[bad[0]])!r} outside [{lo!r}, {hi!r}]")
-    return np.clip(t, lo, hi)
+    inside = (lo - slack <= t) & (t <= hi + slack)
+    if not inside.all():
+        raise OutOfDomain(f"t={float(t[np.argmin(inside)])!r} outside [{lo!r}, {hi!r}]")
+    return np.minimum(np.maximum(t, lo), hi)
 
 
 def eval_derivatives(curve: Curve, t, order: int) -> np.ndarray:
     """Position and derivatives of ``curve`` at ``t``, rows 0..order.
 
-    A scalar ``t`` gives shape (order + 1, dimension); a 1-d array of N
-    parameters gives (N, order + 1, dimension) from one evaluator call.
+    A 1-d array of N parameters gives shape (N, order + 1, dimension) from
+    one evaluator call; a scalar ``t`` is its one-row case and gives
+    (order + 1, dimension).
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
@@ -124,14 +119,14 @@ def eval_derivatives(curve: Curve, t, order: int) -> np.ndarray:
         raise OrderUnsupported(
             f"order {order} exceeds max_order {curve.max_order} of this {curve.kind} curve"
         )
-    t = _check_domain(curve, t)
-    shape = (order + 1, curve.dimension)
-    if _is_array(t):
-        shape = (t.size, *shape)
-    out = np.asarray(curve.evaluator(t, order), dtype=float)
+    ts = np.asarray(t, dtype=float)
+    scalar = ts.ndim == 0
+    ts = _check_domain(curve, ts.reshape(1) if scalar else ts)
+    shape = (ts.size, order + 1, curve.dimension)
+    out = np.asarray(curve.evaluator(ts, order), dtype=float)
     if out.shape != shape:
         raise RuntimeError(f"evaluator returned shape {out.shape}, expected {shape}")
-    return out
+    return out[0] if scalar else out
 
 
 def _probe_regularity(curve: Curve) -> None:
@@ -151,13 +146,14 @@ def make_curve(
     domain: tuple[float, float],
     kind: str,
     max_order: int,
-    evaluator: Callable[[float, int], np.ndarray],
+    evaluator: Callable[[np.ndarray, int], np.ndarray],
     label: str = "",
     check_regularity: bool = True,
 ) -> Curve:
     """Validated Curve constructor used by every factory in this module.
 
-    ``evaluator`` must follow the :class:`Curve` contract, array calls included.
+    ``evaluator`` must follow the :class:`Curve` contract: a 1-d array of N
+    parameters in, shape (N, order + 1, dimension) out.
     """
     if dimension < 2:
         raise BadParameters(f"ambient dimension must be at least 2, got {dimension}")
@@ -170,20 +166,6 @@ def make_curve(
     if check_regularity:
         _probe_regularity(curve)
     return curve
-
-
-def _pointwise(scalar_evaluator: Callable[[float, int], np.ndarray], dimension: int):
-    """Evaluator meeting the array contract by mapping a scalar one over the points."""
-
-    def evaluator(t, order: int) -> np.ndarray:
-        if not _is_array(t):
-            return scalar_evaluator(t, order)
-        out = np.empty((t.size, order + 1, dimension))
-        for i, x in enumerate(t.tolist()):
-            out[i] = scalar_evaluator(x, order)
-        return out
-
-    return evaluator
 
 
 # ---------------------------------------------------------------------------
@@ -202,17 +184,6 @@ class TrigCoordinate:
     slope: float = 0.0
     terms: tuple[tuple[float, float, float], ...] = ()
 
-    def eval(self, t: float, order: int) -> float:
-        acc = 0.0
-        if order == 0:
-            acc = self.const + self.slope * t
-        elif order == 1:
-            acc = self.slope
-        half_pi = 0.5 * math.pi
-        for amp, freq, phase in self.terms:
-            acc += amp * freq**order * math.sin(freq * t + phase + order * half_pi)
-        return acc
-
 
 def curve_from_coordinates(
     coords: Sequence[TrigCoordinate],
@@ -223,21 +194,25 @@ def curve_from_coordinates(
     dim = len(coords)
     if max_order is None:
         max_order = dim + 1
-    # Array calls evaluate all terms at once; the 0/1 matrix ``owner`` sums
-    # them into their coordinates.
+    # Every term and every derivative order in one sin call; one product
+    # with the 0/1 matrix ``owner`` sums the terms into their coordinates.
     terms = [(j, *term) for j, c in enumerate(coords) for term in c.terms]
     owner = np.eye(dim)[[j for j, *_ in terms]]
     amp, freq, phase = np.array([term for _, *term in terms], dtype=float).reshape(-1, 3).T
     const, slope = np.array([(c.const, c.slope) for c in coords], dtype=float).T
     if not np.all(np.isfinite(np.concatenate([amp, freq, phase, const, slope]))):
         raise BadParameters(f"{label or 'curve'}: parameters must be finite")
+    scale = np.array([amp * freq**j for j in range(max_order + 1)])
+    quarter = np.array([[j * 0.5 * math.pi] for j in range(max_order + 1)])
 
-    def evaluator(t, order: int) -> np.ndarray:
-        if not _is_array(t):
-            return np.array([[c.eval(t, j) for c in coords] for j in range(order + 1)])
-        arg = np.multiply.outer(t, freq) + phase
-        out = np.stack([(amp * freq**j * np.sin(arg + j * 0.5 * math.pi)) @ owner
-                        for j in range(order + 1)], axis=1)
+    def evaluator(t: np.ndarray, order: int) -> np.ndarray:
+        # At least two rows per point: numpy takes a one-row product through
+        # another BLAS routine, whose sums can differ in the last bit.
+        k = max(order, 1) + 1
+        vals = (np.multiply.outer(t, freq) + phase)[:, None, :] + quarter[:k]
+        np.sin(vals, out=vals)
+        vals *= scale[:k]
+        out = (vals.reshape(t.size * k, freq.size) @ owner).reshape(t.size, k, dim)[:, :order + 1]
         out[:, 0] += const + np.multiply.outer(t, slope)
         if order:
             out[:, 1] += slope
@@ -435,8 +410,7 @@ _POWERS = np.arange(21.0)[None, :]
 def arc_length(curve: Curve, t0: float, t1: float) -> float:
     """Length of the arc between parameters t0 <= t1, from the table that
     :func:`reparam_to_arclength` builds, with spans no wider than its own."""
-    t0 = _check_domain(curve, t0)
-    t1 = _check_domain(curve, t1)
+    t0, t1 = _check_domain(curve, np.array([t0, t1], dtype=float)).tolist()
     if t1 < t0:
         raise ValueError("t1 must not precede t0")
     spans = max(1, math.ceil(_CHECKPOINTS * (t1 - t0) / curve.length_of_domain))
@@ -549,8 +523,8 @@ def reparam_to_arclength(curve: Curve, checkpoints: int = _CHECKPOINTS) -> Curve
     The length table takes one array call to the base oracle (20
     Gauss-Legendre nodes on each of ``checkpoints`` spans) and raises
     :class:`RegularityFailure` at a non-finite or non-positive node speed.
-    An evaluation of N arclengths (a scalar is the one-row case) inverts the
-    table for all of them in one bracketed Newton solve
+    An evaluation of N arclengths inverts the table for all of them in one
+    bracketed Newton solve
     (:class:`ConvergenceFailure` if the step budget runs out), makes one
     base oracle call at the N parameters and rebuilds the derivative oracle
     by one stacked power-series substitution, so the unit-speed identity
@@ -559,14 +533,11 @@ def reparam_to_arclength(curve: Curve, checkpoints: int = _CHECKPOINTS) -> Curve
     amap = _ArclengthMap(curve, curve.grid(checkpoints + 1))
     fact = factorials(curve.max_order + 1)
 
-    def evaluator(s, order: int) -> np.ndarray:
-        rows = s if _is_array(s) else np.array([s], dtype=float)
-        base = np.asarray(curve.evaluator(amap.invert(rows), max(order, 1)), dtype=float)
+    def evaluator(s: np.ndarray, order: int) -> np.ndarray:
+        base = np.asarray(curve.evaluator(amap.invert(s), max(order, 1)), dtype=float)
         if order == 0:
-            out = base[:, :1]
-        else:
-            out = _derivs_through_substitution(base[:, :order + 1], order, fact)
-        return out if _is_array(s) else out[0]
+            return base[:, :1]
+        return _derivs_through_substitution(base[:, :order + 1], order, fact)
 
     return make_curve(
         curve.dimension,
@@ -605,9 +576,9 @@ def sampled_curve(
 
     Derivative order j uses a window of j + 6 nearest nodes, giving at least
     6th-order accuracy for orders 1-2 and 4th-order beyond; orders above 5
-    are refused because difference noise outgrows them. An array of
-    parameters gets every window from one ``searchsorted`` and every
-    stencil from one stacked :func:`fd_weights` call.
+    are refused because difference noise outgrows them. An evaluation gets
+    every window from one ``searchsorted`` and every stencil from one
+    stacked :func:`fd_weights` call.
     """
     t = np.asarray(ts, dtype=float)
     P = np.asarray(points, dtype=float)
@@ -621,13 +592,11 @@ def sampled_curve(
         raise BadParameters("samples contain non-finite values")
     max_order = int(min(max_order, 5, t.size - 6))
 
-    def evaluator(x, order: int) -> np.ndarray:
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
+    def evaluator(x: np.ndarray, order: int) -> np.ndarray:
         size = min(order + 6, t.size)
-        centers = np.clip(np.searchsorted(t, xs), 0, t.size - 1)
+        centers = np.clip(np.searchsorted(t, x), 0, t.size - 1)
         idx = window_starts(t.size, centers, size)[:, None] + np.arange(size)
-        out = fd_weights(t[idx], xs, order) @ P[idx]
-        return out if _is_array(x) else out[0]
+        return fd_weights(t[idx], x, order) @ P[idx]
 
     return make_curve(P.shape[1], (float(t[0]), float(t[-1])), "sampled",
                       max_order, evaluator, label)
@@ -638,9 +607,10 @@ def sampled_curve(
 # ---------------------------------------------------------------------------
 
 class ProfileFunction:
-    """Scalar function of arclength with derivatives: f(s, order)."""
+    """Function of arclength with derivatives, ``f(s, order)``, broadcast over
+    ``s``: it returns a float array of ``s``'s shape (0-d for a scalar)."""
 
-    def __call__(self, s: float, order: int = 0) -> float:  # pragma: no cover
+    def __call__(self, s, order: int = 0) -> np.ndarray:  # pragma: no cover
         raise NotImplementedError
 
 
@@ -648,8 +618,8 @@ class ProfileFunction:
 class ConstantProfile(ProfileFunction):
     value: float
 
-    def __call__(self, s: float, order: int = 0) -> float:
-        return self.value if order == 0 else 0.0
+    def __call__(self, s, order: int = 0) -> np.ndarray:
+        return np.full(np.shape(s), self.value if order == 0 else 0.0)
 
 
 @dataclass(frozen=True)
@@ -657,10 +627,10 @@ class LinearProfile(ProfileFunction):
     intercept: float
     slope: float
 
-    def __call__(self, s: float, order: int = 0) -> float:
+    def __call__(self, s, order: int = 0) -> np.ndarray:
         if order == 0:
-            return self.intercept + self.slope * s
-        return self.slope if order == 1 else 0.0
+            return self.intercept + self.slope * np.asarray(s, dtype=float)
+        return np.full(np.shape(s), self.slope if order == 1 else 0.0)
 
 
 @dataclass(frozen=True)
@@ -670,9 +640,9 @@ class SinusoidProfile(ProfileFunction):
     frequency: float
     phase: float = 0.0
 
-    def __call__(self, s: float, order: int = 0) -> float:
-        val = self.amplitude * self.frequency**order * math.sin(
-            self.frequency * s + self.phase + order * 0.5 * math.pi
+    def __call__(self, s, order: int = 0) -> np.ndarray:
+        val = self.amplitude * self.frequency**order * np.sin(
+            self.frequency * np.asarray(s, dtype=float) + self.phase + order * 0.5 * math.pi
         )
         return val + self.offset if order == 0 else val
 
@@ -681,14 +651,16 @@ class SplineProfile(ProfileFunction):
     """Clamped cubic interpolant of sampled curvature values.
 
     End slopes are estimated from one-sided 4th-order stencils so clamping
-    does not flatten the ends artificially. The knot slopes solve the
-    tridiagonal system of ``scipy.interpolate.CubicSpline`` with clamped
-    ends, in one O(N) elimination sweep, and each span holds its cubic's
-    coefficients. Evaluation is scalar: the span is found by bisection
-    (points past either end use the end span) and orders 0-3 are
-    evaluated by Horner's rule. Derivative orders above 3 are reported
-    as zero, which bounds how far synthesized curves built from sampled
-    profiles can push their reconstructed derivative order.
+    does not flatten the ends artificially; nodes too close together for a
+    stencil to differentiate 1 and s to 1e-10 relative are refused. The
+    knot slopes solve the tridiagonal system of
+    ``scipy.interpolate.CubicSpline`` with clamped ends, in one O(N)
+    elimination sweep, and each span holds its cubic's coefficients.
+    Evaluation is one ``searchsorted`` (points past either end use the end
+    span) and Horner's rule over arrays for orders 0-3. Derivative orders
+    above 3 are reported as zero, which bounds how far synthesized curves
+    built from sampled profiles can push their reconstructed derivative
+    order.
     """
 
     def __init__(self, s_nodes, values):
@@ -711,17 +683,17 @@ class SplineProfile(ProfileFunction):
         if coef is None or not np.all(np.isfinite(coef)):
             raise InvalidProfile(f"spline coefficients overflow with nodes {float(dx.min()):.3g} "
                                  f"apart and values up to {float(np.max(np.abs(y))):.3g}")
-        self._nodes = s.tolist()
-        self._inner = self._nodes[1:-1]
-        self._coef = coef.tolist()
+        self._nodes = s
+        self._inner = s[1:-1]
+        self._coef = coef.T.copy()  # rows c3, c2, c1, c0, one column per span
 
-    def __call__(self, s: float, order: int = 0) -> float:
+    def __call__(self, s, order: int = 0) -> np.ndarray:
+        s = np.asarray(s, dtype=float)
         if order > 3:
-            return 0.0
-        s = float(s)
-        i = bisect.bisect_right(self._inner, s)
+            return np.zeros(s.shape)
+        i = np.searchsorted(self._inner, s, side="right")
         d = s - self._nodes[i]
-        c3, c2, c1, c0 = self._coef[i]
+        c3, c2, c1, c0 = self._coef[:, i]
         if order == 0:
             return ((c3 * d + c2) * d + c1) * d + c0
         if order == 1:
@@ -734,7 +706,15 @@ class SplineProfile(ProfileFunction):
 @np.errstate(over="raise", divide="raise", invalid="raise")
 def _clamped_spline_coefficients(s: np.ndarray, y: np.ndarray, dx: np.ndarray) -> np.ndarray:
     """Per-span cubic coefficients (c3, c2, c1, c0) of SplineProfile's clamped spline."""
-    w = fd_weights(np.stack([s[:5], s[-5:]]), s[[0, -1]], 1)[:, 1]
+    ends = np.stack([s[:5], s[-5:]])
+    w = fd_weights(ends, s[[0, -1]], 1)[:, 1]
+    # The end stencils on 1 and s (derivatives 0 and 1), against their terms' magnitudes
+    terms = np.stack([w, w * ends])
+    err = np.abs(terms.sum(axis=2) - [[0.0], [1.0]]) / np.abs(terms).sum(axis=2)
+    if not np.all(err <= 1e-10):
+        raise InvalidProfile(f"spline end-slope stencil loses precision with nodes "
+                             f"{float(dx.min()):.3g} apart (relative error {float(err.max()):.2e} "
+                             f"on 1 and s)")
     slope = np.diff(y) / dx
     # The knot slopes m solve the tridiagonal system of CubicSpline, row i
     # being lower[i] m[i-1] + diag[i] m[i] + upper[i] m[i+1] = rhs[i]. An
@@ -763,8 +743,9 @@ def _clamped_spline_coefficients(s: np.ndarray, y: np.ndarray, dx: np.ndarray) -
 class CurvatureProfile:
     """m curvature functions of arclength over a common domain.
 
-    All but the last must be strictly positive there, checked on a probe
-    grid at construction.
+    Each function must follow the :class:`ProfileFunction` array contract.
+    All but the last must be strictly positive on the domain, checked on a
+    probe grid at construction.
     """
 
     functions: tuple[ProfileFunction, ...]
@@ -777,25 +758,30 @@ class CurvatureProfile:
         if not (math.isfinite(lo) and math.isfinite(hi)) or hi <= lo:
             raise InvalidProfile(f"bad domain [{lo!r}, {hi!r}]")
         probe = np.linspace(lo, hi, _PROBE_POINTS)
-        for i, f in enumerate(self.functions[:-1], start=1):
-            vals = np.array([f(s) for s in probe])
-            if np.any(vals <= 0.0) or not np.all(np.isfinite(vals)):
-                raise InvalidProfile(f"curvature {i} must stay positive on the domain")
-        last = np.array([self.functions[-1](s) for s in probe])
-        if not np.all(np.isfinite(last)):
+        vals = self.values(probe)
+        if vals.shape != (probe.size, self.count):
+            raise InvalidProfile(f"curvatures at {probe.size} arclengths have shape {vals.shape}")
+        inner = vals[:, :-1]
+        positive = np.all((inner > 0.0) & np.isfinite(inner), axis=0)
+        if not positive.all():
+            raise InvalidProfile(f"curvature {int(np.argmin(positive)) + 1} "
+                                 "must stay positive on the domain")
+        if not np.all(np.isfinite(vals[:, -1])):
             raise InvalidProfile("last curvature is non-finite on the domain")
 
     @property
     def count(self) -> int:
         return len(self.functions)
 
-    def values(self, s: float) -> np.ndarray:
-        return np.array([f(s) for f in self.functions])
+    def values(self, s) -> np.ndarray:
+        """The curvatures at ``s``, shape ``s.shape + (count,)``."""
+        return np.stack([f(s) for f in self.functions], axis=-1)
 
-    def taylor(self, s: float, n: int) -> np.ndarray:
-        """Taylor coefficients of each curvature at s, shape (count, n)."""
-        fact = factorials(n)
-        return np.array([[f(s, j) / fact[j] for j in range(n)] for f in self.functions])
+    def taylor(self, s, n: int) -> np.ndarray:
+        """Taylor coefficients of each curvature at s, shape ``s.shape + (count, n)``."""
+        derivs = np.stack([np.stack([f(s, j) for j in range(n)], axis=-1)
+                           for f in self.functions], axis=-2)
+        return derivs / factorials(n)
 
     @classmethod
     def constants(cls, values: Sequence[float], domain: tuple[float, float]) -> "CurvatureProfile":
@@ -831,27 +817,67 @@ def _body_frame_derivatives(
     kappa_series: np.ndarray,
     order: int,
 ) -> np.ndarray:
-    """Derivatives (orders 1..order) of a unit-speed curve from its frame.
+    """Derivatives (orders 1..order) of a unit-speed curve from its frames.
 
-    Expands each derivative in the moving frame; the coefficient series obey
-    a ladder recursion coupling neighbors through the curvature series.
+    ``frame`` is a stack of N orthonormal frames (N, m + 1, dim) and
+    ``kappa_series`` the curvatures' Taylor coefficients there, (N, m, n)
+    with n >= order; the result has shape (N, order, dim). Expands each
+    derivative in the moving frame; the coefficient series obey a ladder
+    recursion coupling neighbors through the curvature series.
     """
-    mp1 = frame.shape[0]
     n = order
-    coeff = np.zeros((mp1, n))
-    coeff[0, 0] = 1.0  # first derivative is the unit tangent
-    rows = [frame[0].copy()]
+    # times[..., j, i] = kappa[..., j - i]: multiplies a series by kappa, truncated to n terms
+    lag = np.subtract.outer(np.arange(n), np.arange(n))
+    times = np.where(lag >= 0, kappa_series[..., np.maximum(lag, 0)], 0.0)
+    coeff = np.zeros((*frame.shape[:2], n))
+    coeff[:, 0, 0] = 1.0  # first derivative is the unit tangent
+    rows = [frame[:, 0]]
     for _ in range(order - 1):
         nxt = np.zeros_like(coeff)
-        for l in range(mp1):
-            nxt[l, :-1] = series_diff(coeff[l])[: n - 1]
-            if l >= 1:
-                nxt[l] += series_mul(kappa_series[l - 1], coeff[l - 1], n)
-            if l <= mp1 - 2:
-                nxt[l] -= series_mul(kappa_series[l], coeff[l + 1], n)
+        nxt[..., :-1] = coeff[..., 1:] * np.arange(1, n)
+        nxt[:, 1:] += np.einsum("nlji,nli->nlj", times, coeff[:, :-1])
+        nxt[:, :-1] -= np.einsum("nlji,nli->nlj", times, coeff[:, 1:])
         coeff = nxt
-        rows.append(coeff[:, 0] @ frame)
-    return np.array(rows)
+        rows.append(np.einsum("nl,nld->nd", coeff[..., 0], frame))
+    return np.stack(rows, axis=1)
+
+
+def _hermite(y0, d0, y1, d1, u, h):
+    """Cubic Hermite interpolant on [0, 1] scaled to step h, at fractions u."""
+    u2, u3 = u * u, u * u * u
+    return ((2 * u3 - 3 * u2 + 1) * y0 + (u3 - 2 * u2 + u) * h * d0
+            + (-2 * u3 + 3 * u2) * y1 + (u3 - u2) * h * d1)
+
+
+@dataclass(frozen=True, eq=False)
+class _SynthesizedOracle:
+    """Evaluator of a synthesized curve over its integration tables: the
+    position, frame and frame derivative at each node."""
+
+    profile: CurvatureProfile
+    nodes: np.ndarray
+    h: float
+    gammas: np.ndarray
+    frames: np.ndarray
+    frame_dots: np.ndarray
+
+    def __call__(self, s: np.ndarray, order: int) -> np.ndarray:
+        i = np.clip(np.searchsorted(self.nodes, s) - 1, 0, self.nodes.size - 2)
+        u = ((s - self.nodes[i]) / self.h)[:, None]
+        pos = _hermite(self.gammas[i], self.frames[i, 0], self.gammas[i + 1],
+                       self.frames[i + 1, 0], u, self.h)
+        if order == 0:
+            return pos[:, None]
+        F = _hermite(self.frames[i], self.frame_dots[i], self.frames[i + 1],
+                     self.frame_dots[i + 1], u[:, :, None], self.h)
+        orth, norms, failed = gram_schmidt_rows(F)
+        if failed.any():
+            r = int(np.argmax(failed > 0))
+            j = int(failed[r])
+            raise DegenerateFlag(j, norms[r, j - 1], RANK_RTOL * norms[r, 0] ** j)
+        kappa_series = self.profile.taylor(s, order)
+        rows = _body_frame_derivatives(orth / norms[:, :, None], kappa_series, order)
+        return np.concatenate([pos[:, None], rows], axis=1)
 
 
 def synthesize_from_curvatures(
@@ -865,11 +891,13 @@ def synthesize_from_curvatures(
 
     Classical 4th-order Runge-Kutta at a fixed step (domain/4096 by default)
     on the joint state (position, frame), with the frame re-orthonormalized
-    after every step. The result is unit speed by construction. Derivatives
-    above the first are reconstructed from the interpolated frame and the
-    profile's own derivatives, so the returned curve supports max_order
-    m + 2. A step that needs more than ``_MAX_ODE_STEPS`` (2^20) steps
-    raises BadParameters before anything is allocated.
+    after every step; one profile call before the loop covers every stage.
+    The result is unit speed by construction. Its evaluator interpolates
+    the tables over arrays and rebuilds derivatives above the first from
+    the frame and the profile's own derivatives, so the returned curve
+    supports max_order m + 2. A step that needs more than
+    ``_MAX_ODE_STEPS`` (2^20) steps raises BadParameters before anything
+    is allocated.
     """
     m = profile.count
     if dim != m + 1:
@@ -896,63 +924,44 @@ def synthesize_from_curvatures(
         raise NonOrthonormalFrame("initial frame is not orthonormal to 1e-8")
 
     nodes = lo + h * np.arange(n_steps + 1)
+    # The curvatures at the nodes, then at each step's midpoint and end as
+    # the step computes them (s + h need not equal the next node).
+    kappas = profile.values(np.concatenate([nodes, nodes[:-1] + 0.5 * h, nodes[:-1] + h]))
+    at_node, at_mid, at_end = np.split(kappas, [n_steps + 1, 2 * n_steps + 1])
     # Validate positivity at every integration node, not just the probe grid.
-    last_max = 0.0
-    for s in nodes:
-        vals = profile.values(s)
-        if np.any(vals[:-1] <= 0.0):
-            raise InvalidProfile(f"curvature became non-positive at s={float(s)!r}")
-        last_max = max(last_max, abs(float(vals[-1])))
-    if m >= 2 and last_max < 1e-14:
+    bad = np.flatnonzero(np.any(at_node[:, :-1] <= 0.0, axis=1))
+    if bad.size:
+        raise InvalidProfile(f"curvature became non-positive at s={float(nodes[bad[0]])!r}")
+    if m >= 2 and np.max(np.abs(at_node[:, -1])) < 1e-14:
         raise InvalidProfile(
             "last curvature vanishes identically: the curve has lower osculating "
             "order; drop it and synthesize one dimension down"
         )
 
-    def rhs(s: float, gamma: np.ndarray, F: np.ndarray):
-        M = _frenet_matrix(profile.values(s))
-        return F[0], M @ F
+    def rhs(kappa: np.ndarray, F: np.ndarray):
+        return F[0], _frenet_matrix(kappa) @ F
 
     gammas = np.empty((n_steps + 1, dim))
     frames = np.empty((n_steps + 1, dim, dim))
     gammas[0], frames[0] = point, _orthonormalize_rows(frame)
     g, F = gammas[0].copy(), frames[0].copy()
     for i in range(n_steps):
-        s = nodes[i]
-        k1g, k1f = rhs(s, g, F)
-        k2g, k2f = rhs(s + 0.5 * h, g + 0.5 * h * k1g, F + 0.5 * h * k1f)
-        k3g, k3f = rhs(s + 0.5 * h, g + 0.5 * h * k2g, F + 0.5 * h * k2f)
-        k4g, k4f = rhs(s + h, g + h * k3g, F + h * k3f)
+        k1g, k1f = rhs(at_node[i], F)
+        k2g, k2f = rhs(at_mid[i], F + 0.5 * h * k1f)
+        k3g, k3f = rhs(at_mid[i], F + 0.5 * h * k2f)
+        k4g, k4f = rhs(at_end[i], F + h * k3f)
         g = g + (h / 6.0) * (k1g + 2.0 * k2g + 2.0 * k3g + k4g)
         F = F + (h / 6.0) * (k1f + 2.0 * k2f + 2.0 * k3f + k4f)
         drift = float(np.max(np.abs(F @ F.T - np.eye(dim))))
         if drift > 1e-10:
-            raise NonOrthonormalFrame(f"frame drift {drift:.2e} in one step at s={float(s)!r}")
+            raise NonOrthonormalFrame(f"frame drift {drift:.2e} in one step "
+                                      f"at s={float(nodes[i])!r}")
         F = _orthonormalize_rows(F)
         gammas[i + 1], frames[i + 1] = g, F
 
-    frame_dots = np.array([_frenet_matrix(profile.values(s)) @ Fi
-                           for s, Fi in zip(nodes, frames)])
-    tangents = frames[:, 0, :]
-    max_order = m + 2
-
-    def _hermite(y0, d0, y1, d1, u, hh):
-        # cubic Hermite basis on [0, 1] scaled to step hh
-        u2, u3 = u * u, u * u * u
-        return ((2 * u3 - 3 * u2 + 1) * y0 + (u3 - 2 * u2 + u) * hh * d0
-                + (-2 * u3 + 3 * u2) * y1 + (u3 - u2) * hh * d1)
-
-    def evaluator(s: float, order: int) -> np.ndarray:
-        i = int(np.clip(np.searchsorted(nodes, s) - 1, 0, n_steps - 1))
-        u = (s - nodes[i]) / h
-        pos = _hermite(gammas[i], tangents[i], gammas[i + 1], tangents[i + 1], u, h)
-        if order == 0:
-            return pos[None, :]
-        F = _hermite(frames[i], frame_dots[i], frames[i + 1], frame_dots[i + 1], u, h)
-        F = _orthonormalize_rows(F)
-        kser = profile.taylor(s, max(order, 2))
-        rows = _body_frame_derivatives(F, kser, order)
-        return np.vstack([pos[None, :], rows])
-
-    return make_curve(dim, (lo, hi), "synthesized", max_order, _pointwise(evaluator, dim),
-                      label=f"synthesized(m={m})")
+    # F' = M F with M tridiagonal: row r is kappa_r F[r+1] - kappa_{r-1} F[r-1].
+    frame_dots = np.zeros_like(frames)
+    frame_dots[:, :-1] = at_node[:, :, None] * frames[:, 1:]
+    frame_dots[:, 1:] -= at_node[:, :, None] * frames[:, :-1]
+    oracle = _SynthesizedOracle(profile, nodes, h, gammas, frames, frame_dots)
+    return make_curve(dim, (lo, hi), "synthesized", m + 2, oracle, label=f"synthesized(m={m})")

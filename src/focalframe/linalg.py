@@ -3,12 +3,13 @@
 Ambient dimensions are tiny (at most eight in practice). Orthogonalization
 is modified Gram-Schmidt, kept here because it returns the unnormalized
 norms the curvature quotients are built from and flags rank loss by
-index. It comes in two shapes: :func:`gram_schmidt` for one flag, which
-raises on rank loss, and :func:`gram_schmidt_rows` for a stack of flags
-(one per grid row), which reports rank loss per row. Pick by the data:
-the stacked kernel costs more than the loop on a single flag. The solve
-is LAPACK's, behind a conditioning check. All functions are pure, never
-mutate their inputs, and are safe to call from multiple threads.
+index. It comes in two shapes: :func:`gram_schmidt_rows` for a stack of
+flags (one per grid row or evaluation point), which reports rank loss per
+row and serves every grid pass and the synthesized curves' evaluator, and
+:func:`gram_schmidt` for one flag, which raises on rank loss; its one
+caller is the synthesis integrator's per-step re-orthonormalization. The
+solve is LAPACK's, behind a conditioning check. All functions are pure,
+never mutate their inputs, and are safe to call from multiple threads.
 """
 
 from __future__ import annotations

@@ -1,16 +1,13 @@
 """Truncated power-series arithmetic on plain coefficient arrays.
 
 A series is a float array ``a`` meaning ``f(x0 + h) = sum a[j] h**j``.
-Used for two jobs that would otherwise need nested chain rules to high
-order: rebuilding derivative oracles after arclength reparametrization,
-and reconstructing high derivatives of synthesized curves from their
-frame and curvature data.
+Used to rebuild derivative oracles after arclength reparametrization,
+which would otherwise need nested chain rules to high order.
 
-``series_mul`` and ``series_diff`` act on one series (the synthesized
-curves' frame ladder). ``series_sqrt`` and ``series_reverse_powers`` act
-on a stack of N series, shape (N, n), looping over the truncation order
-(below ~10) with array work over N, so an arclength grid is substituted in
-one pass (Griewank & Walther, *Evaluating Derivatives*, 2nd ed., ch. 13).
+Both series functions act on a stack of N series, shape (N, n), looping
+over the truncation order (below ~10) with array work over N, so an
+arclength grid is substituted in one pass (Griewank & Walther,
+*Evaluating Derivatives*, 2nd ed., ch. 13).
 """
 
 from __future__ import annotations
@@ -18,20 +15,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-
-def series_mul(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    out = np.convolve(a, b)[:n]
-    if out.size < n:
-        out = np.pad(out, (0, n - out.size))
-    return out
-
-
-def series_diff(a: np.ndarray) -> np.ndarray:
-    """Coefficients of the derivative series (one order shorter)."""
-    if a.size <= 1:
-        return np.zeros(1)
-    return a[1:] * np.arange(1, a.size)
 
 
 def series_sqrt(a: np.ndarray, n: int) -> np.ndarray:

@@ -312,11 +312,13 @@ def test_flag_out_of_range_is_input_error(tmp_path, helix_spec, capsys, args):
      "rows": [[0.0, 1.0, -1e198]] + [[0.4 * i, 1.0, 1.0] for i in range(1, 5)]},
     {"type": "curvatures", "dim": 2, "params": {},
      "rows": [[i * 1e-300, 1.0] for i in range(8)]},  # printed overflow, not the profile error
+    {"type": "curvatures", "dim": 2, "params": {},
+     "rows": [[i * 1e-80, 1.0] for i in range(8)]},  # built a spline with a slope of -1.5e73
     {"params": {"a": 2.0, "b": 1.0}, "dim": -math.inf},  # raised OverflowError
     {"params": {"a": 2.0, "b": 1.0}, "dim": 2.5},  # was truncated to 2
     {"params": {"a": 2.0, "b": 1.0}, "dim": 7},  # the helix is 3-dimensional
 ], ids=["nan-param", "text-domain", "huge-node", "huge-last-curvature", "close-nodes",
-        "infinite-dim", "fractional-dim", "wrong-dim"])
+        "inexact-stencil", "infinite-dim", "fractional-dim", "wrong-dim"])
 def test_bad_spec_value_is_input_error(tmp_path, capsys, request, fields):
     spec = write_spec(tmp_path, "bad.json", {"type": "helix", "dim": 3, **fields})
     assert main(["analyze", "--input", spec, "--output", str(tmp_path / "x")]) == EXIT_INPUT_ERROR
@@ -325,6 +327,9 @@ def test_bad_spec_value_is_input_error(tmp_path, capsys, request, fields):
     if request.node.callspec.id == "close-nodes":
         assert err == "error: spline coefficients overflow with nodes 1e-300 apart and " \
                       "values up to 1\n"
+    if request.node.callspec.id == "inexact-stencil":
+        assert err.startswith("error: spline end-slope stencil loses precision with nodes "
+                              "1e-80 apart")
 
 
 def test_cli_import_does_not_load_scipy():

@@ -10,6 +10,7 @@ import focalframe as ff
 from focalframe import curves
 from focalframe.curves import (
     ConstantProfile,
+    LinearProfile,
     SinusoidProfile,
     SplineProfile,
     TrigCoordinate,
@@ -25,6 +26,7 @@ from focalframe.errors import (
     OutOfDomain,
     RegularityFailure,
 )
+from focalframe.linalg import gram_schmidt
 from focalframe.numdiff import fd_weights
 
 SQRT5 = math.sqrt(5.0)
@@ -86,13 +88,15 @@ def test_array_call_checks_like_scalar_call(helix):
 
 
 def test_evaluator_shape_is_checked_for_arrays():
-    def scalar_only(t, order):
+    # an evaluator that answers with one (order + 1, dim) stack ignores the
+    # array contract; a scalar call is a one-row array call, so it fails too
+    def wrong_shape(t, order):
         return np.zeros((order + 1, 2))
 
-    curve = make_curve(2, (0.0, 1.0), "analytic", 2, scalar_only, check_regularity=False)
-    assert ff.eval_derivatives(curve, 0.5, 1).shape == (2, 2)
-    with pytest.raises(RuntimeError, match="expected"):
-        ff.eval_derivatives(curve, np.array([0.2, 0.5]), 1)
+    curve = make_curve(2, (0.0, 1.0), "analytic", 2, wrong_shape, check_regularity=False)
+    for t in (0.5, np.array([0.2, 0.5])):
+        with pytest.raises(RuntimeError, match="expected"):
+            ff.eval_derivatives(curve, t, 1)
 
 
 def _sampled_helix(helix):
@@ -114,12 +118,46 @@ def test_array_call_equals_stacked_scalar_calls(kind, helix, salkowski, unit_sal
         "synthesized": _synthesized(),
         "arclength": unit_salkowski,
     }[kind]
+    # a scalar call is the one-row case of the array call, so the two agree
+    # exactly, row by row
     ts = np.linspace(curve.domain[0], curve.domain[1], 13)
     for order in range(curve.max_order + 1):
-        got = curve.evaluator(ts, order)
-        want = np.array([curve.evaluator(float(t), order) for t in ts])
+        got = ff.eval_derivatives(curve, ts, order)
         assert got.shape == (ts.size, order + 1, curve.dimension)
-        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.max(np.abs(want)))
+        for t, row in zip(ts, got):
+            np.testing.assert_array_equal(ff.eval_derivatives(curve, float(t), order), row)
+
+
+def _trig_reference(coords, t, order):
+    """Rows 0..order of curve_from_coordinates at one t, one math.sin per term."""
+    rows = []
+    for j in range(order + 1):
+        row = []
+        for c in coords:
+            acc = {0: c.const + c.slope * t, 1: c.slope}.get(j, 0.0)
+            for amp, freq, phase in c.terms:
+                acc += amp * freq**j * math.sin(freq * t + phase + j * 0.5 * math.pi)
+            row.append(acc)
+        rows.append(row)
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5, 8])
+def test_analytic_curve_matches_per_term_formula(dim):
+    rng = np.random.default_rng(dim)
+    coords = tuple(
+        TrigCoordinate(const=float(rng.normal()), slope=float(rng.normal()),
+                       terms=tuple((float(rng.uniform(0.2, 1.5)), float(rng.uniform(0.3, 4.0)),
+                                    float(rng.uniform(0.0, 2 * math.pi)))
+                                   for _ in range(int(rng.integers(0, 4)))))
+        for _ in range(dim))
+    curve = curve_from_coordinates(coords, (-1.0, 3.0), max_order=dim + 2)
+    ts = np.linspace(-1.0, 3.0, 23)
+    for order in range(curve.max_order + 1):
+        got = ff.eval_derivatives(curve, ts, order)
+        want = np.array([_trig_reference(coords, float(t), order) for t in ts])
+        scale = np.maximum(1.0, np.max(np.abs(want), axis=(0, 2)))
+        assert np.all(np.max(np.abs(got - want), axis=(0, 2)) <= 1e-13 * scale)
 
 
 def test_array_call_on_linear_coordinates():
@@ -300,7 +338,7 @@ class _ScalarArclength:
         raise ConvergenceFailure(f"reference inversion at s={s!r} did not converge")
 
     def evaluate(self, s, order):
-        base = self.curve.evaluator(self.invert(s), max(order, 1))
+        base = ff.eval_derivatives(self.curve, self.invert(s), max(order, 1))
         if order == 0:
             return base[:1]
         n = order + 1
@@ -342,7 +380,7 @@ def test_array_arclength_matches_scalar_reference(name):
         scale = np.max(np.abs(want), axis=(0, 2))
         assert np.all(np.max(np.abs(got - want), axis=(0, 2)) <= 5e-14 * scale)
         for i in range(0, 97, 8):
-            np.testing.assert_array_equal(unit.evaluator(float(ss[i]), order), got[i])
+            np.testing.assert_array_equal(ff.eval_derivatives(unit, float(ss[i]), order), got[i])
 
 
 def _steep_speed_evaluator(t, order):
@@ -511,7 +549,7 @@ def test_spline_profile_matches_scipy_cubic_spline(jitter):
         xs = np.concatenate([s, rng.uniform(s[0] - 0.5, s[-1] + 0.5, 64)])
         for order in range(4):
             ref = ref_spline(xs, nu=order)
-            got = np.array([profile(x, order) for x in xs])
+            got = profile(xs, order)
             assert np.max(np.abs(got - ref)) <= 1e-14 * max(1.0, np.max(np.abs(ref)))
 
 
@@ -523,7 +561,7 @@ def test_spline_profile_reproduces_a_cubic():
     for x in np.linspace(s[0] - 1.0, s[-1] + 1.0, 101):
         for order in range(4):
             value = profile(x, order)
-            assert type(value) is float
+            assert np.shape(value) == ()
             assert value == pytest.approx(derivs[order](x), rel=1e-11, abs=1e-11)
         assert profile(x, 4) == 0.0
 
@@ -585,6 +623,41 @@ def test_spline_profile_rejects_nodes_too_close_for_its_stencil(spacing):
         SplineProfile(np.arange(8) * spacing, np.ones(8))
 
 
+@pytest.mark.parametrize("spacing,accepted", [(1e-80, False), (1e-78, True), (1e-60, True)])
+def test_spline_profile_refuses_an_inexact_end_stencil(spacing, accepted):
+    # at 1e-80 the stencil's node products are subnormal: its weights stay
+    # finite but differentiate 1 and s with relative errors near 1e-6, and
+    # the spline of a constant had slopes of 1.5e-7 of the natural scale 1/h
+    nodes, ones = np.arange(8) * spacing, np.ones(8)
+    if accepted:
+        profile = SplineProfile(nodes, ones)
+        xs = np.linspace(0.0, 7 * spacing, 50)
+        assert np.max(np.abs(profile(xs, 0) - 1.0)) < 1e-10
+        assert np.max(np.abs(profile(xs, 1))) * spacing < 1e-10
+    else:
+        with pytest.raises(InvalidProfile, match="end-slope stencil loses precision"):
+            SplineProfile(nodes, ones)
+
+
+@pytest.mark.parametrize("kind", ["constant", "linear", "sinusoid", "spline"])
+def test_profile_array_call_equals_scalar_calls(kind):
+    rng = np.random.default_rng(17)
+    s = _spline_nodes(rng, 12, 0.3)
+    spline = SplineProfile(s, rng.uniform(0.3, 2.0, s.size))
+    f = {"constant": ConstantProfile(0.7), "linear": LinearProfile(0.9, -0.05),
+         "sinusoid": SinusoidProfile(1.0, 0.3, 1.7, 0.4), "spline": spline}[kind]
+    # points past both ends of the spline's nodes, and the nodes themselves
+    xs = np.concatenate([s, np.linspace(s[0] - 1.5, s[-1] + 1.5, 30)])
+    for order in range(5):
+        got = f(xs, order)
+        assert got.shape == xs.shape
+        np.testing.assert_array_equal(got, [f(float(x), order) for x in xs])
+        assert np.shape(f(float(xs[0]), order)) == ()
+        np.testing.assert_array_equal(f(xs.reshape(3, -1), order), got.reshape(3, -1))
+        if order > 3 and kind != "sinusoid":
+            np.testing.assert_array_equal(got, np.zeros(xs.shape))
+
+
 def test_spline_profile_rejects_values_that_overflow_its_sweep():
     # every numpy step stays finite; the elimination sweep over Python floats
     # overflows to inf, which only the final finiteness check sees
@@ -597,6 +670,57 @@ def test_spline_profile_rejects_values_that_overflow_its_sweep():
 
 
 # ---------------------------------------------------------------------- synthesis
+
+def _reference_synthesis(profile, dim, n_steps):
+    """The RK4 loop of synthesize_from_curvatures with scalar profile calls:
+    one call per stage, a frame matrix per stage, one-flag Gram-Schmidt
+    after every step."""
+    lo, hi = profile.domain
+    h = (hi - lo) / n_steps
+    nodes = lo + h * np.arange(n_steps + 1)
+
+    def rhs(s, F):
+        return F[0], curves._frenet_matrix(profile.values(s)) @ F
+
+    def orthonormal(F):
+        orth, norms = gram_schmidt(F)
+        return orth / norms[:, None]
+
+    g, F = np.zeros(dim), orthonormal(np.eye(dim))
+    gammas, frames = [g], [F]
+    for s in nodes[:-1]:
+        k1g, k1f = rhs(s, F)
+        k2g, k2f = rhs(s + 0.5 * h, F + 0.5 * h * k1f)
+        k3g, k3f = rhs(s + 0.5 * h, F + 0.5 * h * k2f)
+        k4g, k4f = rhs(s + h, F + h * k3f)
+        g = g + (h / 6.0) * (k1g + 2.0 * k2g + 2.0 * k3g + k4g)
+        F = orthonormal(F + (h / 6.0) * (k1f + 2.0 * k2f + 2.0 * k3f + k4f))
+        gammas.append(g)
+        frames.append(F)
+    return np.array(gammas), np.array(frames)
+
+
+@pytest.mark.parametrize("kind", ["constant-e3", "sinusoid-e5", "spline-e4"])
+def test_synthesis_equals_scalar_reference_loop(kind):
+    # the domains give steps that are not powers of two, so a stage abscissa
+    # s + h can differ from the next node in its last bit
+    if kind == "constant-e3":
+        profile = ff.CurvatureProfile.constants([0.4, 0.2], (0.0, 10.0))
+    elif kind == "sinusoid-e5":
+        profile = ff.CurvatureProfile(
+            tuple(SinusoidProfile(0.6 - 0.05 * i, 0.1, 0.5 + 0.2 * i, i) for i in range(4)),
+            (0.3, 4.3))
+    else:
+        s = np.linspace(0.1, 4.4, 48)
+        profile = ff.CurvatureProfile.from_samples(
+            s, np.column_stack([0.5 + 0.05 * np.sin(1.5 * s + i) for i in range(3)]))
+    dim = profile.count + 1
+    lo, hi = profile.domain
+    curve = ff.synthesize_from_curvatures(profile, dim, step=(hi - lo) / 256)
+    gammas, frames = _reference_synthesis(profile, dim, 256)
+    np.testing.assert_array_equal(curve.evaluator.gammas, gammas)
+    np.testing.assert_array_equal(curve.evaluator.frames, frames)
+
 
 def test_synthesized_circle_closes():
     profile = ff.CurvatureProfile.constants([1.0], (0.0, 2 * math.pi))

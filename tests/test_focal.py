@@ -168,10 +168,9 @@ class _RampProfile(ProfileFunction):
         self.knee = knee
 
     def __call__(self, s, order=0):
-        x = s - self.knee
-        if x <= 0.0:
-            return 1.0 if order == 0 else 0.0
-        return {0: 1.0 + x**3, 1: 3 * x**2, 2: 6 * x, 3: 6.0}.get(order, 0.0)
+        x = np.asarray(s, dtype=float) - self.knee
+        ramp = {0: 1.0 + x**3, 1: 3 * x**2, 2: 6 * x, 3: np.full(x.shape, 6.0)}
+        return np.where(x <= 0.0, 1.0 if order == 0 else 0.0, ramp.get(order, 0.0))
 
 
 def test_vertex_rows_flagged_and_excluded_not_fatal():

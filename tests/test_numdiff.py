@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from focalframe.numdiff import fd_weights, grid_derivative, window_starts
-from focalframe.series import factorials, series_mul, series_reverse_powers, series_sqrt
+from focalframe.series import factorials, series_reverse_powers, series_sqrt
 
 
 def one_stencil(nodes, x0, max_order):
@@ -126,12 +126,6 @@ def test_grid_derivative_nonuniform_matches_row_loop():
 
 # ------------------------------------------------------------------ series
 
-def test_series_mul_truncates():
-    a = np.array([1.0, 1.0])
-    np.testing.assert_allclose(series_mul(a, a, 3), [1.0, 2.0, 1.0])
-    np.testing.assert_allclose(series_mul(a, a, 2), [1.0, 2.0])
-
-
 def test_series_sqrt_squares_back_on_a_stack():
     a = np.array([[4.0, 1.0, -0.3, 0.2, 0.05],
                   [1.0, 0.0, 0.0, 0.0, 0.0],
@@ -139,7 +133,7 @@ def test_series_sqrt_squares_back_on_a_stack():
     s = series_sqrt(a, 5)
     assert s.shape == (3, 5)
     for row, want in zip(s, a):
-        np.testing.assert_allclose(series_mul(row, row, 5), want, atol=1e-13)
+        np.testing.assert_allclose(np.convolve(row, row)[:5], want, atol=1e-13)
     np.testing.assert_array_equal(s[0], series_sqrt(a[:1], 5)[0])
     # truncation beyond the input's length treats the missing terms as zero
     np.testing.assert_allclose(series_sqrt(np.array([[9.0, 6.0, 1.0]]), 4)[0], [3.0, 1.0, 0.0, 0.0],
@@ -169,7 +163,7 @@ def test_series_reverse_powers_inverts_sin_on_a_stack():
         np.testing.assert_allclose(table[1], expected, atol=1e-12)
         np.testing.assert_array_equal(table[0], np.eye(n)[0])
         for k in range(2, n):
-            np.testing.assert_allclose(table[k], series_mul(table[k - 1], table[1], n),
+            np.testing.assert_allclose(table[k], np.convolve(table[k - 1], table[1])[:n],
                                        atol=1e-12)
     # round trip: composing each sin row with its inverse gives the identity
     sin_rows = np.column_stack([np.zeros(len(scales)), d])
