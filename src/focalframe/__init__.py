@@ -57,7 +57,7 @@ from .frenet import (
     frenet_apparatus,
     frenet_grid,
 )
-from .linalg import gram_schmidt, solve_linear
+from .linalg import solve_linear
 from .slant import (
     AxisFit,
     ResidualTable,

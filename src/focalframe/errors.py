@@ -46,7 +46,7 @@ class InvalidProfile(FocalFrameError):
 
 
 class NonOrthonormalFrame(FocalFrameError):
-    """An initial or evolving moving frame failed the orthonormality check."""
+    """An initial moving frame given to the integrator is not orthonormal."""
 
 
 class RegularityFailure(FocalFrameError):

@@ -3,12 +3,11 @@
 Ambient dimensions are tiny (at most eight in practice). Orthogonalization
 is modified Gram-Schmidt, kept here because it returns the unnormalized
 norms the curvature quotients are built from and flags rank loss by
-index. It comes in two shapes: :func:`gram_schmidt_rows` for a stack of
-flags (one per grid row or evaluation point), which reports rank loss per
-row and serves every grid pass and the synthesized curves' evaluator, and
-:func:`gram_schmidt` for one flag, which raises on rank loss; its one
-caller is the synthesis integrator's per-step re-orthonormalization. The
-solve is LAPACK's, behind a conditioning check. All functions are pure,
+index. :func:`gram_schmidt_rows` is the one kernel: it takes a stack of
+flags (one per grid row or evaluation point, or a one-row stack for a
+single flag) and reports rank loss per row. It serves every grid pass,
+the synthesized curves' evaluator and the integrator's initial frame.
+The solve is LAPACK's, behind a conditioning check. All functions are pure,
 never mutate their inputs, and are safe to call from multiple threads.
 """
 
@@ -16,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegenerateFlag, SingularSystem
+from .errors import SingularSystem
 
 # Rank tolerance for Gram-Schmidt, relative to the first vector's norm raised
 # to the step index: derivative magnitudes grow geometrically with order, so
@@ -36,52 +35,21 @@ def as_vector(x, dim: int | None = None) -> np.ndarray:
     return v
 
 
-def gram_schmidt(vectors) -> tuple[np.ndarray, np.ndarray]:
-    """Orthogonalize a sequence of vectors without normalizing them.
-
-    Uses the modified (sequential re-projection) variant: each vector is
-    reduced against the already-orthogonalized ones in order, which keeps
-    orthogonality through the 4th and 5th vector where the classical variant
-    degrades in double precision.
-
-    Returns ``(orthogonal, norms)`` where ``orthogonal[i]`` spans the same
-    flag as the input prefix and ``norms[i] = ||orthogonal[i]||``. The norms
-    are returned separately so curvature quotients can be formed from them
-    directly.
-
-    Raises DegenerateFlag (with the failing 1-based index) when a reduced
-    vector falls below ``RANK_RTOL * ||v_1||**index``.
-    """
-    V = np.array(vectors, dtype=float)
-    if V.ndim != 2:
-        raise ValueError(f"expected a sequence of vectors, got shape {V.shape}")
-    k, dim = V.shape
-    if k > dim:
-        raise ValueError(f"{k} vectors cannot be independent in dimension {dim}")
-    if not np.all(np.isfinite(V)):
-        raise ValueError("input vectors have non-finite entries")
-
-    norms = np.empty(k)
-    for i in range(k):
-        for j in range(i):
-            V[i] -= (V[i] @ V[j]) / (norms[j] * norms[j]) * V[j]
-        n = float(np.linalg.norm(V[i]))
-        tol = RANK_RTOL * norms[0] ** (i + 1) if i > 0 else 0.0
-        if n <= tol or n == 0.0:
-            raise DegenerateFlag(i + 1, n, tol)
-        norms[i] = n
-    return V, norms
-
-
 def gram_schmidt_rows(stack) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`gram_schmidt` on every row of a ``(N, k, dim)`` stack at once.
+    """Modified Gram-Schmidt on every row of a ``(N, k, dim)`` stack of
+    flags, without normalizing.
 
-    Returns ``(orthogonal, norms, failed)`` of shapes ``(N, k, dim)``,
-    ``(N, k)`` and ``(N,)``. ``failed[r]`` is the 1-based index of row r's
-    first vector at or below the rank tolerance (the rule of
-    :func:`gram_schmidt`), 0 where the row is fine. Entries of a failed row
-    from its failing index on are not meaningful. Raises ValueError on a
-    wrong shape or non-finite input.
+    Each vector is reduced against its row's already-orthogonalized ones in
+    order (the modified variant keeps orthogonality through the 4th and 5th
+    vector where the classical one degrades). Returns ``(orthogonal, norms,
+    failed)`` of shapes ``(N, k, dim)``, ``(N, k)`` and ``(N,)``;
+    ``orthogonal[r]`` spans row r's input flag prefix by prefix and the
+    norms are returned apart so curvature quotients come straight from
+    them. ``failed[r]`` is the 1-based index of row r's first vector whose
+    reduced norm is zero or at most ``RANK_RTOL * norms[r, 0]**index``, 0
+    where the row is fine; entries of a failed row from that index on are
+    not meaningful. Raises ValueError on a wrong shape, more vectors than
+    dimensions or non-finite input.
     """
     V = np.array(stack, dtype=float)
     if V.ndim != 3:

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -26,7 +27,6 @@ from focalframe.errors import (
     OutOfDomain,
     RegularityFailure,
 )
-from focalframe.linalg import gram_schmidt
 from focalframe.numdiff import fd_weights
 
 SQRT5 = math.sqrt(5.0)
@@ -671,30 +671,64 @@ def test_spline_profile_rejects_values_that_overflow_its_sweep():
 
 # ---------------------------------------------------------------------- synthesis
 
+def _expm(X):
+    """Matrix exponential by scaling, a 20-term Taylor series and squaring."""
+    j = max(0, math.ceil(math.log2(max(np.abs(X).sum(axis=0).max(), 1e-300) / 0.25)))
+    Y = X / 2.0**j
+    E = term = np.eye(X.shape[0])
+    for k in range(1, 20):
+        term = term @ Y / k
+        E = E + term
+    for _ in range(j):
+        E = E @ E
+    return E
+
+
+def _synthesis_profile(kind):
+    if kind == "constant-e3":
+        return ff.CurvatureProfile.constants([0.4, 0.2], (0.0, 10.0))
+    if kind == "sinusoid-e5":
+        return ff.CurvatureProfile(
+            tuple(SinusoidProfile(0.6 - 0.05 * i, 0.1, 0.5 + 0.2 * i, i) for i in range(4)),
+            (0.3, 4.3))
+    s = np.linspace(0.1, 4.4, 48)
+    return ff.CurvatureProfile.from_samples(
+        s, np.column_stack([0.5 + 0.05 * np.sin(1.5 * s + i) for i in range(3)]))
+
+
+def _synthesize_steps(profile, n_steps):
+    lo, hi = profile.domain
+    return ff.synthesize_from_curvatures(profile, profile.count + 1, step=(hi - lo) / n_steps)
+
+
+@functools.lru_cache(maxsize=None)
+def _fine_synthesis(kind):
+    return _synthesize_steps(_synthesis_profile(kind), 65536).evaluator
+
+
 def _reference_synthesis(profile, dim, n_steps):
-    """The RK4 loop of synthesize_from_curvatures with scalar profile calls:
-    one call per stage, a frame matrix per stage, one-flag Gram-Schmidt
-    after every step."""
+    """The Magnus step as a scalar loop over dense matrices: one profile
+    call per Gauss point, the commutator as a matrix product, the
+    exponential by Taylor series, positions by the corrected trapezoid
+    rule one step at a time."""
     lo, hi = profile.domain
     h = (hi - lo) / n_steps
     nodes = lo + h * np.arange(n_steps + 1)
+    c1, c2 = 0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0
 
-    def rhs(s, F):
-        return F[0], curves._frenet_matrix(profile.values(s)) @ F
+    def frenet_matrix(s):
+        M = np.diag(profile.values(s), 1)
+        return M - M.T
 
-    def orthonormal(F):
-        orth, norms = gram_schmidt(F)
-        return orth / norms[:, None]
-
-    g, F = np.zeros(dim), orthonormal(np.eye(dim))
+    g, F = np.zeros(dim), np.eye(dim)
     gammas, frames = [g], [F]
-    for s in nodes[:-1]:
-        k1g, k1f = rhs(s, F)
-        k2g, k2f = rhs(s + 0.5 * h, F + 0.5 * h * k1f)
-        k3g, k3f = rhs(s + 0.5 * h, F + 0.5 * h * k2f)
-        k4g, k4f = rhs(s + h, F + h * k3f)
-        g = g + (h / 6.0) * (k1g + 2.0 * k2g + 2.0 * k3g + k4g)
-        F = orthonormal(F + (h / 6.0) * (k1f + 2.0 * k2f + 2.0 * k3f + k4f))
+    for s, s_next in zip(nodes[:-1], nodes[1:]):
+        A1, A2 = frenet_matrix(s + c1 * h), frenet_matrix(s + c2 * h)
+        omega = 0.5 * h * (A1 + A2) + math.sqrt(3.0) * h * h / 12.0 * (A2 @ A1 - A1 @ A2)
+        F_next = _expm(omega) @ F
+        dT, dT_next = profile.values(s)[0] * F[1], profile.values(s_next)[0] * F_next[1]
+        g = g + 0.5 * h * (F[0] + F_next[0]) + h * h / 12.0 * (dT - dT_next)
+        F = F_next
         gammas.append(g)
         frames.append(F)
     return np.array(gammas), np.array(frames)
@@ -702,24 +736,72 @@ def _reference_synthesis(profile, dim, n_steps):
 
 @pytest.mark.parametrize("kind", ["constant-e3", "sinusoid-e5", "spline-e4"])
 def test_synthesis_equals_scalar_reference_loop(kind):
-    # the domains give steps that are not powers of two, so a stage abscissa
-    # s + h can differ from the next node in its last bit
+    # 600 steps: two full chunks of exponentials and a partial one
+    profile = _synthesis_profile(kind)
+    curve = _synthesize_steps(profile, 600)
+    gammas, frames = _reference_synthesis(profile, profile.count + 1, 600)
+    # the exponentials differ in rounding only (eigh against Taylor series)
+    np.testing.assert_allclose(curve.evaluator.gammas, gammas, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(curve.evaluator.frames, frames, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["constant-e3", "sinusoid-e5", "spline-e4"])
+@pytest.mark.parametrize("n_steps, tol", [(256, 2e-9), (1024, 2e-10), (4096, 2e-10)])
+def test_synthesis_matches_a_fine_step_run(kind, n_steps, tol):
+    # below about 1e-10 the 65,536-step run's own rounding is what is measured
+    fine = _fine_synthesis(kind)
+    coarse = _synthesize_steps(_synthesis_profile(kind), n_steps).evaluator
+    every = 65536 // n_steps
+    assert np.max(np.abs(coarse.gammas - fine.gammas[::every])) < tol
+    assert np.max(np.abs(coarse.frames - fine.frames[::every])) < tol
+
+
+@pytest.mark.parametrize("kind", ["constant-e3", "sinusoid-e5", "spline-e4"])
+def test_synthesis_converges_at_fourth_order(kind):
+    runs = [_synthesize_steps(_synthesis_profile(kind), n).evaluator for n in (128, 256, 512)]
+    # For a constant profile each step is the exact exponential, so the
+    # frames agree to rounding and only the positions carry a step error.
+    tables = ("gammas",) if kind == "constant-e3" else ("gammas", "frames")
+    for name in tables:
+        coarse, mid, fine = (getattr(r, name) for r in runs)
+        order = math.log2(np.max(np.abs(coarse - mid[::2])) / np.max(np.abs(mid - fine[::2])))
+        assert 3.5 < order < 5.0, (name, order)
     if kind == "constant-e3":
-        profile = ff.CurvatureProfile.constants([0.4, 0.2], (0.0, 10.0))
-    elif kind == "sinusoid-e5":
-        profile = ff.CurvatureProfile(
-            tuple(SinusoidProfile(0.6 - 0.05 * i, 0.1, 0.5 + 0.2 * i, i) for i in range(4)),
-            (0.3, 4.3))
-    else:
-        s = np.linspace(0.1, 4.4, 48)
-        profile = ff.CurvatureProfile.from_samples(
-            s, np.column_stack([0.5 + 0.05 * np.sin(1.5 * s + i) for i in range(3)]))
-    dim = profile.count + 1
-    lo, hi = profile.domain
-    curve = ff.synthesize_from_curvatures(profile, dim, step=(hi - lo) / 256)
-    gammas, frames = _reference_synthesis(profile, dim, 256)
-    np.testing.assert_array_equal(curve.evaluator.gammas, gammas)
-    np.testing.assert_array_equal(curve.evaluator.frames, frames)
+        assert np.max(np.abs(runs[0].frames - runs[2].frames[::4])) < 1e-12
+
+
+@pytest.mark.parametrize("kappas", [[0.4, 0.2], [1.0, 0.5, -0.3], [0.7, 0.4, 0.3, 0.2]])
+def test_constant_profile_frames_are_the_exact_exponential(kappas):
+    dim = len(kappas) + 1
+    M = np.diag(kappas, 1)
+    M = M - M.T
+    F0, _ = np.linalg.qr(np.random.default_rng(dim).normal(size=(dim, dim)))
+    profile = ff.CurvatureProfile.constants(kappas, (0.0, 10.0))
+    syn = ff.synthesize_from_curvatures(profile, dim, initial_frame=F0).evaluator
+    for s, F in zip(syn.nodes[::64], syn.frames[::64]):
+        np.testing.assert_allclose(F, _expm(s * M) @ F0, rtol=0, atol=5e-12)
+
+
+@pytest.mark.parametrize("dim", [3, 4, 5, 6])
+def test_synthesized_frames_stay_orthonormal(dim):
+    profile = ff.CurvatureProfile(
+        tuple(SinusoidProfile(1.0 - 0.1 * i, 0.3, 0.8 + 0.3 * i, i) for i in range(dim - 1)),
+        (0.0, 10.0))
+    frames = ff.synthesize_from_curvatures(profile, dim).evaluator.frames
+    defect = np.einsum("nij,nkj->nik", frames, frames) - np.eye(dim)
+    assert np.max(np.abs(defect)) <= 4e-12
+
+
+def test_synthesis_accepts_a_coarse_step():
+    # the example spec varying_curvatures.json at 256 steps
+    s = np.linspace(0.0, 10.0, 128)
+    table = np.column_stack([1.0 + 0.2 * np.sin(s), 0.5 + 0.1 * np.cos(s)])
+    profile = ff.CurvatureProfile.from_samples(s, table)
+    syn = ff.synthesize_from_curvatures(profile, 3, step=10.0 / 256)
+    grid = syn.grid(256)[4:-4]
+    measured = ff.curvature_table(syn, grid)
+    assert measured.ok.all()
+    assert np.max(np.abs(measured.curvatures - profile.values(grid))) < 1e-5
 
 
 def test_synthesized_circle_closes():
