@@ -53,6 +53,7 @@ from .frenet import (
     CurvatureTable,
     FrenetData,
     classify,
+    classify_curvatures,
     curvature_table,
     frenet_apparatus,
     frenet_grid,

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
-from .curves import Curve, as_unit_speed, eval_derivatives
+from .curves import Curve, as_unit_speed
 from .errors import (
     BadParameters,
     FocalFrameError,
@@ -37,7 +37,7 @@ from .errors import (
     SpecFileError,
 )
 from .focal import MIN_GRID, focal_curvatures, focal_relations_check
-from .frenet import classify, curvature_table
+from .frenet import classify_curvatures, curvature_table
 from .slant import slant_reports, verify_focal_slants
 from .specfile import build_curve, load_curve_spec, samples_spec_dict, save_spec
 
@@ -122,21 +122,19 @@ def _meta(config: RunConfig) -> dict:
 
 def _cmd_analyze(config: RunConfig, out: Path) -> int:
     curve = _load(config)
-    grid = curve.grid(config.grid_points)
-    table = curvature_table(curve, grid)
+    table = curvature_table(curve, curve.grid(config.grid_points))
     dim, d = curve.dimension, curve.dimension
     header = (["s"] + [f"x{i}" for i in range(dim)]
               + [f"kappa_{i}" for i in range(1, d)] + ["speed"])
-    points = eval_derivatives(curve, table.s, 0)[:, 0]
-    rows = zip(table.s, *points.T, *table.curvatures.T, table.speed)
+    rows = zip(table.s, *table.point.T, *table.curvatures.T, table.speed)
     _write_csv(out.with_suffix(".csv"), header, rows)
 
     n_ok = int(table.ok.sum())
     payload = _meta(config) | {"rows_ok": n_ok, "rows_total": int(table.s.size)}
     if n_ok >= 8:
         try:
-            cl = classify(curve, grid[table.ok],
-                          tol=config.tolerance if config.tolerance else 1e-6)
+            cl = classify_curvatures(table.curvatures[table.ok],
+                                     tol=config.tolerance if config.tolerance else 1e-6)
             payload["classification"] = {
                 "is_w_curve": cl.is_w_curve,
                 "is_ccr": cl.is_ccr,

@@ -22,7 +22,7 @@ import numpy as np
 
 from .curves import Curve, eval_derivatives, sampled_curve
 from .errors import FocalNotRegular, NotGeneric, NotUnitSpeed, ReducedOrder, RegularityFailure
-from .frenet import FrenetData, RowTable, _alignment_signs, frenet_grid
+from .frenet import FrenetData, RowTable, _alignment_signs, _report_dict, frenet_grid
 from .linalg import solve_linear
 from .numdiff import grid_derivative
 
@@ -67,20 +67,25 @@ def focal_curvatures(curve: Curve, grid) -> FocalData:
     differentiates the previous one along it. Vertex rows (focal speed
     below 1e-10) are flagged via ``is_vertex``, not dropped.
     """
-    ss = np.asarray(grid, dtype=float)
-    if ss.size < MIN_GRID:
-        raise ValueError(f"focal analysis needs at least {MIN_GRID} grid points, got {ss.size}")
-    m = curve.dimension - 1
     try:
-        frames = frenet_grid(curve, ss, order=m + 1)
+        frames = frenet_grid(curve, grid, order=curve.dimension)
     except ReducedOrder as exc:
         raise NotGeneric(f"curve is not generic on the grid: {exc}") from exc
+    return _focal_table(frames)
+
+
+def _focal_table(frames: FrenetData) -> FocalData:
+    """The focal recursion on the full-order Frenet table of a unit-speed curve."""
+    if len(frames) < MIN_GRID:
+        raise ValueError(f"focal analysis needs at least {MIN_GRID} grid points, "
+                         f"got {len(frames)}")
     worst = float(np.max(np.abs(frames.speed - 1.0)))
     if worst > _UNIT_SPEED_TOL:
         raise NotUnitSpeed(f"speed deviates from 1 by {worst:.3e}; "
                            "reparametrize to arclength first")
 
-    kappa = frames.curvatures  # (N, m)
+    ss, kappa = frames.s, frames.curvatures  # kappa: (N, m)
+    m = kappa.shape[1]
     c = np.zeros((ss.size, m + 1))  # column 0 holds the implicit c_0 = 0
     c[:, 1] = 1.0 / kappa[:, 0]
     for i in range(1, m):
@@ -90,13 +95,12 @@ def focal_curvatures(curve: Curve, grid) -> FocalData:
     signed_speed = dcm + kappa[:, m - 1] * c[:, m - 1] if m >= 2 else dcm
 
     coeffs = c[:, 1:]
-    points = (eval_derivatives(curve, ss, 0)[:, 0]
-              + np.einsum("nk,nkd->nd", coeffs, frames.frame[:, 1:]))
+    points = frames.point + np.einsum("nk,nkd->nd", coeffs, frames.frame[:, 1:])
     eps = np.where(np.abs(signed_speed) < VERTEX_TOL, 0, np.where(signed_speed > 0, 1, -1))
     alphas = np.arange(1, m + 1)
     deltas = (np.where(alphas % 2 == 0, eps[:, None], -eps[:, None])
               * np.sign(kappa[:, m - 1:]).astype(int))
-    return FocalData(s=frames.s, focal_curvatures=coeffs, focal_point=points,
+    return FocalData(s=ss, focal_curvatures=coeffs, focal_point=points,
                      A=np.abs(signed_speed), epsilon=eps, deltas=deltas,
                      R_m=np.linalg.norm(coeffs, axis=1), frenet=frames)
 
@@ -171,18 +175,7 @@ class FocalRelationsReport:
     n_interior: int
 
     def to_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "curvature_residual": self.curvature_residual,
-            "chain_spread": self.chain_spread,
-            "tangent_alignment": self.tangent_alignment,
-            "normal_alignments": list(self.normal_alignments),
-            "last_alignment": self.last_alignment,
-            "observed_signs": [int(x) for x in self.observed_signs],
-            "pattern": self.pattern,
-            "epsilon": self.epsilon,
-            "n_interior": self.n_interior,
-        }
+        return _report_dict(self)
 
 
 def focal_relations_check(curve: Curve, grid, *, table=None) -> FocalRelationsReport:

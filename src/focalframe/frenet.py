@@ -6,13 +6,14 @@ resulting norms, so they are positive by construction and invariant
 under reparametrization. A grid is processed in one pass: one array call
 to the derivative oracle, one stacked Gram-Schmidt over all rows, and
 array arithmetic for frames, curvatures and the sign alignment, which
-keeps downstream axis estimation free of spurious frame flips. A single
-point is the one-row case of the same array-backed :class:`FrenetData`.
+keeps downstream axis estimation free of spurious frame flips. Row 0 of
+the stack is kept as the positions. A single point is the one-row case
+of the same array-backed :class:`FrenetData`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -45,15 +46,27 @@ class RowTable:
         return (self[i] for i in range(len(self)))
 
 
+def _report_dict(value):
+    """JSON-ready form of a report: a dataclass becomes a dict of its fields,
+    arrays and numpy scalars become lists and Python numbers, the rest stays."""
+    if is_dataclass(value):
+        return {f.name: _report_dict(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    return value
+
+
 @dataclass(frozen=True)
 class FrenetData(RowTable):
-    """Frames, curvatures and speed of a curve over N grid rows.
+    """Positions, frames, curvatures and speed of a curve over N grid rows.
 
-    ``s`` and ``speed`` are (N,); ``frame`` (N, d, dim) holds the unit
-    tangent and then the unit normals; ``curvatures`` is (N, d-1).
+    ``s`` and ``speed`` are (N,); ``point`` is (N, dim); ``frame``
+    (N, d, dim) holds the unit tangent and then the unit normals;
+    ``curvatures`` is (N, d-1).
     """
 
     s: np.ndarray
+    point: np.ndarray
     speed: np.ndarray
     frame: np.ndarray
     curvatures: np.ndarray
@@ -61,13 +74,6 @@ class FrenetData(RowTable):
     @property
     def osculating_order(self) -> int:
         return self.frame.shape[-2]
-
-
-def _osculating_order(curve: Curve, order: int | None) -> int:
-    d = curve.dimension if order is None else int(order)
-    if not 2 <= d <= curve.dimension:
-        raise ValueError(f"order must lie in [2, {curve.dimension}], got {d}")
-    return d
 
 
 def _alignment_signs(frames: np.ndarray) -> np.ndarray:
@@ -87,45 +93,12 @@ def _alignment_signs(frames: np.ndarray) -> np.ndarray:
     return run * np.take_along_axis(run, restart, axis=0)
 
 
-def frenet_grid(
-    curve: Curve,
-    grid,
-    order: int | None = None,
-    align: bool = True,
-) -> FrenetData:
-    """Frenet data over a parameter grid, sign-aligned by default.
-
-    Osculating order ``order`` defaults to the ambient dimension (a generic
-    curve). Raises ReducedOrder with the failing derivative index and
-    parameter of the first grid row whose derivatives stop being linearly
-    independent.
-    """
-    d = _osculating_order(curve, order)
-    ss = np.array(grid, dtype=float)
-    orth, norms, failed = gram_schmidt_rows(eval_derivatives(curve, ss, d)[:, 1:])
-    bad = np.flatnonzero(failed)
-    if bad.size:
-        raise ReducedOrder(int(failed[bad[0]]), float(ss[bad[0]]))
-    frames = orth / norms[:, :, None]
-    if align:
-        frames *= _alignment_signs(frames)[:, :, None]
-    curvatures = norms[:, 1:] / (norms[:, :-1] * norms[:, :1])
-    speed = norms[:, 0]
-    for a in (ss, speed, frames, curvatures):
-        a.setflags(write=False)
-    return FrenetData(ss, speed, frames, curvatures)
-
-
-def frenet_apparatus(curve: Curve, s: float, order: int | None = None) -> FrenetData:
-    """Frenet data of ``curve`` at ``s``: the one-row case of :func:`frenet_grid`."""
-    return frenet_grid(curve, [s], order)[0]
-
-
 @dataclass(frozen=True)
 class CurvatureTable:
-    """Curvatures and speed per grid row; degenerate rows flagged, not dropped."""
+    """Positions, curvatures and speed per grid row; degenerate rows flagged, not dropped."""
 
     s: np.ndarray
+    point: np.ndarray  # (N, dim), on every row
     curvatures: np.ndarray  # (N, d-1), NaN on flagged rows
     speed: np.ndarray  # NaN where the first derivative itself vanishes
     reduced_order: np.ndarray  # 0 where fine, else the failing derivative index
@@ -135,16 +108,54 @@ class CurvatureTable:
         return self.reduced_order == 0
 
 
-def curvature_table(curve: Curve, grid, order: int | None = None) -> CurvatureTable:
-    """Curvatures and speed over a grid from one pass, degenerate rows flagged."""
-    d = _osculating_order(curve, order)
-    ss = np.asarray(grid, dtype=float)
-    _, norms, reduced = gram_schmidt_rows(eval_derivatives(curve, ss, d)[:, 1:])
+def _frenet_pass(curve: Curve, grid, order: int | None):
+    """One oracle call and one stacked Gram-Schmidt over a grid: the
+    curvature table, plus the unnormalized orthogonal flags and their norms."""
+    d = curve.dimension if order is None else int(order)
+    if not 2 <= d <= curve.dimension:
+        raise ValueError(f"order must lie in [2, {curve.dimension}], got {d}")
+    ss = np.array(grid, dtype=float)
+    derivs = eval_derivatives(curve, ss, d)
+    orth, norms, reduced = gram_schmidt_rows(derivs[:, 1:])
     ok = reduced == 0
-    kappas = np.full((ss.size, d - 1), np.nan)
-    kappas[ok] = norms[ok, 1:] / (norms[ok, :-1] * norms[ok, :1])
+    curvatures = np.full((ss.size, d - 1), np.nan)
+    curvatures[ok] = norms[ok, 1:] / (norms[ok, :-1] * norms[ok, :1])
     speed = np.where(ok | (reduced > 1), norms[:, 0], np.nan)
-    return CurvatureTable(ss, kappas, speed, reduced)
+    return CurvatureTable(ss, derivs[:, 0].copy(), curvatures, speed, reduced), orth, norms
+
+
+def _require_full_order(table: CurvatureTable) -> None:
+    bad = np.flatnonzero(table.reduced_order)
+    if bad.size:
+        raise ReducedOrder(int(table.reduced_order[bad[0]]), float(table.s[bad[0]]))
+
+
+def frenet_grid(curve: Curve, grid, order: int | None = None) -> FrenetData:
+    """Sign-aligned Frenet data over a parameter grid.
+
+    Osculating order ``order`` defaults to the ambient dimension (a generic
+    curve). Raises ReducedOrder with the failing derivative index and
+    parameter of the first grid row whose derivatives stop being linearly
+    independent.
+    """
+    table, orth, norms = _frenet_pass(curve, grid, order)
+    _require_full_order(table)
+    frames = orth / norms[:, :, None]
+    frames *= _alignment_signs(frames)[:, :, None]
+    columns = (table.s, table.point, table.speed, frames, table.curvatures)
+    for a in columns:
+        a.setflags(write=False)
+    return FrenetData(*columns)
+
+
+def frenet_apparatus(curve: Curve, s: float, order: int | None = None) -> FrenetData:
+    """Frenet data of ``curve`` at ``s``: the one-row case of :func:`frenet_grid`."""
+    return frenet_grid(curve, [s], order)[0]
+
+
+def curvature_table(curve: Curve, grid, order: int | None = None) -> CurvatureTable:
+    """Positions, curvatures and speed over a grid from one pass, degenerate rows flagged."""
+    return _frenet_pass(curve, grid, order)[0]
 
 
 @dataclass(frozen=True)
@@ -156,23 +167,25 @@ class Classification:
 
 
 def classify(curve: Curve, grid=None, tol: float = DEFAULT_CLASSIFY_TOL) -> Classification:
-    """Constant-curvature and constant-ratio verdicts on a grid.
-
-    A curve passes the constant-curvature test when every curvature's
-    relative spread stays below ``tol``; it passes the constant-ratio test
-    when every consecutive curvature ratio does.
-    """
+    """:func:`classify_curvatures` on a grid; raises ReducedOrder on a degenerate row."""
     if grid is None:
         grid = curve.grid(64)
     grid = np.asarray(grid, dtype=float)
     if grid.size < 8:
         raise ValueError("classification grid needs at least 8 points")
     table = curvature_table(curve, grid)
-    bad = np.flatnonzero(~table.ok)
-    if bad.size:
-        raise ReducedOrder(int(table.reduced_order[bad[0]]), float(grid[bad[0]]))
+    _require_full_order(table)
+    return classify_curvatures(table.curvatures, tol)
 
-    K = table.curvatures
+
+def classify_curvatures(curvatures, tol: float = DEFAULT_CLASSIFY_TOL) -> Classification:
+    """Constant-curvature and constant-ratio verdicts on (N, d-1) curvature rows.
+
+    The rows pass the constant-curvature test when every curvature's
+    relative spread stays below ``tol``; they pass the constant-ratio test
+    when every consecutive curvature ratio does.
+    """
+    K = np.asarray(curvatures, dtype=float)
     means = K.mean(axis=0)
     if np.any(np.abs(means) < 1e-12):
         raise DivisionGuard("a curvature mean is below 1e-12; ratios are meaningless")

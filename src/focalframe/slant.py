@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import Curve, as_unit_speed
-from .frenet import frenet_grid
-from .focal import END_TRIM, focal_curve
+from .frenet import FrenetData, _report_dict, frenet_grid
+from .focal import END_TRIM, _focal_table, _sampled_focal_curve, focal_curvatures
 from .linalg import as_vector
 from .numdiff import grid_derivative
 
@@ -120,16 +120,7 @@ class SlantReport:
     degenerate_axis: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "axis": list(self.axis),
-            "cos_theta": self.cos_theta,
-            "deviation": self.deviation,
-            "is_slant": self.is_slant,
-            "excluded_perpendicular": self.excluded_perpendicular,
-            "tolerance": self.tolerance,
-            "degenerate_axis": self.degenerate_axis,
-        }
+        return _report_dict(self)
 
 
 def slant_reports(curve: Curve, ks, grid=None, tol: float | None = None) -> list[SlantReport]:
@@ -142,11 +133,14 @@ def slant_reports(curve: Curve, ks, grid=None, tol: float | None = None) -> list
     bad = [k for k in ks if not 1 <= k <= m + 1]
     if bad:
         raise ValueError(f"k must lie in [1, {m + 1}], got {bad[0]}")
-    frames = frenet_grid(curve, grid, order=m + 1).frame
+    return _slant_verdicts(frenet_grid(curve, grid, order=m + 1), ks, tol)
+
+
+def _slant_verdicts(frames: FrenetData, ks, tol: float) -> list[SlantReport]:
     reports = []
     for k in ks:
         # contiguous samples, so the fit's BLAS calls see one memory layout
-        fit = estimate_axis(np.ascontiguousarray(frames[:, k - 1]))
+        fit = estimate_axis(np.ascontiguousarray(frames.frame[:, k - 1]))
         excluded = abs(fit.cos_theta) <= PERPENDICULAR_GUARD
         reports.append(SlantReport(int(k), fit.axis, fit.cos_theta, fit.deviation,
                                    bool(fit.deviation < tol and not excluded), bool(excluded),
@@ -240,39 +234,33 @@ class TheoremReport:
     note: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "k": self.k,
-            "k_prime": self.k_prime,
-            "base": self.base.to_dict(),
-            "focal": self.focal.to_dict() if self.focal is not None else None,
-            "axis_angle": self.axis_angle,
-            "passed": self.passed,
-            "note": self.note,
-        }
+        return _report_dict(self)
 
 
 def verify_focal_slants(curve: Curve, ks, grid=None, tol: float | None = None,
                         focal_tol: float | None = None) -> list[TheoremReport]:
     """For each k in ``ks``, check that a k-slant curve has an (m-k+2)-slant focal curve.
 
-    The base verdicts run on the curve as given. When any is slant, the
-    focal curve is built once, from the arclength version of the curve,
-    and its verdicts run on an interior sub-grid (``END_TRIM`` points
-    trimmed per end) that keeps one-sided stencil noise out of the cone
-    statistics. Axis agreement is the angle between the two axes modulo sign.
+    The base verdicts run on one Frenet pass over the curve as given. When
+    any is slant, the focal curve is built once, from the arclength version
+    of the curve (a unit-speed curve reuses the base pass), and its verdicts
+    run on an interior sub-grid (``END_TRIM`` points trimmed per end) that
+    keeps one-sided stencil noise out of the cone statistics. Axis agreement
+    is the angle between the two axes modulo sign.
     """
     if grid is None:
         grid = curve.grid(256)
     grid = np.asarray(grid, dtype=float)
     m, ks = curve.dimension - 1, list(ks)
     k_primes = [theorem_target_index(k, m) for k in ks]
-    bases = slant_reports(curve, ks, grid, tol)
+    frames = frenet_grid(curve, grid, order=m + 1)
+    bases = _slant_verdicts(frames, ks, default_slant_tol(curve) if tol is None else tol)
     mirrored = [kp for kp, base in zip(k_primes, bases) if base.is_slant]
     if mirrored:
         unit = as_unit_speed(curve)
-        ugrid = grid if unit is curve else unit.grid(grid.size)
-        mirror = focal_curve(unit, ugrid)
+        table = (_focal_table(frames) if unit is curve
+                 else focal_curvatures(unit, unit.grid(grid.size)))
+        mirror = _sampled_focal_curve(unit, table)
         inner = mirror.grid(grid.size)[END_TRIM:-END_TRIM]
         focal_reports = iter(slant_reports(mirror, mirrored, inner,
                                            SAMPLED_TOL if focal_tol is None else focal_tol))

@@ -11,7 +11,8 @@ and, for the two data-carrying types, ``rows``:
 * ``curvatures`` rows ``[[s, k1, ..., k_m], ...]`` (m = dim - 1)
 
 Unknown top-level fields and unknown params are rejected, not ignored:
-a typo in a tolerance-bearing input should fail loudly.
+a typo in a tolerance-bearing input should fail loudly. A ``domain``
+given beside ``rows`` must match their first and last parameters.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .curves import (
+    _DOMAIN_SLACK,
     Curve,
     CurvatureProfile,
     eval_derivatives,
@@ -144,18 +146,9 @@ def _instantiate(spec: CurveSpec, step: float | None) -> Curve:
         if spec.type == "salkowski":
             return make_salkowski(float(spec.params["n"]), spec.domain)
         if spec.type == "samples":
-            rows = np.asarray(spec.rows, dtype=float)
-            if rows.ndim != 2 or rows.shape[1] != spec.dim + 1:
-                raise SpecFileError(
-                    f"samples rows must be (t, {spec.dim} coordinates); got shape {rows.shape}"
-                )
+            rows = _rows(spec, spec.dim + 1, f"samples rows must be (t, {spec.dim} coordinates)")
             return sampled_curve(rows[:, 0], rows[:, 1:], label="samples spec")
-        # curvatures
-        rows = np.asarray(spec.rows, dtype=float)
-        if rows.ndim != 2 or rows.shape[1] != spec.dim:
-            raise SpecFileError(
-                f"curvature rows must be (s, {spec.dim - 1} curvatures); got shape {rows.shape}"
-            )
+        rows = _rows(spec, spec.dim, f"curvature rows must be (s, {spec.dim - 1} curvatures)")
         profile = CurvatureProfile.from_samples(rows[:, 0], rows[:, 1:])
         if step is None and "step" in spec.params:
             step = float(spec.params["step"])
@@ -164,6 +157,20 @@ def _instantiate(spec: CurveSpec, step: float | None) -> Curve:
         raise SpecFileError(f"type {spec.type!r} is missing param {exc.args[0]!r}") from exc
     except (TypeError, ValueError, FloatingPointError) as exc:
         raise SpecFileError(f"bad value in spec params: {exc}") from exc
+
+
+def _rows(spec: CurveSpec, width: int, layout: str) -> np.ndarray:
+    """The spec's rows as an (N, width) array; a given domain must span their
+    first column within the evaluators' domain slack."""
+    rows = np.asarray(spec.rows, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] != width or width < 1:
+        raise SpecFileError(f"{layout}; got shape {rows.shape}")
+    ends = rows[[0, -1], 0]
+    slack = _DOMAIN_SLACK * np.maximum(1.0, np.abs(ends))
+    if spec.domain is not None and not np.all(np.abs(np.subtract(spec.domain, ends)) <= slack):
+        raise SpecFileError(f"domain {list(spec.domain)} contradicts rows spanning "
+                            f"{ends.tolist()}")
+    return rows
 
 
 def samples_spec_dict(curve: Curve, n_rows: int) -> dict:

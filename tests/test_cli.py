@@ -1,5 +1,7 @@
+import collections
 import contextlib
 import csv
+import importlib.util
 import io
 import json
 import math
@@ -31,6 +33,17 @@ from focalframe.specfile import (
     parse_curve_spec,
     samples_spec_dict,
 )
+
+
+def _example_specs():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "write_example_specs.py"
+    spec = importlib.util.spec_from_file_location("write_example_specs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.SPECS
+
+
+EXAMPLE_SPECS = _example_specs()
 
 
 def write_spec(tmp_path, name, obj):
@@ -232,12 +245,14 @@ def test_focal_circle_is_numeric_failure(tmp_path):
                "params": {"radii": [1.0, 1.0], "frequencies": [1.0, 2.0], "pitch": 1.0}}, 1),
     ("verify", {"type": "wcurve", "dim": 5,
                 "params": {"radii": [1.0, 1.0], "frequencies": [1.0, 2.0], "pitch": 1.0}}, 3),
+    ("verify", EXAMPLE_SPECS["constant_curvatures.json"], 2),
 ])
 def test_each_command_runs_one_frenet_pass_per_curve(tmp_path, monkeypatch, command, spec,
                                                       passes):
     # focal: the curve and its focal curve; slant: the curve, for every k;
     # verify (k = 1, 3, 5 are slant): the curve, its arclength version and
-    # the focal curve, shared by every k
+    # the focal curve, shared by every k; verify on a unit-speed curve: the
+    # curve, whose one pass also feeds the focal recursion, and the focal curve
     import focalframe.focal
     import focalframe.slant
 
@@ -255,6 +270,43 @@ def test_each_command_runs_one_frenet_pass_per_curve(tmp_path, monkeypatch, comm
     rc = main([command, "--input", path, "--output", str(tmp_path / "out"), "--grid-points", "128"])
     assert rc == EXIT_OK
     assert len(calls) == passes, calls
+
+
+_HELIX = "helix(a=2.0,b=1.0)"
+_SYNTH = "synthesized(m=2)"
+
+
+@pytest.mark.parametrize("command,name,calls", [
+    ("analyze", "circle", {("circle(r=2.0)", 256): 1}),
+    ("slant", "wcurve5",
+     {("wcurve(radii=[1.0, 1.0],freqs=[1.0, 2.0],pitch=1.0)", 256): 1}),
+    ("focal", "helix",
+     {(f"arclength({_HELIX})", 256): 1, (f"focal(arclength({_HELIX}))", 256): 1}),
+    ("verify", "helix", {(_HELIX, 256): 1, (f"arclength({_HELIX})", 256): 1,
+                         (f"focal(arclength({_HELIX}))", 250): 1}),
+    ("verify", "constant_curvatures", {(_SYNTH, 256): 1, (f"focal({_SYNTH})", 250): 1}),
+    ("synthesize", "varying_curvatures", {(_SYNTH, 256): 1}),
+], ids=["analyze-circle", "slant-wcurve5", "focal-helix", "verify-helix",
+        "verify-constant_curvatures", "synthesize-varying_curvatures"])
+def test_each_command_makes_one_oracle_call_per_curve_and_grid(tmp_path, monkeypatch, command,
+                                                                name, calls):
+    # Every checked oracle call, keyed by (curve label, number of points). Unit-speed
+    # probes and arclength tables call curve.evaluator directly and are not counted.
+    real = focalframe.curves.eval_derivatives
+    seen = collections.Counter()
+
+    def eval_derivatives(curve, t, order):
+        seen[curve.label, int(np.size(t))] += 1
+        return real(curve, t, order)
+
+    for module in list(sys.modules.values()):
+        if (getattr(module, "__name__", "").startswith("focalframe")
+                and getattr(module, "eval_derivatives", None) is real):
+            monkeypatch.setattr(module, "eval_derivatives", eval_derivatives)
+    path = write_spec(tmp_path, "spec.json", EXAMPLE_SPECS[f"{name}.json"])
+    rc = main([command, "--input", path, "--output", str(tmp_path / "out")])
+    assert rc == EXIT_OK
+    assert dict(seen) == calls
 
 
 # ----------------------------------------------------------------- exit behavior
@@ -317,8 +369,15 @@ def test_flag_out_of_range_is_input_error(tmp_path, helix_spec, capsys, args):
     {"params": {"a": 2.0, "b": 1.0}, "dim": -math.inf},  # raised OverflowError
     {"params": {"a": 2.0, "b": 1.0}, "dim": 2.5},  # was truncated to 2
     {"params": {"a": 2.0, "b": 1.0}, "dim": 7},  # the helix is 3-dimensional
+    # rows spanning [0, 10] with a contradicting domain: ran over [0, 10] and exited 0
+    {"type": "samples", "params": {}, "domain": [0.0, 1.0],
+     "rows": [[t, math.cos(t), math.sin(t), t] for t in np.linspace(0.0, 10.0, 64)]},
+    {"type": "curvatures", "params": {}, "domain": [3.0, 4.0],
+     "rows": [[float(s), 0.4, 0.2] for s in range(11)]},
+    {"type": "curvatures", "dim": 0, "params": {}, "rows": [[], []]},  # raised IndexError
 ], ids=["nan-param", "text-domain", "huge-node", "huge-last-curvature", "close-nodes",
-        "inexact-stencil", "infinite-dim", "fractional-dim", "wrong-dim"])
+        "inexact-stencil", "infinite-dim", "fractional-dim", "wrong-dim", "samples-domain",
+        "curvatures-domain", "zero-width-rows"])
 def test_bad_spec_value_is_input_error(tmp_path, capsys, request, fields):
     spec = write_spec(tmp_path, "bad.json", {"type": "helix", "dim": 3, **fields})
     assert main(["analyze", "--input", spec, "--output", str(tmp_path / "x")]) == EXIT_INPUT_ERROR

@@ -6,9 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import focalframe as ff
-from focalframe.curves import TrigCoordinate, curve_from_coordinates, eval_derivatives, make_curve
+from focalframe.curves import (
+    ConstantProfile,
+    SinusoidProfile,
+    TrigCoordinate,
+    curve_from_coordinates,
+    eval_derivatives,
+    make_curve,
+)
 from focalframe.errors import DegenerateFlag, DivisionGuard, ReducedOrder
-from focalframe.frenet import _alignment_signs
+from focalframe.frenet import _alignment_signs, _frenet_pass
 from focalframe.numdiff import grid_derivative
 from reference_kernels import gram_schmidt
 
@@ -134,11 +141,15 @@ def test_curvatures_invariant_under_reparametrization(helix, unit_helix):
         np.testing.assert_allclose(native, unit, atol=1e-7)
 
 
+def raw_frames(curve, grid):
+    """Unit frames of the shared grid pass before sign alignment."""
+    _, orth, norms = _frenet_pass(curve, grid, None)
+    return orth / norms[:, :, None]
+
+
 def test_sign_alignment_is_noop_on_generic_curve(salkowski):
-    raw = ff.frenet_grid(salkowski, salkowski.grid(32), align=False)
-    aligned = ff.frenet_grid(salkowski, salkowski.grid(32), align=True)
-    for a, b in zip(raw, aligned):
-        np.testing.assert_array_equal(a.frame, b.frame)
+    raw = raw_frames(salkowski, salkowski.grid(32))
+    np.testing.assert_array_equal(ff.frenet_grid(salkowski, salkowski.grid(32)).frame, raw)
 
 
 # ----------------------------------------- batched pass against per-row loops
@@ -201,9 +212,10 @@ def test_frenet_grid_matches_row_loop(name, helix, salkowski, wcurve5):
 
 def test_frenet_apparatus_is_one_row_of_the_grid(wcurve5):
     grid = wcurve5.grid(9)
-    for fd, s in zip(ff.frenet_grid(wcurve5, grid, align=False), grid):
-        one = ff.frenet_apparatus(wcurve5, float(s))
-        np.testing.assert_allclose(one.frame, fd.frame, rtol=0, atol=1e-13)
+    for fd, frame in zip(ff.frenet_grid(wcurve5, grid), raw_frames(wcurve5, grid)):
+        one = ff.frenet_apparatus(wcurve5, fd.s)
+        np.testing.assert_allclose(one.frame, frame, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(one.point, fd.point, rtol=0, atol=1e-13)
         np.testing.assert_allclose(one.curvatures, fd.curvatures, rtol=1e-13)
         assert one.s == fd.s and one.osculating_order == 5
 
@@ -242,7 +254,7 @@ def test_alignment_signs_match_the_loop_exactly():
 
 
 def test_alignment_is_exact_on_a_curve(salkowski):
-    raw = np.array([fd.frame for fd in ff.frenet_grid(salkowski, salkowski.grid(64), align=False)])
+    raw = raw_frames(salkowski, salkowski.grid(64))
     flipped = raw * np.where(np.arange(64) % 3 == 0, -1.0, 1.0)[:, None, None]
     np.testing.assert_array_equal(flipped * _alignment_signs(flipped)[:, :, None],
                                   align_frames_loop(flipped))
@@ -273,6 +285,35 @@ def test_curvature_table_reduced_rows_match_loop(make):
     np.testing.assert_array_equal(np.isnan(table.speed), np.isnan(speeds))
     np.testing.assert_allclose(table.curvatures, kappas, rtol=1e-13)
     np.testing.assert_allclose(table.speed, speeds, rtol=1e-13)
+
+
+def synthesized_curve():
+    profile = ff.CurvatureProfile((SinusoidProfile(1.0, 0.2, 1.5), ConstantProfile(0.4)),
+                                  (0.0, 4.0))
+    return ff.synthesize_from_curvatures(profile, 3, step=4.0 / 256)
+
+
+@pytest.mark.parametrize("kind", ["analytic", "arclength", "synthesized"])
+def test_table_points_are_an_order_0_call(kind, salkowski, unit_salkowski):
+    # row 0 of the table's derivative stack is the position the oracle gives alone
+    curve = {"analytic": salkowski, "arclength": unit_salkowski,
+             "synthesized": synthesized_curve()}[kind]
+    grid = curve.grid(97)
+    want = eval_derivatives(curve, grid, 0)[:, 0]
+    np.testing.assert_array_equal(ff.frenet_grid(curve, grid).point, want)
+    np.testing.assert_array_equal(ff.curvature_table(curve, grid).point, want)
+
+
+def test_sampled_table_points_match_an_order_0_call(helix):
+    # a sampled curve's stencil window widens with the order, so its row 0
+    # differs from an order-0 call by roundoff, not bit for bit
+    nodes = helix.grid(200)
+    curve = ff.sampled_curve(nodes, eval_derivatives(helix, nodes, 0)[:, 0])
+    grid = np.linspace(nodes[0], nodes[-1], 256)
+    assert not np.isin(grid[1:-1], nodes).any()
+    want = eval_derivatives(curve, grid, 0)[:, 0]
+    np.testing.assert_allclose(ff.frenet_grid(curve, grid).point, want, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(ff.curvature_table(curve, grid).point, want, rtol=0, atol=1e-10)
 
 
 def test_reduced_order_names_first_failing_row():
