@@ -103,7 +103,7 @@ def _check_domain(curve: Curve, t: np.ndarray) -> np.ndarray:
     if t.ndim != 1:
         raise ValueError(f"expected a scalar or a 1-d array of parameters, got shape {t.shape}")
     inside = (lo - slack <= t) & (t <= hi + slack)
-    if not inside.all():
+    if np.count_nonzero(inside) < t.size:
         raise OutOfDomain(f"t={float(t[np.argmin(inside)])!r} outside [{lo!r}, {hi!r}]")
     return np.minimum(np.maximum(t, lo), hi)
 
@@ -407,6 +407,37 @@ def _legendre_to_power(degree: int) -> np.ndarray:
 # the power form loses nothing that the Newton stop rule can see.
 _LEGENDRE_TO_POWER = _legendre_to_power(20)
 _POWERS = np.arange(21.0)[None, :]
+# The span variable at the quarter points, where the Newton start guess
+# meets the inverse of the span's length, and its powers as columns.
+_GUESS_X = np.array([-0.5, 0.0, 0.5])
+_GUESS_POWERS = (_GUESS_X[:, None] ** _POWERS).T
+# Below this sum of |c0|, |c1|, |c2| a guess correction is dropped. On
+# constant-speed spans the coefficients are roundoff, at most 2.1e-12 over
+# random W-curves and circles, so those spans keep the linear guess bit for
+# bit; a correction this small cannot save a Newton step.
+_GUESS_FLOOR = 1e-9
+
+
+def _inverse_quadratic(arc: np.ndarray, width: np.ndarray) -> np.ndarray:
+    """Newton start coefficients, one row (c0, c1, c2) per span.
+
+    ``arc`` holds each span's power coefficients of s(x) - s(-1) and
+    ``width`` its length. With sigma = (s(x) - s(-1)) / width, the guess
+    x = -1 + sigma (2 + (1 - sigma) R(sigma)), R = c0 + c1 sigma + c2 sigma^2,
+    is the degree-4 inverse interpolant of the span's length through its
+    ends and its quarter points. Its ends are the linear guess's exactly,
+    whatever R is. A span where R cannot be formed (zero width, repeated
+    nodes) or is negligible gets R = 0, the linear guess.
+    """
+    sig = arc @ _GUESS_POWERS / width[:, None]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        r = (_GUESS_X + 1.0 - 2.0 * sig) / (sig * (1.0 - sig))
+        d01 = (r[:, 1] - r[:, 0]) / (sig[:, 1] - sig[:, 0])
+        c2 = ((r[:, 2] - r[:, 1]) / (sig[:, 2] - sig[:, 1]) - d01) / (sig[:, 2] - sig[:, 0])
+        coef = np.column_stack([r[:, 0] - sig[:, 0] * (d01 - c2 * sig[:, 1]),
+                                d01 - c2 * (sig[:, 0] + sig[:, 1]), c2])
+        keep = np.isfinite(coef).all(axis=1) & (np.abs(coef).sum(axis=1) > _GUESS_FLOOR)
+    return np.where(keep[:, None], coef, 0.0)
 
 
 def arc_length(curve: Curve, t0: float, t1: float) -> float:
@@ -427,7 +458,10 @@ class _ArclengthMap:
     x in [-1, 1], ds/dx is their interpolant and s(x) - s(-1) its
     antiderivative, both built as Legendre coefficients and kept as power
     coefficients in x, so that a Newton step over any number of points is
-    a fixed handful of array operations.
+    a fixed handful of array operations. Each span also keeps the three
+    coefficients of its Newton start (:func:`_inverse_quadratic`), gathered
+    with the span's other data; ``linear`` is set when no span has any,
+    as on a constant-speed curve.
     """
 
     def __init__(self, curve: Curve, edges: np.ndarray):
@@ -448,23 +482,36 @@ class _ArclengthMap:
         # guess), first parameter and half width.
         self.poly = np.stack([legint(rate, lbnd=-1.0, axis=1) @ _LEGENDRE_TO_POWER,
                               rate @ _LEGENDRE_TO_POWER[:20]], axis=2)
-        self.span = np.column_stack([self.cum[:-1], np.maximum(np.diff(self.cum), 1e-300),
-                                     edges[:-1], half])
+        width = np.maximum(np.diff(self.cum), 1e-300)
+        guess = _inverse_quadratic(self.poly[:, :, 0], width)
+        self.span = np.column_stack([self.cum[:-1], width, edges[:-1], half, guess])
+        # no span of a constant-speed curve has a correction to evaluate
+        self.linear = not guess.any()
 
     def invert(self, s: np.ndarray) -> np.ndarray:
         """Parameters at the arclengths ``s`` (a 1-d array).
 
         Bracketed Newton on each point's span polynomial, all points at once:
         a point leaves the active set once its step is below 1e-15 relative
-        in t. Raises ConvergenceFailure naming the first s still active after
-        ``_NEWTON_STEPS`` steps.
+        in t. The start is the span's degree-4 inverse interpolant of its
+        length, which is the linear guess at the span's ends and wherever
+        the speed is constant. From it, a constant-speed span converges in
+        one step and a varying one in two, the second confirming (on
+        Salkowski curves, ellipse arcs and the elliptical helix; the linear
+        guess needs three there). Raises ConvergenceFailure naming the first
+        s still active after ``_NEWTON_STEPS`` steps.
         """
         s = np.minimum(np.maximum(s, 0.0), self.total)
         i = np.searchsorted(self.cum[1:-1], s)
-        s_lo, width, start, half = self.span[i].T
+        s_lo, width, start, half, c0, c1, c2 = self.span[i].T
         poly = self.poly[i]
         target = s - s_lo
-        x = np.minimum(np.maximum(-1.0 + 2.0 * target / width, -1.0), 1.0)
+        sig = target / width
+        if self.linear:  # the same values as the next line with c = 0, fewer calls
+            x = -1.0 + sig * 2.0
+        else:
+            x = -1.0 + sig * (2.0 + (1.0 - sig) * (c0 + sig * (c1 + sig * c2)))
+        x = np.minimum(np.maximum(x, -1.0), 1.0)
         lo, hi = -1.0, 1.0  # arrays after the first step
         active = np.arange(s.size)
         t = np.empty_like(s)
@@ -479,17 +526,21 @@ class _ArclengthMap:
             t_new = start + half * (1.0 + x_new)
             done = (err == 0.0) | (half * np.abs(x_new - x)
                                    <= 1e-15 * np.maximum(1.0, np.abs(t_new)))
-            t[active[done]] = t_new[done]
-            if done.all():
+            finished = np.count_nonzero(done)
+            if finished == done.size:
+                t[active] = t_new
                 return t
-            keep = ~done
-            active, x, lo, hi = active[keep], x_new[keep], lo[keep], hi[keep]
-            target, poly, start, half = target[keep], poly[keep], start[keep], half[keep]
+            x = x_new
+            if finished:
+                t[active[done]] = t_new[done]
+                keep = ~done
+                active, x, lo, hi = active[keep], x[keep], lo[keep], hi[keep]
+                target, poly, start, half = target[keep], poly[keep], start[keep], half[keep]
         raise ConvergenceFailure(f"arclength inversion at s={float(s[active[0]])!r} did not "
                                  f"converge in {_NEWTON_STEPS} Newton steps")
 
 
-def _derivs_through_substitution(base: np.ndarray, order: int, fact: np.ndarray) -> np.ndarray:
+def _derivs_through_substitution(base: np.ndarray, order: int) -> np.ndarray:
     """Derivatives w.r.t. arclength from derivatives w.r.t. the old parameter.
 
     ``base`` is a stack of shape (N, order + 1, dim). Works in
@@ -498,25 +549,27 @@ def _derivs_through_substitution(base: np.ndarray, order: int, fact: np.ndarray)
     parameter as a series in arclength, and one contraction composes every
     coordinate with it.
     """
-    n = order + 1
-    gcoef = base / fact[:n, None]
-    dcoef = gcoef[:, 1:] * np.arange(1, n)[:, None]  # series of the velocity
+    fact, ks, perm, starts = _substitution_tables(order)
+    gcoef = base / fact
+    dcoef = gcoef[:, 1:] * ks[:, None]  # series of the velocity
     # |velocity|^2: the Cauchy product sums dcoef[i] . dcoef[k] over i + k = j
     gram = (dcoef @ dcoef.transpose(0, 2, 1)).reshape(len(base), order * order)
-    perm, starts = _cauchy_order(order)
     w = np.add.reduceat(gram[:, perm], starts, axis=1)
-    P = series_reverse_powers(series_sqrt(w, order) / np.arange(1, n), n)
+    P = series_reverse_powers(series_sqrt(w, order) / ks, order + 1)
     # f(T) = sum_k f_k T^k, added from the highest power down as Horner's rule
     # does; the order matters at roundoff where the terms cancel heavily
-    return np.einsum("nkc,nkj->njc", gcoef[:, ::-1], P[:, ::-1]) * fact[:n, None]
+    return np.einsum("nkc,nkj->njc", gcoef[:, ::-1], P[:, ::-1]) * fact
 
 
 @functools.lru_cache(maxsize=None)
-def _cauchy_order(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flat indices (i, k) of an order x order table sorted by i + k < order,
-    and where each anti-diagonal starts."""
+def _substitution_tables(order: int):
+    """Per order: the factorials 0!..order! as a column, the integers
+    1..order, and the flat indices (i, k) of an order x order table sorted
+    by i + k < order with where each anti-diagonal starts."""
     perm = [i * order + (j - i) for j in range(order) for i in range(j + 1)]
-    return np.array(perm), np.array([j * (j + 1) // 2 for j in range(order)])
+    starts = [j * (j + 1) // 2 for j in range(order)]
+    return (factorials(order + 1)[:, None], np.arange(1.0, order + 1), np.array(perm),
+            np.array(starts))
 
 
 def reparam_to_arclength(curve: Curve, checkpoints: int = _CHECKPOINTS) -> Curve:
@@ -526,20 +579,20 @@ def reparam_to_arclength(curve: Curve, checkpoints: int = _CHECKPOINTS) -> Curve
     Gauss-Legendre nodes on each of ``checkpoints`` spans) and raises
     :class:`RegularityFailure` at a non-finite or non-positive node speed.
     An evaluation of N arclengths inverts the table for all of them in one
-    bracketed Newton solve
-    (:class:`ConvergenceFailure` if the step budget runs out), makes one
+    bracketed Newton solve started from each span's inverse interpolant
+    (one step on constant-speed spans, two elsewhere on smooth curves;
+    :class:`ConvergenceFailure` if the step budget runs out), makes one
     base oracle call at the N parameters and rebuilds the derivative oracle
     by one stacked power-series substitution, so the unit-speed identity
     holds to roundoff rather than to the accuracy of the inversion.
     """
     amap = _ArclengthMap(curve, curve.grid(checkpoints + 1))
-    fact = factorials(curve.max_order + 1)
 
     def evaluator(s: np.ndarray, order: int) -> np.ndarray:
         base = np.asarray(curve.evaluator(amap.invert(s), max(order, 1)), dtype=float)
         if order == 0:
             return base[:, :1]
-        return _derivs_through_substitution(base[:, :order + 1], order, fact)
+        return _derivs_through_substitution(base[:, :order + 1], order)
 
     return make_curve(
         curve.dimension,

@@ -15,6 +15,7 @@ the one :class:`FocalData` table that a grid's recursion produces.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -114,17 +115,26 @@ def osculating_center_oracle(curve: Curve, s: float) -> np.ndarray:
     the center solves a dense (m+1)-square linear system. Serves as the
     independent oracle for the recursion route.
     """
-    dim = curve.dimension
-    derivs = eval_derivatives(curve, s, dim)
-    gamma = derivs[0]
-    A = derivs[1:]
-    b = np.empty(dim)
+    derivs = eval_derivatives(curve, s, curve.dimension)
+    return solve_linear(derivs[1:], _center_rhs(derivs))
+
+
+def _center_rhs(derivs: np.ndarray) -> np.ndarray:
+    """Right-hand side of the center system from rows 0..dim of the derivative
+    stack: b_j = 1/2 sum_{i=0..j} C(j, i) <gamma^(i), gamma^(j-i)>, j = 1..dim,
+    one contraction of their Gram matrix."""
+    return _binomial_table(derivs.shape[1]) @ (derivs @ derivs.T).ravel()
+
+
+@functools.lru_cache(maxsize=None)
+def _binomial_table(dim: int) -> np.ndarray:
+    """The weights of :func:`_center_rhs` over the flattened Gram matrix G:
+    row j - 1 holds C(j, i) / 2 at G[i, j - i], i = 0..j."""
+    table = np.zeros((dim, dim + 1, dim + 1))
     for j in range(1, dim + 1):
-        acc = float(A[j - 1] @ gamma)
-        for i in range(1, j):
-            acc += 0.5 * math.comb(j, i) * float(derivs[i] @ derivs[j - i])
-        b[j - 1] = acc
-    return solve_linear(A, b)
+        for i in range(j + 1):
+            table[j - 1, i, j - i] = 0.5 * math.comb(j, i)
+    return table.reshape(dim, -1)
 
 
 def _sampled_focal_curve(curve: Curve, table: FocalData) -> Curve:

@@ -13,6 +13,7 @@ of the same array-backed :class:`FrenetData`.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
@@ -22,6 +23,11 @@ from .errors import DivisionGuard, ReducedOrder
 from .linalg import gram_schmidt_rows
 
 DEFAULT_CLASSIFY_TOL = 1e-6
+
+
+@functools.cache
+def _field_names(cls) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls))
 
 
 def _row(value, index):
@@ -40,7 +46,8 @@ class RowTable:
         return len(self.s)
 
     def __getitem__(self, index):
-        return type(self)(*(_row(getattr(self, f.name), index) for f in fields(self)))
+        cls = type(self)
+        return cls(*[_row(getattr(self, name), index) for name in _field_names(cls)])
 
     def __iter__(self):
         return (self[i] for i in range(len(self)))

@@ -13,6 +13,8 @@ never mutate their inputs, and are safe to call from multiple threads.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import SingularSystem
@@ -89,10 +91,15 @@ def solve_linear(A, b) -> np.ndarray:
     n = A.shape[0]
     if b.shape != (n,):
         raise ValueError(f"right-hand side shape {b.shape} does not match system size {n}")
-    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
-        raise ValueError("system has non-finite entries")
+    # ||A||_F as np.linalg.norm computes it; it and b . b are finite unless an
+    # entry is not, or they overflow, which the entrywise check tells apart
+    flat = A.ravel(order="K")
+    frobenius = math.sqrt(flat.dot(flat))
+    if not (math.isfinite(frobenius) and math.isfinite(b @ b)):
+        if not (np.isfinite(A).all() and np.isfinite(b).all()):
+            raise ValueError("system has non-finite entries")
 
-    floor = 1e-13 * float(np.linalg.norm(A))
+    floor = 1e-13 * frobenius
     smallest = float(np.linalg.svd(A, compute_uv=False)[-1])
     if smallest <= floor:
         raise SingularSystem(f"smallest singular value {smallest:.3e} at or below {floor:.3e}")

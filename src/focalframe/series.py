@@ -19,14 +19,16 @@ import numpy as np
 
 def series_sqrt(a: np.ndarray, n: int) -> np.ndarray:
     """Square roots of a stack of series, shape (N, m) -> (N, n); needs a[:, 0] > 0."""
-    if not (a[:, 0] > 0.0).all():
+    if np.count_nonzero(a[:, 0] > 0.0) < len(a):
         raise ValueError("series_sqrt needs a positive leading coefficient")
     s = np.zeros((len(a), n))
     s[:, 0] = np.sqrt(a[:, 0])
     twice = 2.0 * s[:, 0]
     for j in range(1, n):
         acc = a[:, j] if j < a.shape[1] else 0.0
-        s[:, j] = (acc - (s[:, 1:j] * s[:, j - 1:0:-1]).sum(axis=1)) / twice
+        if j > 1:  # the sum is empty at j = 1
+            acc = acc - (s[:, 1:j] * s[:, j - 1:0:-1]).sum(axis=1)
+        s[:, j] = acc / twice
     return s
 
 
@@ -43,7 +45,7 @@ def series_reverse_powers(d: np.ndarray, n: int) -> np.ndarray:
     the coefficient of x^j in S(T) then fixes T's j-th (Brent & Kung,
     J. ACM 25, 1978). That is O(n^2) array operations.
     """
-    if not d[:, 0].all():
+    if np.count_nonzero(d[:, 0]) < len(d):
         raise ValueError("series_reverse_powers needs a nonzero linear coefficient")
     P = np.zeros((len(d), n, n))
     P[:, 0, 0] = 1.0

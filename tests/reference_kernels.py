@@ -1,5 +1,7 @@
 """Per-row reference kernels that the stacked library kernels are tested against."""
 
+import math
+
 import numpy as np
 
 from focalframe.errors import DegenerateFlag
@@ -25,3 +27,17 @@ def gram_schmidt(vectors) -> tuple[np.ndarray, np.ndarray]:
             raise DegenerateFlag(i + 1, n, tol)
         norms[i] = n
     return V, norms
+
+
+def center_rhs(derivs) -> np.ndarray:
+    """Right-hand side of the osculating-center system from rows 0..dim of
+    one derivative stack, one dot product per term:
+    b_j = <gamma^(j), gamma> + 1/2 sum_{i=1}^{j-1} C(j, i) <gamma^(i), gamma^(j-i)>."""
+    dim = derivs.shape[1]
+    b = np.empty(dim)
+    for j in range(1, dim + 1):
+        acc = float(derivs[j] @ derivs[0])
+        for i in range(1, j):
+            acc += 0.5 * math.comb(j, i) * float(derivs[i] @ derivs[j - i])
+        b[j - 1] = acc
+    return b

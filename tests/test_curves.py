@@ -1,3 +1,4 @@
+import copy
 import functools
 import math
 
@@ -246,18 +247,23 @@ def test_reparam_rejects_speed_vanishing_inside_domain():
         ff.reparam_to_arclength(curve)
 
 
-def test_inversion_budget_exhaustion_raises(salkowski, monkeypatch):
-    unit = ff.reparam_to_arclength(salkowski)
-    knot = float(curves._ArclengthMap(salkowski, salkowski.grid(513)).cum[100])
-    monkeypatch.setattr(curves, "_NEWTON_STEPS", 1)
-    s_bad = 0.37 * unit.domain[1]
-    with pytest.raises(ConvergenceFailure, match=f"at s={s_bad!r} did not converge in 1 "):
+def test_inversion_budget_exhaustion_raises(monkeypatch):
+    # inside the steep curve's climb the inversion needs more Newton and
+    # bisection steps than the patched budget (6 at mid-span, 10 from a
+    # linear start guess); a knot converges in one step
+    curve = make_curve(2, (-1.0, 1.0), "analytic", 3, _steep_speed_evaluator,
+                       check_regularity=False)
+    unit = ff.reparam_to_arclength(curve)
+    cum = curves._ArclengthMap(curve, curve.grid(513)).cum
+    lo, width = float(cum[255]), float(cum[256] - cum[255])
+    knot, s_bad, s_worse = float(cum[100]), lo + 0.5 * width, lo + 0.1 * width
+    monkeypatch.setattr(curves, "_NEWTON_STEPS", 3)
+    with pytest.raises(ConvergenceFailure, match=f"at s={s_bad!r} did not converge in 3 "):
         unit.point(s_bad)
-    # a span's first arclength converges in one step; the error names the
-    # first point of the array that did not
     unit.point(knot)
+    # the error names the first point of the array that did not converge
     with pytest.raises(ConvergenceFailure, match=f"at s={s_bad!r} did not"):
-        unit.evaluator(np.array([knot, s_bad, 0.2 * unit.domain[1]]), 2)
+        unit.evaluator(np.array([knot, s_bad, s_worse]), 2)
 
 
 # The scalar arclength route that array evaluation replaced, kept as the
@@ -405,6 +411,57 @@ def test_inversion_bisects_where_newton_leaves_the_bracket():
     t = curves._ArclengthMap(curve, curve.grid(513)).invert(ss)
     assert np.all(np.diff(t) > 0.0)
     np.testing.assert_allclose(t, [ref.invert(float(s)) for s in ss], rtol=0.0, atol=1e-15)
+
+
+def _elliptical_helix():
+    return curve_from_coordinates((
+        TrigCoordinate(terms=((1.0, 1.0, 0.5 * math.pi),)),
+        TrigCoordinate(terms=((0.93, 1.0, 0.0),)),
+        TrigCoordinate(slope=1.0),
+    ), (0.0, 2 * math.pi), label="elliptical helix")
+
+
+@pytest.mark.parametrize("name,budget", [
+    ("helix", 1), ("wcurve5", 1), ("circle", 1),
+    ("salkowski-0.3", 2), ("salkowski-0.7", 2), ("ellipse-arc", 2), ("elliptical-helix", 2),
+])
+def test_inversion_step_counts(name, budget, monkeypatch):
+    # a constant-speed span converges in its first step from the linear
+    # guess; elsewhere the interpolated start leaves one step and the
+    # confirming one (the linear guess needed 3 on the second group)
+    curve = {**_PARITY_CURVES, "circle": lambda: ff.make_circle(1.7),
+             "elliptical-helix": _elliptical_helix}[name]()
+    amap = curves._ArclengthMap(curve, curve.grid(513))
+    ss = np.linspace(0.0, amap.total, 1001)
+    monkeypatch.setattr(curves, "_NEWTON_STEPS", budget)
+    t = amap.invert(ss)
+    np.testing.assert_allclose(t[[0, -1]], curve.domain, rtol=0.0, atol=1e-15)
+    assert np.all(np.diff(t) > 0.0)
+
+
+@pytest.mark.parametrize("name", ["salkowski-0.3", "ellipse-arc", "steep", "helix", "wcurve5"])
+def test_start_guess_is_the_linear_guess_where_it_must_be(name):
+    # at every span edge, 0 and the total length included, the interpolated
+    # guess is the linear guess exactly, so the inversions agree bit for bit;
+    # on a constant-speed curve they agree everywhere
+    curve = _PARITY_CURVES[name]() if name != "steep" else make_curve(
+        2, (-1.0, 1.0), "analytic", 3, _steep_speed_evaluator, check_regularity=False)
+    amap = curves._ArclengthMap(curve, curve.grid(513))
+    linear = copy.copy(amap)
+    linear.linear = True
+    np.testing.assert_array_equal(amap.invert(amap.cum), linear.invert(amap.cum))
+    if name in ("helix", "wcurve5"):
+        # the interpolant itself, not only the shortcut, gives the linear guess
+        amap.linear = False
+        ss = np.linspace(0.0, amap.total, 1001)
+        np.testing.assert_array_equal(amap.invert(ss), linear.invert(ss))
+
+
+def test_zero_width_arclength_map_inverts():
+    curve = ff.make_salkowski(0.3)
+    amap = curves._ArclengthMap(curve, np.array([1.0, 1.0]))
+    assert amap.total == 0.0
+    np.testing.assert_array_equal(amap.invert(np.zeros(3)), [1.0, 1.0, 1.0])
 
 
 def test_reparam_speed_is_one_everywhere(unit_salkowski):

@@ -12,9 +12,10 @@ from focalframe.curves import (
     curve_from_coordinates,
 )
 from focalframe.errors import FocalNotRegular, NotGeneric, NotUnitSpeed, RegularityFailure
-from focalframe.focal import FocalRelationsReport
+from focalframe.focal import FocalRelationsReport, _binomial_table, _center_rhs
 from focalframe.frenet import _alignment_signs
 from focalframe.numdiff import grid_derivative
+from reference_kernels import center_rhs
 
 SQRT5 = math.sqrt(5.0)
 
@@ -88,6 +89,17 @@ def test_oracle_matches_recursion_at_zero(unit_helix):
     fd = ff.frenet_apparatus(unit_helix, 0.0)
     expected = unit_helix.point(0.0) + 2.5 * fd.frame[1]
     np.testing.assert_allclose(ff.osculating_center_oracle(unit_helix, 0.0), expected, atol=1e-9)
+
+
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_center_rhs_matches_per_term_loop(dim):
+    # random derivative stacks with rows of mixed magnitude; the bound is
+    # relative to the sum of the absolute terms of each entry
+    for seed in range(50):
+        rng = np.random.default_rng(1000 * dim + seed)
+        derivs = rng.normal(size=(dim + 1, dim)) * np.exp(rng.uniform(-3.0, 3.0, (dim + 1, 1)))
+        scale = _binomial_table(dim) @ (np.abs(derivs) @ np.abs(derivs).T).ravel()
+        assert np.all(np.abs(_center_rhs(derivs) - center_rhs(derivs)) <= 1e-15 * scale)
 
 
 @pytest.mark.parametrize("builder,n", [
@@ -393,6 +405,22 @@ def test_focal_table_rows_carry_their_frenet_row(helix_focal_table):
     assert row.frenet.s == row.s == helix_focal_table.s[7]
     np.testing.assert_array_equal(row.frenet.frame, helix_focal_table.frenet.frame[7])
     assert sum(fd.is_vertex for fd in helix_focal_table) == 0
+    # an integer row of either table holds its columns' rows: Python numbers
+    # from the 1-d columns, arrays from the others, the Frenet row nested
+    numbers = {"s": float, "speed": float, "A": float, "epsilon": int, "R_m": float}
+    for i in (0, 7, -1):
+        for table in (helix_focal_table, helix_focal_table.frenet):
+            row = table[i]
+            assert type(row) is type(table)
+            for f in dataclasses.fields(table):
+                column, value = getattr(table, f.name), getattr(row, f.name)
+                if f.name in numbers:
+                    assert type(value) is numbers[f.name] and value == column[i]
+                elif f.name == "frenet":
+                    assert type(value) is ff.FrenetData and value.s == table.frenet.s[i]
+                else:
+                    assert type(value) is np.ndarray
+                    np.testing.assert_array_equal(value, column[i])
 
 
 def test_deltas_follow_sign_rule(helix_focal_table):
