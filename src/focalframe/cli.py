@@ -79,10 +79,18 @@ class RunConfig:
             raise SpecFileError(f"tolerance must be positive and finite, got {self.tolerance!r}")
         if self.step is not None and not 0 < self.step < math.inf:
             raise SpecFileError(f"step must be positive and finite, got {self.step!r}")
+        if not Path(self.output_path).name:
+            raise SpecFileError(f"output prefix {self.output_path!r} names no file")
 
 
 def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
+
+
+def _suffixed(prefix: Path, suffix: str) -> Path:
+    """``PREFIX`` + ``suffix``; unlike ``Path.with_suffix`` it keeps a dot
+    already in the prefix's last part (``out/step0.5`` -> ``out/step0.5.json``)."""
+    return prefix.with_name(prefix.name + suffix)
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -127,7 +135,7 @@ def _cmd_analyze(config: RunConfig, out: Path) -> int:
     header = (["s"] + [f"x{i}" for i in range(dim)]
               + [f"kappa_{i}" for i in range(1, d)] + ["speed"])
     rows = zip(table.s, *table.point.T, *table.curvatures.T, table.speed)
-    _write_csv(out.with_suffix(".csv"), header, rows)
+    _write_csv(_suffixed(out, ".csv"), header, rows)
 
     n_ok = int(table.ok.sum())
     payload = _meta(config) | {"rows_ok": n_ok, "rows_total": int(table.s.size)}
@@ -143,7 +151,7 @@ def _cmd_analyze(config: RunConfig, out: Path) -> int:
             }
         except FocalFrameError as exc:
             payload["classification"] = {"error": str(exc)}
-    _write_json(out.with_suffix(".json"), payload)
+    _write_json(_suffixed(out, ".json"), payload)
     return EXIT_OK if n_ok else EXIT_NUMERIC_FAILURE
 
 
@@ -157,7 +165,7 @@ def _cmd_focal(config: RunConfig, out: Path) -> int:
               + ["A", "epsilon", "R_m", "is_vertex"])
     rows = zip(table.s, *table.focal_point.T, *table.focal_curvatures.T,
                table.A, table.epsilon, table.R_m, table.is_vertex)
-    _write_csv(out.with_suffix(".csv"), header, rows)
+    _write_csv(_suffixed(out, ".csv"), header, rows)
 
     payload = _meta(config) | {"n_vertices": int(table.is_vertex.sum())}
     try:
@@ -167,7 +175,7 @@ def _cmd_focal(config: RunConfig, out: Path) -> int:
         payload["relations"] = None
         payload["error"] = str(exc)
         status = EXIT_NUMERIC_FAILURE
-    _write_json(out.with_suffix(".json"), payload)
+    _write_json(_suffixed(out, ".json"), payload)
     return status
 
 
@@ -177,7 +185,7 @@ def _cmd_slant(config: RunConfig, out: Path) -> int:
     grid = curve.grid(config.grid_points)
     reports = slant_reports(curve, ks, grid, config.tolerance)
     payload = _meta(config) | {"reports": [r.to_dict() for r in reports]}
-    _write_json(out.with_suffix(".json"), payload)
+    _write_json(_suffixed(out, ".json"), payload)
     return EXIT_OK
 
 
@@ -195,7 +203,7 @@ def _cmd_verify(config: RunConfig, out: Path) -> int:
     }
     if not reports:
         payload["note"] = "no slant index detected on the base curve; nothing to verify"
-    _write_json(out.with_suffix(".json"), payload)
+    _write_json(_suffixed(out, ".json"), payload)
     return EXIT_OK if all_passed else EXIT_VERIFY_FAILED
 
 
@@ -206,7 +214,7 @@ def _cmd_synthesize(config: RunConfig, out: Path) -> int:
     if config.dim is not None and config.dim != spec.dim:
         raise SpecFileError(f"--dim {config.dim} contradicts spec dim {spec.dim}")
     curve = build_curve(spec, step=config.step)
-    save_spec(samples_spec_dict(curve, config.grid_points), out.with_suffix(".json"))
+    save_spec(samples_spec_dict(curve, config.grid_points), _suffixed(out, ".json"))
     return EXIT_OK
 
 

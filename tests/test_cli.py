@@ -210,6 +210,22 @@ def test_synthesize_then_analyze_round_trip(tmp_path):
     assert max(abs(r[k2] - 0.2) for r in body) < 1e-5
 
 
+def test_output_prefix_keeps_a_dot_in_its_last_part(tmp_path, helix_spec):
+    # the suffix is appended to the whole prefix, so step0.5 and step0.25
+    # write four files rather than both landing on step0.csv and step0.json
+    for prefix in ("step0.5", "step0.25"):
+        out = tmp_path / "out" / prefix
+        assert main(["analyze", "--input", helix_spec, "--output", str(out)]) == EXIT_OK
+    names = sorted(p.name for p in (tmp_path / "out").iterdir())
+    assert names == ["step0.25.csv", "step0.25.json", "step0.5.csv", "step0.5.json"]
+
+
+@pytest.mark.parametrize("prefix", ["", ".", "/"])
+def test_output_prefix_without_a_name_is_input_error(helix_spec, capsys, prefix):
+    assert main(["analyze", "--input", helix_spec, "--output", prefix]) == EXIT_INPUT_ERROR
+    assert "names no file" in capsys.readouterr().err
+
+
 def test_synthesize_rejects_wrong_spec_type(tmp_path, helix_spec):
     out = tmp_path / "x"
     assert main(["synthesize", "--input", helix_spec, "--output", str(out)]) == EXIT_INPUT_ERROR

@@ -13,6 +13,7 @@ from focalframe import curves
 from focalframe.curves import (
     ConstantProfile,
     LinearProfile,
+    ProfileFunction,
     SinusoidProfile,
     SplineProfile,
     TrigCoordinate,
@@ -791,13 +792,67 @@ def _reference_synthesis(profile, dim, n_steps):
     return np.array(gammas), np.array(frames)
 
 
+def _rodrigues(W):
+    """exp of a 3x3 skew matrix W in closed form."""
+    w = np.array([W[2, 1], W[0, 2], W[1, 0]])
+    theta = float(np.linalg.norm(w))
+    if theta == 0.0:
+        return np.eye(3)
+    return (np.eye(3) + math.sin(theta) / theta * W
+            + (1.0 - math.cos(theta)) / theta**2 * (W @ W))
+
+
+@pytest.mark.parametrize("dim", [3, 4, 5, 6, 7, 8])
+def test_magnus_exponentials_match_independent_references(dim):
+    expm = _rodrigues if dim == 3 else pytest.importorskip("scipy.linalg").expm
+    rng = np.random.default_rng(dim)
+    m, h = dim - 1, 2.0
+    # 17 rows scaled from zero up: the top rows' 1-norms reach 6-8, so the
+    # stack is scaled by 2^-5 and squared five times
+    scale = np.linspace(0.0, 1.0, 17)[:, None]
+    a = scale * rng.uniform(0.5, 2.0, (17, m))
+    b = scale * rng.uniform(0.5, 2.0, (17, m))
+    E = curves._magnus_exponentials(a, b, h)
+
+    def skew(k):
+        M = np.diag(k, 1)
+        return M - M.T
+
+    omegas = [0.5 * h * (skew(ai) + skew(bi))
+              + math.sqrt(3.0) * h * h / 12.0 * (skew(bi) @ skew(ai) - skew(ai) @ skew(bi))
+              for ai, bi in zip(a, b)]
+    norms = [np.abs(w).sum(axis=0).max() for w in omegas]
+    assert norms[0] == 0.0 and 5.0 < max(norms) < 10.0
+    assert np.array_equal(E[0], np.eye(dim))
+    for Ei, w in zip(E, omegas):
+        np.testing.assert_allclose(Ei, expm(w), rtol=0, atol=5e-14)
+    defect = np.einsum("nij,nkj->nik", E, E) - np.eye(dim)
+    assert np.max(np.abs(defect)) <= 2e-14
+
+
+def test_synthesis_rejects_a_curvature_that_is_nan_between_nodes():
+    class NanNear(ProfileFunction):
+        # NaN within 2.5e-4 of s = 5.0007: no node of the default 4096-step
+        # grid on [0, 10] falls there (5.0 and 5.00244 are the nearest),
+        # and neither does a probe point, but the first Gauss point of the
+        # step from 5.0 does (5.000516)
+        def __call__(self, s, order=0):
+            s = np.asarray(s, dtype=float)
+            return np.where(np.abs(s - 5.0007) < 2.5e-4, np.nan, 0.5 if order == 0 else 0.0)
+
+    profile = ff.CurvatureProfile((ConstantProfile(1.0), NanNear()), (0.0, 10.0))
+    with pytest.raises(InvalidProfile, match=r"non-finite at s=5\.0005"):
+        ff.synthesize_from_curvatures(profile, 3)
+
+
 @pytest.mark.parametrize("kind", ["constant-e3", "sinusoid-e5", "spline-e4"])
 def test_synthesis_equals_scalar_reference_loop(kind):
-    # 600 steps: two full chunks of exponentials and a partial one
+    # 600 steps: a full chunk of exponentials and a partial one
     profile = _synthesis_profile(kind)
     curve = _synthesize_steps(profile, 600)
     gammas, frames = _reference_synthesis(profile, profile.count + 1, 600)
-    # the exponentials differ in rounding only (eigh against Taylor series)
+    # the exponentials differ in rounding only (a scaled degree-q Taylor
+    # polynomial against a 20-term series, running products in another order)
     np.testing.assert_allclose(curve.evaluator.gammas, gammas, rtol=0, atol=1e-12)
     np.testing.assert_allclose(curve.evaluator.frames, frames, rtol=0, atol=1e-12)
 
@@ -846,7 +901,7 @@ def test_synthesized_frames_stay_orthonormal(dim):
         (0.0, 10.0))
     frames = ff.synthesize_from_curvatures(profile, dim).evaluator.frames
     defect = np.einsum("nij,nkj->nik", frames, frames) - np.eye(dim)
-    assert np.max(np.abs(defect)) <= 4e-12
+    assert np.max(np.abs(defect)) <= 2e-13
 
 
 def test_synthesis_accepts_a_coarse_step():
