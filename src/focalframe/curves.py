@@ -20,8 +20,10 @@ Curves must be C^{m+2}-smooth on their domain for the downstream focal
 and slant analyses to reach their stated tolerances; all builtin
 generators are real-analytic.
 
-Everything here is pure and thread-safe: curves never mutate after
-construction and evaluators share no state.
+Everything here is pure and thread-safe: evaluators share no state, and
+curves never change after construction except for the private slot in
+which the Frenet layer keeps a curve's last grid pass, a result the
+evaluator would give again.
 """
 
 from __future__ import annotations
@@ -73,6 +75,11 @@ class Curve:
     kind evaluates the N points in one pass. Use the module-level
     :func:`eval_derivatives` for the domain-, order- and shape-checked
     entry point; it also takes a scalar, as the one-row case.
+
+    ``_frenet_memo`` is a one-item list in which :mod:`focalframe.frenet`
+    keeps the curve's last grid pass. It takes no part in construction,
+    equality, hashing or ``repr``, so ``dataclasses.replace`` gives a curve
+    with an empty slot.
     """
 
     dimension: int
@@ -81,6 +88,8 @@ class Curve:
     max_order: int
     evaluator: Callable[[np.ndarray, int], np.ndarray] = field(repr=False)
     label: str = ""
+    _frenet_memo: list = field(default_factory=lambda: [None], init=False, repr=False,
+                               compare=False)
 
     def point(self, t: float) -> np.ndarray:
         return eval_derivatives(self, t, 0)[0]

@@ -72,11 +72,6 @@ def focal_curvatures(curve: Curve, grid) -> FocalData:
         frames = frenet_grid(curve, grid, order=curve.dimension)
     except ReducedOrder as exc:
         raise NotGeneric(f"curve is not generic on the grid: {exc}") from exc
-    return _focal_table(frames)
-
-
-def _focal_table(frames: FrenetData) -> FocalData:
-    """The focal recursion on the full-order Frenet table of a unit-speed curve."""
     if len(frames) < MIN_GRID:
         raise ValueError(f"focal analysis needs at least {MIN_GRID} grid points, "
                          f"got {len(frames)}")

@@ -8,7 +8,8 @@ to the derivative oracle, one stacked Gram-Schmidt over all rows, and
 array arithmetic for frames, curvatures and the sign alignment, which
 keeps downstream axis estimation free of spurious frame flips. Row 0 of
 the stack is kept as the positions. A single point is the one-row case
-of the same array-backed :class:`FrenetData`.
+of the same array-backed :class:`FrenetData`. A curve keeps its last
+pass, so public calls on the same grid and order share one.
 """
 
 from __future__ import annotations
@@ -50,7 +51,16 @@ class RowTable:
         return cls(*[_row(getattr(self, name), index) for name in _field_names(cls)])
 
     def __iter__(self):
-        return (self[i] for i in range(len(self)))
+        # Column by column: a 1-d field's rows are its ``tolist()``, which
+        # gives the Python scalars of ``_row``; other arrays and nested
+        # tables give their rows by their own iteration.
+        cls = type(self)
+        columns = []
+        for name in _field_names(cls):
+            value = getattr(self, name)
+            columns.append(value.tolist() if isinstance(value, np.ndarray) and value.ndim == 1
+                           else list(value))
+        return map(cls, *columns)
 
 
 def _report_dict(value):
@@ -115,20 +125,48 @@ class CurvatureTable:
         return self.reduced_order == 0
 
 
-def _frenet_pass(curve: Curve, grid, order: int | None):
-    """One oracle call and one stacked Gram-Schmidt over a grid: the
-    curvature table, plus the unnormalized orthogonal flags and their norms."""
+@dataclass(eq=False)
+class _FrenetPass:
+    """One grid pass: the curvature table, the unnormalized orthogonal flags
+    and their norms, and the Frenet data once :func:`frenet_grid` builds it."""
+
+    table: CurvatureTable
+    orth: np.ndarray
+    norms: np.ndarray
+    frenet: FrenetData | None = None
+
+
+def _frenet_pass(curve: Curve, grid, order: int | None) -> _FrenetPass:
+    """One oracle call and one stacked Gram-Schmidt over a grid.
+
+    The curve keeps its last pass: a call with the same order and a grid of
+    the same float64 bytes (so ``-0.0`` and ``0.0`` differ) returns it
+    instead of evaluating again. Every array of a pass is read-only,
+    because every later caller shares it.
+    """
     d = curve.dimension if order is None else int(order)
     if not 2 <= d <= curve.dimension:
         raise ValueError(f"order must lie in [2, {curve.dimension}], got {d}")
     ss = np.array(grid, dtype=float)
+    key = (d, ss.shape, ss.tobytes())
+    memo = curve._frenet_memo
+    last = memo[0]
+    if last is not None and last[0] == key:
+        return last[1]
     derivs = eval_derivatives(curve, ss, d)
     orth, norms, reduced = gram_schmidt_rows(derivs[:, 1:])
     ok = reduced == 0
     curvatures = np.full((ss.size, d - 1), np.nan)
     curvatures[ok] = norms[ok, 1:] / (norms[ok, :-1] * norms[ok, :1])
     speed = np.where(ok | (reduced > 1), norms[:, 0], np.nan)
-    return CurvatureTable(ss, derivs[:, 0].copy(), curvatures, speed, reduced), orth, norms
+    table = CurvatureTable(ss, derivs[:, 0].copy(), curvatures, speed, reduced)
+    for a in (ss, table.point, curvatures, speed, reduced, orth, norms):
+        a.setflags(write=False)
+    result = _FrenetPass(table, orth, norms)
+    # One store of a whole entry: threads that miss together compute equal
+    # passes, and a reader never sees a key paired with another grid's pass.
+    memo[0] = (key, result)
+    return result
 
 
 def _require_full_order(table: CurvatureTable) -> None:
@@ -143,16 +181,19 @@ def frenet_grid(curve: Curve, grid, order: int | None = None) -> FrenetData:
     Osculating order ``order`` defaults to the ambient dimension (a generic
     curve). Raises ReducedOrder with the failing derivative index and
     parameter of the first grid row whose derivatives stop being linearly
-    independent.
+    independent. The result is kept with the curve's last grid pass, so a
+    repeated call returns the same read-only arrays.
     """
-    table, orth, norms = _frenet_pass(curve, grid, order)
-    _require_full_order(table)
-    frames = orth / norms[:, :, None]
-    frames *= _alignment_signs(frames)[:, :, None]
-    columns = (table.s, table.point, table.speed, frames, table.curvatures)
-    for a in columns:
-        a.setflags(write=False)
-    return FrenetData(*columns)
+    grid_pass = _frenet_pass(curve, grid, order)
+    if grid_pass.frenet is None:
+        table = grid_pass.table
+        _require_full_order(table)
+        frames = grid_pass.orth / grid_pass.norms[:, :, None]
+        frames *= _alignment_signs(frames)[:, :, None]
+        frames.setflags(write=False)
+        grid_pass.frenet = FrenetData(table.s, table.point, table.speed, frames,
+                                      table.curvatures)
+    return grid_pass.frenet
 
 
 def frenet_apparatus(curve: Curve, s: float, order: int | None = None) -> FrenetData:
@@ -161,8 +202,11 @@ def frenet_apparatus(curve: Curve, s: float, order: int | None = None) -> Frenet
 
 
 def curvature_table(curve: Curve, grid, order: int | None = None) -> CurvatureTable:
-    """Positions, curvatures and speed over a grid from one pass, degenerate rows flagged."""
-    return _frenet_pass(curve, grid, order)[0]
+    """Positions, curvatures and speed over a grid from one pass, degenerate rows flagged.
+
+    The arrays are read-only: the table is shared with the curve's last grid pass.
+    """
+    return _frenet_pass(curve, grid, order).table
 
 
 @dataclass(frozen=True)

@@ -60,13 +60,14 @@ def window_starts(n: int, centers, size: int) -> np.ndarray:
 
 
 def grid_derivative(values, ts, window: int = 5) -> np.ndarray:
-    """First derivative of gridded data, 4th order accurate.
+    """First derivative of gridded data, of order ``window - 1`` in the spacing.
 
     ``values`` may be (N,) or (N, d); differentiation runs along axis 0.
-    Interior points get centered 5-point stencils; the two points at each
-    end get the one-sided 5-point stencils that fall out of the same
-    weight recursion. Nodes need not be uniform; all stencils come from
-    one stacked weight call.
+    Interior points get centered ``window``-point stencils (for an odd
+    ``window``); the ``window // 2`` points at each end get the one-sided
+    ``window``-point stencils that fall out of the same weight recursion.
+    Nodes need not be uniform; all stencils come from one stacked weight
+    call.
     """
     y = np.asarray(values, dtype=float)
     t = np.asarray(ts, dtype=float)

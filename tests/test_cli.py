@@ -268,20 +268,19 @@ def test_each_command_runs_one_frenet_pass_per_curve(tmp_path, monkeypatch, comm
     # focal: the curve and its focal curve; slant: the curve, for every k;
     # verify (k = 1, 3, 5 are slant): the curve, its arclength version and
     # the focal curve, shared by every k; verify on a unit-speed curve: the
-    # curve, whose one pass also feeds the focal recursion, and the focal curve
-    import focalframe.focal
-    import focalframe.slant
+    # curve, whose one pass also feeds the focal recursion, and the focal curve.
+    # A pass is a Frenet-layer oracle call; a call the curve's kept pass
+    # answers makes none.
+    import focalframe.frenet
 
     calls = []
+    real = focalframe.frenet.eval_derivatives
 
-    def counted(real):
-        def frenet_grid(curve, *args, **kwargs):
-            calls.append(curve.label)
-            return real(curve, *args, **kwargs)
-        return frenet_grid
+    def eval_derivatives(curve, *args, **kwargs):
+        calls.append(curve.label)
+        return real(curve, *args, **kwargs)
 
-    for module in (focalframe.focal, focalframe.slant):
-        monkeypatch.setattr(module, "frenet_grid", counted(module.frenet_grid))
+    monkeypatch.setattr(focalframe.frenet, "eval_derivatives", eval_derivatives)
     path = write_spec(tmp_path, "spec.json", spec)
     rc = main([command, "--input", path, "--output", str(tmp_path / "out"), "--grid-points", "128"])
     assert rc == EXIT_OK

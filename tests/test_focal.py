@@ -423,6 +423,30 @@ def test_focal_table_rows_carry_their_frenet_row(helix_focal_table):
                     np.testing.assert_array_equal(value, column[i])
 
 
+def _assert_same_row(got, want):
+    assert type(got) is type(want)
+    for f in dataclasses.fields(want):
+        value, expected = getattr(got, f.name), getattr(want, f.name)
+        assert type(value) is type(expected), f.name
+        if dataclasses.is_dataclass(expected):
+            _assert_same_row(value, expected)
+        elif isinstance(expected, np.ndarray):
+            assert value.dtype == expected.dtype
+            np.testing.assert_array_equal(value, expected)
+        else:
+            assert value == expected
+
+
+def test_iteration_gives_the_indexed_rows(helix_focal_table):
+    # rows come column by column; each equals the integer-indexed row in
+    # values and in types, nested Frenet rows included
+    for table in (helix_focal_table, helix_focal_table.frenet, helix_focal_table[5:40:3]):
+        rows = list(table)
+        assert len(rows) == len(table)
+        for i, row in enumerate(rows):
+            _assert_same_row(row, table[i])
+
+
 def test_deltas_follow_sign_rule(helix_focal_table):
     for fd in helix_focal_table[3:-3]:
         assert fd.epsilon == 1

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -143,8 +144,8 @@ def test_curvatures_invariant_under_reparametrization(helix, unit_helix):
 
 def raw_frames(curve, grid):
     """Unit frames of the shared grid pass before sign alignment."""
-    _, orth, norms = _frenet_pass(curve, grid, None)
-    return orth / norms[:, :, None]
+    grid_pass = _frenet_pass(curve, grid, None)
+    return grid_pass.orth / grid_pass.norms[:, :, None]
 
 
 def test_sign_alignment_is_noop_on_generic_curve(salkowski):
@@ -329,3 +330,78 @@ def test_frenet_grid_order_validated(helix):
     for order in (1, 4):
         with pytest.raises(ValueError):
             ff.frenet_grid(helix, helix.grid(8), order)
+
+
+# ----------------------------------------------------------- the kept grid pass
+
+def counting_curve(base):
+    """``base`` behind an evaluator that logs ``(rows, order)`` per call."""
+    calls = []
+
+    def evaluator(t, order):
+        calls.append((t.size, order))
+        return base.evaluator(t, order)
+
+    curve = make_curve(base.dimension, base.domain, base.kind, base.max_order, evaluator,
+                       base.label, check_regularity=False)
+    return curve, calls
+
+
+def test_public_calls_on_one_grid_share_one_pass(wcurve5):
+    curve, calls = counting_curve(wcurve5)
+    grid = curve.grid(128)
+    ff.curvature_table(curve, grid)
+    ff.classify(curve, grid)
+    reports = [ff.is_k_slant(curve, k, grid) for k in range(1, 6)]
+    ff.coefficient_residuals(curve, reports[0].axis, grid)
+    assert calls == [(128, 5)]
+
+
+def test_kept_pass_equals_a_fresh_pass(wcurve5):
+    curve, calls = counting_curve(wcurve5)
+    grid = curve.grid(64)
+    ff.curvature_table(curve, grid)
+    kept = ff.frenet_grid(curve, grid), ff.curvature_table(curve, grid)
+    assert ff.frenet_grid(curve, list(grid)) is kept[0] and len(calls) == 1
+    fresh_curve, _ = counting_curve(wcurve5)
+    fresh = ff.frenet_grid(fresh_curve, grid), ff.curvature_table(fresh_curve, grid)
+    for got, want in zip(kept, fresh):
+        for f in dataclasses.fields(got):
+            np.testing.assert_array_equal(getattr(got, f.name), getattr(want, f.name))
+
+
+def _grid_with_one_value_changed(curve, grid):
+    grid = grid.copy()
+    grid[5] = np.nextafter(grid[5], np.inf)
+    return curve, grid, None
+
+
+def _grid_with_negative_zero(curve, grid):
+    assert grid[0] == 0.0 and not np.signbit(grid[0])
+    grid = grid.copy()
+    grid[0] = -0.0
+    return curve, grid, None
+
+
+@pytest.mark.parametrize("change", [
+    _grid_with_one_value_changed,
+    _grid_with_negative_zero,
+    lambda curve, grid: (curve, grid, 4),
+    lambda curve, grid: (dataclasses.replace(curve), grid, None),
+], ids=["one-value", "negative-zero", "order", "replaced-curve"])
+def test_pass_is_recomputed_when_its_inputs_differ(wcurve5, change):
+    curve, calls = counting_curve(wcurve5)
+    grid = curve.grid(32)
+    first = ff.curvature_table(curve, grid)
+    other_curve, other_grid, order = change(curve, grid)
+    second = ff.curvature_table(other_curve, other_grid, order)
+    assert len(calls) == 2 and second is not first
+    assert other_curve == curve and hash(other_curve) == hash(curve)
+
+
+def test_curvature_table_arrays_are_read_only(helix):
+    table = ff.curvature_table(helix, helix.grid(16))
+    for f in dataclasses.fields(table):
+        column = getattr(table, f.name)
+        with pytest.raises(ValueError):
+            column[0] = 1

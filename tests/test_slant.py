@@ -169,6 +169,31 @@ def test_residual_detector_consistency(unit_salkowski):
     assert np.max(np.abs(table.residuals[:, 3:-3])) < 10 * rep.tolerance
 
 
+def _unit_wcurve6():
+    # An E6 W-curve draw, rescaled to unit speed, whose residual peaked at
+    # 1.01e-6 on an end row when the residual used 5-point stencils.
+    radii = (0.9477955249228831, 0.7241410675729896, 0.32413729889794274)
+    freqs = (1.1303828001089316, 2.0300305875676754, 3.0010512343167135)
+    scale = math.sqrt(sum((r * w) ** 2 for r, w in zip(radii, freqs)))
+    return ff.make_wcurve(radii, [w / scale for w in freqs], 0.0, dim=6,
+                          domain=(0.0, 2 * math.pi * scale))
+
+
+def _tangent_axis_residual(curve, n):
+    grid = curve.grid(n)
+    return ff.coefficient_residuals(curve, ff.is_k_slant(curve, 1, grid).axis, grid).sup_norm
+
+
+def test_residual_of_an_e6_wcurve_stays_small_at_its_ends():
+    assert _tangent_axis_residual(_unit_wcurve6(), 384) < 1e-8
+
+
+def test_residual_converges_at_sixth_order():
+    # doubling the rows divides a 6th-order error by 64, a 4th-order one by 16
+    curve = _unit_wcurve6()
+    assert _tangent_axis_residual(curve, 192) > 40 * _tangent_axis_residual(curve, 384)
+
+
 # ----------------------------------------------------------------- index routing
 
 def test_index_map_cases():
