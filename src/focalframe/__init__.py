@@ -50,7 +50,6 @@ from .focal import (
 )
 from .frenet import (
     Classification,
-    CurvatureTable,
     FrenetData,
     classify,
     classify_curvatures,

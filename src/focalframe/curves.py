@@ -1018,9 +1018,12 @@ def synthesize_from_curvatures(
     frame = np.eye(dim) if initial_frame is None else np.asarray(initial_frame, dtype=float)
     if point.shape != (dim,):
         raise BadParameters(f"initial point must have length {dim}")
+    if not np.isfinite(point).all():
+        raise BadParameters("initial point must be finite")
     if frame.shape != (dim, dim):
         raise BadParameters(f"initial frame must be {dim} vectors of length {dim}")
-    if np.max(np.abs(frame @ frame.T - np.eye(dim))) > 1e-8:
+    # Finite first, so an inf frame raises here without a warning from the product.
+    if not (np.isfinite(frame).all() and np.max(np.abs(frame @ frame.T - np.eye(dim))) <= 1e-8):
         raise NonOrthonormalFrame("initial frame is not orthonormal to 1e-8")
 
     nodes = lo + h * np.arange(n_steps + 1)

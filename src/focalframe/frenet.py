@@ -6,10 +6,13 @@ resulting norms, so they are positive by construction and invariant
 under reparametrization. A grid is processed in one pass: one array call
 to the derivative oracle, one stacked Gram-Schmidt over all rows, and
 array arithmetic for frames, curvatures and the sign alignment, which
-keeps downstream axis estimation free of spurious frame flips. Row 0 of
-the stack is kept as the positions. A single point is the one-row case
-of the same array-backed :class:`FrenetData`. A curve keeps its last
-pass, so public calls on the same grid and order share one.
+keeps downstream axis estimation free of spurious frame flips. The pass
+gives one read-only :class:`FrenetData` table: row 0 of the stack as the
+positions, and rows of reduced order flagged, with NaN frames and
+curvatures. :func:`curvature_table` returns it as it is and
+:func:`frenet_grid` raises on its first flagged row; a single point is
+the one-row case. A curve keeps its last pass, so public calls on the
+same grid and order share one table.
 """
 
 from __future__ import annotations
@@ -79,7 +82,12 @@ class FrenetData(RowTable):
 
     ``s`` and ``speed`` are (N,); ``point`` is (N, dim); ``frame``
     (N, d, dim) holds the unit tangent and then the unit normals;
-    ``curvatures`` is (N, d-1).
+    ``curvatures`` is (N, d-1). ``reduced_order`` is 0 on a row of full
+    osculating order, else the index of its first derivative that is
+    dependent on the lower ones. Such a flagged row keeps its point, has
+    NaN frame vectors and curvatures, and a NaN speed where the first
+    derivative itself vanishes; the frames are then sign-aligned within
+    each run of unflagged rows.
     """
 
     s: np.ndarray
@@ -87,10 +95,15 @@ class FrenetData(RowTable):
     speed: np.ndarray
     frame: np.ndarray
     curvatures: np.ndarray
+    reduced_order: np.ndarray
 
     @property
     def osculating_order(self) -> int:
         return self.frame.shape[-2]
+
+    @property
+    def ok(self):
+        return self.reduced_order == 0
 
 
 def _alignment_signs(frames: np.ndarray) -> np.ndarray:
@@ -104,39 +117,18 @@ def _alignment_signs(frames: np.ndarray) -> np.ndarray:
     dots = np.einsum("rid,rid->ri", frames[1:], frames[:-1])
     step = np.where(dots < 0.0, -1.0, 1.0)
     run = np.cumprod(np.concatenate([np.ones((1, dots.shape[1])), step]), axis=0)
+    exact = dots == 0.0
+    if not exact.any():
+        # No restarts: the rest would multiply by row 0 of ``run``, all ones.
+        # Skipping it halves the cost of a pass's alignment.
+        return run
     rows = np.arange(frames.shape[0])[:, None]
-    zero = np.concatenate([np.zeros((1, dots.shape[1]), bool), dots == 0.0])
+    zero = np.concatenate([np.zeros((1, dots.shape[1]), bool), exact])
     restart = np.maximum.accumulate(np.where(zero, rows, 0), axis=0)
     return run * np.take_along_axis(run, restart, axis=0)
 
 
-@dataclass(frozen=True)
-class CurvatureTable:
-    """Positions, curvatures and speed per grid row; degenerate rows flagged, not dropped."""
-
-    s: np.ndarray
-    point: np.ndarray  # (N, dim), on every row
-    curvatures: np.ndarray  # (N, d-1), NaN on flagged rows
-    speed: np.ndarray  # NaN where the first derivative itself vanishes
-    reduced_order: np.ndarray  # 0 where fine, else the failing derivative index
-
-    @property
-    def ok(self) -> np.ndarray:
-        return self.reduced_order == 0
-
-
-@dataclass(eq=False)
-class _FrenetPass:
-    """One grid pass: the curvature table, the unnormalized orthogonal flags
-    and their norms, and the Frenet data once :func:`frenet_grid` builds it."""
-
-    table: CurvatureTable
-    orth: np.ndarray
-    norms: np.ndarray
-    frenet: FrenetData | None = None
-
-
-def _frenet_pass(curve: Curve, grid, order: int | None) -> _FrenetPass:
+def _frenet_pass(curve: Curve, grid, order: int | None) -> FrenetData:
     """One oracle call and one stacked Gram-Schmidt over a grid.
 
     The curve keeps its last pass: a call with the same order and a grid of
@@ -155,45 +147,38 @@ def _frenet_pass(curve: Curve, grid, order: int | None) -> _FrenetPass:
         return last[1]
     derivs = eval_derivatives(curve, ss, d)
     orth, norms, reduced = gram_schmidt_rows(derivs[:, 1:])
-    ok = reduced == 0
-    curvatures = np.full((ss.size, d - 1), np.nan)
-    curvatures[ok] = norms[ok, 1:] / (norms[ok, :-1] * norms[ok, :1])
-    speed = np.where(ok | (reduced > 1), norms[:, 0], np.nan)
-    table = CurvatureTable(ss, derivs[:, 0].copy(), curvatures, speed, reduced)
-    for a in (ss, table.point, curvatures, speed, reduced, orth, norms):
+    # A flagged row may divide by a zero norm; its values are replaced by NaN.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        curvatures = norms[:, 1:] / (norms[:, :-1] * norms[:, :1])
+        frames = orth / norms[:, :, None]
+    flagged = reduced != 0
+    if flagged.any():
+        curvatures[flagged] = np.nan
+        frames[flagged] = np.nan
+    frames *= _alignment_signs(frames)[:, :, None]
+    speed = np.where(reduced == 1, np.nan, norms[:, 0])
+    table = FrenetData(ss, derivs[:, 0].copy(), speed, frames, curvatures, reduced)
+    for a in (ss, table.point, speed, frames, curvatures, reduced):
         a.setflags(write=False)
-    result = _FrenetPass(table, orth, norms)
     # One store of a whole entry: threads that miss together compute equal
     # passes, and a reader never sees a key paired with another grid's pass.
-    memo[0] = (key, result)
-    return result
-
-
-def _require_full_order(table: CurvatureTable) -> None:
-    bad = np.flatnonzero(table.reduced_order)
-    if bad.size:
-        raise ReducedOrder(int(table.reduced_order[bad[0]]), float(table.s[bad[0]]))
+    memo[0] = (key, table)
+    return table
 
 
 def frenet_grid(curve: Curve, grid, order: int | None = None) -> FrenetData:
-    """Sign-aligned Frenet data over a parameter grid.
+    """Sign-aligned Frenet data over a parameter grid, every row of full order.
 
     Osculating order ``order`` defaults to the ambient dimension (a generic
     curve). Raises ReducedOrder with the failing derivative index and
     parameter of the first grid row whose derivatives stop being linearly
-    independent. The result is kept with the curve's last grid pass, so a
-    repeated call returns the same read-only arrays.
+    independent. Otherwise returns the table of :func:`curvature_table`.
     """
-    grid_pass = _frenet_pass(curve, grid, order)
-    if grid_pass.frenet is None:
-        table = grid_pass.table
-        _require_full_order(table)
-        frames = grid_pass.orth / grid_pass.norms[:, :, None]
-        frames *= _alignment_signs(frames)[:, :, None]
-        frames.setflags(write=False)
-        grid_pass.frenet = FrenetData(table.s, table.point, table.speed, frames,
-                                      table.curvatures)
-    return grid_pass.frenet
+    table = _frenet_pass(curve, grid, order)
+    bad = np.flatnonzero(table.reduced_order)
+    if bad.size:
+        raise ReducedOrder(int(table.reduced_order[bad[0]]), float(table.s[bad[0]]))
+    return table
 
 
 def frenet_apparatus(curve: Curve, s: float, order: int | None = None) -> FrenetData:
@@ -201,12 +186,13 @@ def frenet_apparatus(curve: Curve, s: float, order: int | None = None) -> Frenet
     return frenet_grid(curve, [s], order)[0]
 
 
-def curvature_table(curve: Curve, grid, order: int | None = None) -> CurvatureTable:
-    """Positions, curvatures and speed over a grid from one pass, degenerate rows flagged.
+def curvature_table(curve: Curve, grid, order: int | None = None) -> FrenetData:
+    """Frenet data over a grid from one pass, rows of reduced order flagged, not dropped.
 
-    The arrays are read-only: the table is shared with the curve's last grid pass.
+    The arrays are read-only: the table is the curve's last grid pass,
+    shared with every later call on the same grid and order.
     """
-    return _frenet_pass(curve, grid, order).table
+    return _frenet_pass(curve, grid, order)
 
 
 @dataclass(frozen=True)
@@ -224,9 +210,7 @@ def classify(curve: Curve, grid=None, tol: float = DEFAULT_CLASSIFY_TOL) -> Clas
     grid = np.asarray(grid, dtype=float)
     if grid.size < 8:
         raise ValueError("classification grid needs at least 8 points")
-    table = curvature_table(curve, grid)
-    _require_full_order(table)
-    return classify_curvatures(table.curvatures, tol)
+    return classify_curvatures(frenet_grid(curve, grid).curvatures, tol)
 
 
 def classify_curvatures(curvatures, tol: float = DEFAULT_CLASSIFY_TOL) -> Classification:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import Curve, as_unit_speed
-from .frenet import FrenetData, _report_dict, frenet_grid
+from .frenet import _report_dict, frenet_grid
 from .focal import END_TRIM, _sampled_focal_curve, focal_curvatures
 from .linalg import as_vector
 from .numdiff import grid_derivative
@@ -77,7 +77,7 @@ def estimate_axis(samples) -> AxisFit:
     if X.ndim != 2 or X.shape[0] < 8:
         raise ValueError("need at least 8 unit-vector samples")
     norms = np.linalg.norm(X, axis=1)
-    if np.max(np.abs(norms - 1.0)) > 1e-6:
+    if not np.all(np.abs(norms - 1.0) <= 1e-6):
         raise ValueError("samples must be unit vectors")
 
     D = X - X.mean(axis=0)
@@ -133,10 +133,7 @@ def slant_reports(curve: Curve, ks, grid=None, tol: float | None = None) -> list
     bad = [k for k in ks if not 1 <= k <= m + 1]
     if bad:
         raise ValueError(f"k must lie in [1, {m + 1}], got {bad[0]}")
-    return _slant_verdicts(frenet_grid(curve, grid, order=m + 1), ks, tol)
-
-
-def _slant_verdicts(frames: FrenetData, ks, tol: float) -> list[SlantReport]:
+    frames = frenet_grid(curve, grid, order=m + 1)
     reports = []
     for k in ks:
         # contiguous samples, so the fit's BLAS calls see one memory layout
@@ -256,8 +253,7 @@ def verify_focal_slants(curve: Curve, ks, grid=None, tol: float | None = None,
     grid = np.asarray(grid, dtype=float)
     m, ks = curve.dimension - 1, list(ks)
     k_primes = [theorem_target_index(k, m) for k in ks]
-    frames = frenet_grid(curve, grid, order=m + 1)
-    bases = _slant_verdicts(frames, ks, default_slant_tol(curve) if tol is None else tol)
+    bases = slant_reports(curve, ks, grid, tol)
     mirrored = [kp for kp, base in zip(k_primes, bases) if base.is_slant]
     if mirrored:
         unit = as_unit_speed(curve)

@@ -972,6 +972,20 @@ def test_synthesis_rejects_bad_frame():
         ff.synthesize_from_curvatures(profile, 2, initial_frame=[(1.0, 0.0), (1.0, 1.0)])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("argument", ["initial_point", "initial_frame"])
+def test_synthesis_rejects_non_finite_initial_data(argument, bad):
+    profile = ff.CurvatureProfile.constants([1.0, 0.5], (0.0, 1.0))
+    if argument == "initial_point":
+        kwargs, error = {"initial_point": [bad, 0.0, 0.0]}, BadParameters
+    else:
+        frame = np.eye(3)
+        frame[1, 2] = bad
+        kwargs, error = {"initial_frame": frame}, NonOrthonormalFrame
+    with pytest.raises(error):
+        ff.synthesize_from_curvatures(profile, 3, **kwargs)
+
+
 @pytest.mark.parametrize("builder", [
     lambda: ff.make_circle(2.0),
     lambda: ff.make_helix(2.0, 1.0),

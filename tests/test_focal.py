@@ -407,7 +407,8 @@ def test_focal_table_rows_carry_their_frenet_row(helix_focal_table):
     assert sum(fd.is_vertex for fd in helix_focal_table) == 0
     # an integer row of either table holds its columns' rows: Python numbers
     # from the 1-d columns, arrays from the others, the Frenet row nested
-    numbers = {"s": float, "speed": float, "A": float, "epsilon": int, "R_m": float}
+    numbers = {"s": float, "speed": float, "reduced_order": int, "A": float, "epsilon": int,
+               "R_m": float}
     for i in (0, 7, -1):
         for table in (helix_focal_table, helix_focal_table.frenet):
             row = table[i]

@@ -16,7 +16,8 @@ from focalframe.curves import (
     make_curve,
 )
 from focalframe.errors import DegenerateFlag, DivisionGuard, ReducedOrder
-from focalframe.frenet import _alignment_signs, _frenet_pass
+from focalframe.frenet import _alignment_signs
+from focalframe.linalg import gram_schmidt_rows
 from focalframe.numdiff import grid_derivative
 from reference_kernels import gram_schmidt
 
@@ -143,9 +144,9 @@ def test_curvatures_invariant_under_reparametrization(helix, unit_helix):
 
 
 def raw_frames(curve, grid):
-    """Unit frames of the shared grid pass before sign alignment."""
-    grid_pass = _frenet_pass(curve, grid, None)
-    return grid_pass.orth / grid_pass.norms[:, :, None]
+    """Unit frames of a grid pass before sign alignment."""
+    orth, norms, _ = gram_schmidt_rows(eval_derivatives(curve, grid, curve.dimension)[:, 1:])
+    return orth / norms[:, :, None]
 
 
 def test_sign_alignment_is_noop_on_generic_curve(salkowski):
@@ -196,6 +197,19 @@ def sine_graph():
     return curve_from_coordinates(
         (TrigCoordinate(slope=1.0), TrigCoordinate(terms=((1.0, 1.0, 0.0),))),
         (0.0, 2 * math.pi))
+
+
+def quartic():
+    # (t, t^2, t^4): the third derivative (0, 0, 24 t) is dependent at t = 0 only
+    def evaluator(t, order):
+        out = np.zeros((t.size, order + 1, 3))
+        for k in range(order + 1):
+            for axis, p in enumerate((1, 2, 4)):
+                if k <= p:
+                    out[:, k, axis] = math.perm(p, k) * t ** (p - k)
+        return out
+
+    return make_curve(3, (-1.0, 1.0), "analytic", 6, evaluator)
 
 
 @pytest.mark.parametrize("name", ["helix", "salkowski", "wcurve5", "random4"])
@@ -261,16 +275,18 @@ def test_alignment_is_exact_on_a_curve(salkowski):
                                   align_frames_loop(flipped))
 
 
-@pytest.mark.parametrize("make", [cycloid, sine_graph], ids=["cusps", "inflections"])
+@pytest.mark.parametrize("make", [cycloid, sine_graph, quartic],
+                         ids=["cusps", "inflections", "one-flat-row"])
 def test_curvature_table_reduced_rows_match_loop(make):
     curve = make()
     grid = curve.grid(17)
+    d = curve.dimension
     table = ff.curvature_table(curve, grid)
     reduced = np.zeros(grid.size, dtype=int)
-    kappas = np.full((grid.size, 1), np.nan)
+    kappas = np.full((grid.size, d - 1), np.nan)
     speeds = np.full(grid.size, np.nan)
     for i, s in enumerate(grid):
-        derivs = eval_derivatives(curve, float(s), 2)[1:]
+        derivs = eval_derivatives(curve, float(s), d)[1:]
         try:
             _, norms = gram_schmidt(derivs)
         except DegenerateFlag as exc:
@@ -286,6 +302,14 @@ def test_curvature_table_reduced_rows_match_loop(make):
     np.testing.assert_array_equal(np.isnan(table.speed), np.isnan(speeds))
     np.testing.assert_allclose(table.curvatures, kappas, rtol=1e-13)
     np.testing.assert_allclose(table.speed, speeds, rtol=1e-13)
+    # one table: flagged rows have NaN frames and curvatures, the others finite frames
+    np.testing.assert_array_equal(table.ok, reduced == 0)
+    assert np.isnan(table.frame[~table.ok]).all() and np.isnan(table.curvatures[~table.ok]).all()
+    assert np.isfinite(table.frame[table.ok]).all()
+    first = np.flatnonzero(reduced)[0]
+    with pytest.raises(ReducedOrder) as exc:
+        ff.frenet_grid(curve, grid)
+    assert (exc.value.order, exc.value.s) == (reduced[first], grid[first])
 
 
 def synthesized_curve():
@@ -362,6 +386,7 @@ def test_kept_pass_equals_a_fresh_pass(wcurve5):
     grid = curve.grid(64)
     ff.curvature_table(curve, grid)
     kept = ff.frenet_grid(curve, grid), ff.curvature_table(curve, grid)
+    assert kept[1] is kept[0]
     assert ff.frenet_grid(curve, list(grid)) is kept[0] and len(calls) == 1
     fresh_curve, _ = counting_curve(wcurve5)
     fresh = ff.frenet_grid(fresh_curve, grid), ff.curvature_table(fresh_curve, grid)

@@ -81,6 +81,11 @@ def test_estimate_axis_input_validation():
         ff.estimate_axis(np.tile(E3, (4, 1)))  # too few
     with pytest.raises(ValueError):
         ff.estimate_axis(np.tile(2.0 * E3, (12, 1)))  # not unit
+    for bad in (np.nan, np.inf):
+        samples = np.tile(E3, (12, 1))
+        samples[5, 0] = bad
+        with pytest.raises(ValueError, match="unit vectors"):
+            ff.estimate_axis(samples)
 
 
 # ------------------------------------------------------------------- detection
