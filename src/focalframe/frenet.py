@@ -87,7 +87,7 @@ class FrenetData(RowTable):
     dependent on the lower ones. Such a flagged row keeps its point, has
     NaN frame vectors and curvatures, and a NaN speed where the first
     derivative itself vanishes; the frames are then sign-aligned within
-    each run of unflagged rows.
+    each run of unflagged rows, whose first row keeps its own sign.
     """
 
     s: np.ndarray
@@ -112,18 +112,15 @@ def _alignment_signs(frames: np.ndarray) -> np.ndarray:
     A vector is flipped when its dot with the predecessor, as already
     aligned, is negative. Flipping a row negates its dot with the next
     row, so the sign of a row is the running product of the signs of the
-    raw dots since the last exact zero dot, where it restarts at +1.
+    raw dots since the last dot that is exactly zero or undefined (NaN, as
+    next to a flagged row's NaN frame), where it restarts at +1.
     """
     dots = np.einsum("rid,rid->ri", frames[1:], frames[:-1])
     step = np.where(dots < 0.0, -1.0, 1.0)
     run = np.cumprod(np.concatenate([np.ones((1, dots.shape[1])), step]), axis=0)
-    exact = dots == 0.0
-    if not exact.any():
-        # No restarts: the rest would multiply by row 0 of ``run``, all ones.
-        # Skipping it halves the cost of a pass's alignment.
-        return run
+    resets = (dots == 0.0) | np.isnan(dots)
     rows = np.arange(frames.shape[0])[:, None]
-    zero = np.concatenate([np.zeros((1, dots.shape[1]), bool), exact])
+    zero = np.concatenate([np.zeros((1, dots.shape[1]), bool), resets])
     restart = np.maximum.accumulate(np.where(zero, rows, 0), axis=0)
     return run * np.take_along_axis(run, restart, axis=0)
 

@@ -252,7 +252,8 @@ def test_grid_table_indexes_slices_and_iterates(helix):
 def test_alignment_signs_match_the_loop_exactly():
     rng = np.random.default_rng(7)
     # Slowly turning frames with random sign flips, then rows that are
-    # exactly orthogonal to their predecessor (zero dots restart the signs).
+    # exactly orthogonal to their predecessor (zero dots restart the signs),
+    # then a NaN row like a flagged row's (NaN dots restart them too).
     base = np.linalg.qr(rng.normal(size=(3, 3)))[0]
     turn = np.linalg.qr(np.eye(3) + 0.05 * rng.normal(size=(3, 3)))[0]
     frames = [base.T]
@@ -262,10 +263,11 @@ def test_alignment_signs_match_the_loop_exactly():
     E = np.eye(3)
     frames = np.concatenate([frames, [E, E[[1, 2, 0]], -E[[1, 2, 0]], -E[[2, 0, 1]], E, -E]],
                             axis=0)
+    frames = np.concatenate([frames[:20], np.full((1, 3, 3), np.nan), frames[20:]], axis=0)
     signs = _alignment_signs(frames)
     want = align_frames_loop(frames)
     np.testing.assert_array_equal(frames * signs[:, :, None], want)
-    assert np.any(signs < 0)
+    assert np.any(signs[:20] < 0) and np.all(signs[21] == 1.0)
 
 
 def test_alignment_is_exact_on_a_curve(salkowski):
@@ -306,6 +308,10 @@ def test_curvature_table_reduced_rows_match_loop(make):
     np.testing.assert_array_equal(table.ok, reduced == 0)
     assert np.isnan(table.frame[~table.ok]).all() and np.isnan(table.curvatures[~table.ok]).all()
     assert np.isfinite(table.frame[table.ok]).all()
+    # alignment restarts after a flagged row: the next full-order row keeps its raw sign
+    after = np.flatnonzero(~table.ok[:-1] & table.ok[1:]) + 1
+    assert after.size
+    np.testing.assert_array_equal(table.frame[after], raw_frames(curve, grid[after]))
     first = np.flatnonzero(reduced)[0]
     with pytest.raises(ReducedOrder) as exc:
         ff.frenet_grid(curve, grid)
@@ -384,15 +390,13 @@ def test_public_calls_on_one_grid_share_one_pass(wcurve5):
 def test_kept_pass_equals_a_fresh_pass(wcurve5):
     curve, calls = counting_curve(wcurve5)
     grid = curve.grid(64)
-    ff.curvature_table(curve, grid)
-    kept = ff.frenet_grid(curve, grid), ff.curvature_table(curve, grid)
-    assert kept[1] is kept[0]
-    assert ff.frenet_grid(curve, list(grid)) is kept[0] and len(calls) == 1
+    kept = ff.curvature_table(curve, grid)
+    assert ff.frenet_grid(curve, grid) is kept
+    assert ff.frenet_grid(curve, list(grid)) is kept and len(calls) == 1
     fresh_curve, _ = counting_curve(wcurve5)
-    fresh = ff.frenet_grid(fresh_curve, grid), ff.curvature_table(fresh_curve, grid)
-    for got, want in zip(kept, fresh):
-        for f in dataclasses.fields(got):
-            np.testing.assert_array_equal(getattr(got, f.name), getattr(want, f.name))
+    fresh = ff.frenet_grid(fresh_curve, grid)
+    for f in dataclasses.fields(kept):
+        np.testing.assert_array_equal(getattr(kept, f.name), getattr(fresh, f.name))
 
 
 def _grid_with_one_value_changed(curve, grid):
