@@ -21,9 +21,10 @@ and slant analyses to reach their stated tolerances; all builtin
 generators are real-analytic.
 
 Everything here is pure and thread-safe: evaluators share no state, and
-curves never change after construction except for the private slot in
-which the Frenet layer keeps a curve's last grid pass, a result the
-evaluator would give again.
+curves never change after construction except for two private slots,
+each holding a result the evaluator would give again: the last array
+evaluation, from which a scalar call at one of its parameters takes its
+row, and the Frenet layer's last grid pass.
 """
 
 from __future__ import annotations
@@ -76,10 +77,13 @@ class Curve:
     :func:`eval_derivatives` for the domain-, order- and shape-checked
     entry point; it also takes a scalar, as the one-row case.
 
-    ``_frenet_memo`` is a one-item list in which :mod:`focalframe.frenet`
-    keeps the curve's last grid pass. It takes no part in construction,
+    Two private one-item lists keep results the evaluator would give
+    again. ``_eval_memo`` holds the last array evaluation of
+    :func:`eval_derivatives`: its order, its parameters and a read-only
+    copy of its output. ``_frenet_memo`` is where :mod:`focalframe.frenet`
+    keeps the curve's last grid pass. Neither takes part in construction,
     equality, hashing or ``repr``, so ``dataclasses.replace`` gives a curve
-    with an empty slot.
+    with empty slots.
     """
 
     dimension: int
@@ -88,6 +92,8 @@ class Curve:
     max_order: int
     evaluator: Callable[[np.ndarray, int], np.ndarray] = field(repr=False)
     label: str = ""
+    _eval_memo: list = field(default_factory=lambda: [None], init=False, repr=False,
+                             compare=False)
     _frenet_memo: list = field(default_factory=lambda: [None], init=False, repr=False,
                                compare=False)
 
@@ -127,6 +133,13 @@ def eval_derivatives(curve: Curve, t, order: int) -> np.ndarray:
     A 1-d array of N parameters gives shape (N, order + 1, dimension) from
     one evaluator call; a scalar ``t`` is its one-row case and gives
     (order + 1, dimension).
+
+    The curve keeps its last array evaluation. A scalar call at the same
+    order whose float64 bytes equal one of its parameters (so ``-0.0`` and
+    ``0.0`` differ) returns a copy of that row without calling the
+    evaluator. The row has the bits a fresh scalar call would give, because
+    a scalar call is the one-row case of the array call. Kept parameters
+    passed the domain check, so NaN and out-of-domain scalars never match.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
@@ -134,14 +147,27 @@ def eval_derivatives(curve: Curve, t, order: int) -> np.ndarray:
         raise OrderUnsupported(
             f"order {order} exceeds max_order {curve.max_order} of this {curve.kind} curve"
         )
-    ts = np.asarray(t, dtype=float)
-    scalar = ts.ndim == 0
-    ts = _check_domain(curve, ts.reshape(1) if scalar else ts)
+    given = np.asarray(t, dtype=float)
+    scalar = given.ndim == 0
+    if scalar:
+        kept = curve._eval_memo[0]
+        if kept is not None and kept[0] == order:
+            hit = np.flatnonzero(kept[1] == given.view(np.uint64))
+            if hit.size:
+                return kept[2][hit[0]].copy()
+    ts = _check_domain(curve, given.reshape(1) if scalar else given)
     shape = (ts.size, order + 1, curve.dimension)
     out = np.asarray(curve.evaluator(ts, order), dtype=float)
     if out.shape != shape:
         raise RuntimeError(f"evaluator returned shape {out.shape}, expected {shape}")
-    return out[0] if scalar else out
+    if scalar:
+        return out[0]
+    rows = out.copy()
+    rows.setflags(write=False)
+    # One store of a whole entry, so a reader never pairs one call's
+    # parameters with another call's rows.
+    curve._eval_memo[0] = (order, given.view(np.uint64).copy(), rows)
+    return out
 
 
 def _probe_regularity(curve: Curve) -> None:
@@ -473,8 +499,7 @@ class _ArclengthMap:
     coefficients in x, so that a Newton step over any number of points is
     a fixed handful of array operations. Each span also keeps the three
     coefficients of its Newton start (:func:`_inverse_quadratic`), gathered
-    with the span's other data; ``linear`` is set when no span has any,
-    as on a constant-speed curve.
+    with the span's other data.
     """
 
     def __init__(self, curve: Curve, edges: np.ndarray):
@@ -498,8 +523,6 @@ class _ArclengthMap:
         width = np.maximum(np.diff(self.cum), 1e-300)
         guess = _inverse_quadratic(self.poly[:, :, 0], width)
         self.span = np.column_stack([self.cum[:-1], width, edges[:-1], half, guess])
-        # no span of a constant-speed curve has a correction to evaluate
-        self.linear = not guess.any()
 
     def invert(self, s: np.ndarray) -> np.ndarray:
         """Parameters at the arclengths ``s`` (a 1-d array).
@@ -520,10 +543,7 @@ class _ArclengthMap:
         poly = self.poly[i]
         target = s - s_lo
         sig = target / width
-        if self.linear:  # the same values as the next line with c = 0, fewer calls
-            x = -1.0 + sig * 2.0
-        else:
-            x = -1.0 + sig * (2.0 + (1.0 - sig) * (c0 + sig * (c1 + sig * c2)))
+        x = -1.0 + sig * (2.0 + (1.0 - sig) * (c0 + sig * (c1 + sig * c2)))
         x = np.minimum(np.maximum(x, -1.0), 1.0)
         lo, hi = -1.0, 1.0  # arrays after the first step
         active = np.arange(s.size)

@@ -9,8 +9,12 @@ the osculating-center conditions on the squared-distance family directly:
 its first m+1 parameter derivatives vanish at the center, which is a
 plain linear system in the center coordinates. Tests and the acceptance
 gate hold the two routes against each other; neither may be rewired to
-call the other. The focal curve and the frame-relation check both read
-the one :class:`FocalData` table that a grid's recursion produces.
+call the other. The oracle at a row of a focal table takes its
+derivatives from the array evaluation that the curve keeps (see
+:func:`focalframe.curves.eval_derivatives`): bit for bit what a fresh
+scalar call gives, and nothing of the recursion's frames or curvatures.
+The focal curve and the frame-relation check both read the one
+:class:`FocalData` table that a grid's recursion produces.
 """
 
 from __future__ import annotations
@@ -108,7 +112,10 @@ def osculating_center_oracle(curve: Curve, s: float) -> np.ndarray:
     has m+1 parameter derivatives that all vanish exactly at the center;
     each is affine in the center once the curve derivatives are known, so
     the center solves a dense (m+1)-square linear system. Serves as the
-    independent oracle for the recursion route.
+    independent oracle for the recursion route. At a parameter of the
+    curve's last array evaluation at order m+1, such as a row of
+    :func:`focal_curvatures`, the derivatives are that evaluation's row,
+    with the bits of a fresh evaluation, so no oracle call is made.
     """
     derivs = eval_derivatives(curve, s, curve.dimension)
     return solve_linear(derivs[1:], _center_rhs(derivs))

@@ -18,6 +18,7 @@ same grid and order share one table.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
@@ -210,13 +211,21 @@ def classify(curve: Curve, grid=None, tol: float = DEFAULT_CLASSIFY_TOL) -> Clas
     return classify_curvatures(frenet_grid(curve, grid).curvatures, tol)
 
 
+def _check_tol(tol: float, name: str = "tol") -> None:
+    """Raise ValueError unless 0 < ``tol`` < inf (so NaN fails too)."""
+    if not 0 < tol < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {tol!r}")
+
+
 def classify_curvatures(curvatures, tol: float = DEFAULT_CLASSIFY_TOL) -> Classification:
     """Constant-curvature and constant-ratio verdicts on (N, d-1) curvature rows.
 
     The rows pass the constant-curvature test when every curvature's
-    relative spread stays below ``tol``; they pass the constant-ratio test
-    when every consecutive curvature ratio does.
+    relative spread stays below ``tol``, which must be positive and finite;
+    they pass the constant-ratio test when every consecutive curvature
+    ratio does.
     """
+    _check_tol(tol)
     K = np.asarray(curvatures, dtype=float)
     means = K.mean(axis=0)
     if np.any(np.abs(means) < 1e-12):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import Curve, as_unit_speed
-from .frenet import _report_dict, frenet_grid
+from .frenet import _check_tol, _report_dict, frenet_grid
 from .focal import END_TRIM, _sampled_focal_curve, focal_curvatures
 from .linalg import as_vector
 from .numdiff import grid_derivative
@@ -124,12 +124,20 @@ class SlantReport:
 
 
 def slant_reports(curve: Curve, ks, grid=None, tol: float | None = None) -> list[SlantReport]:
-    """Slant verdicts for each index in ``ks`` from one Frenet pass over the grid."""
+    """Slant verdicts for each index in ``ks`` from one Frenet pass over the grid.
+
+    Each k must be an integer (Python or numpy) in [1, m + 1], and ``tol``
+    positive and finite when given.
+    """
     if grid is None:
         grid = curve.grid(256)
     if tol is None:
         tol = default_slant_tol(curve)
+    _check_tol(tol)
     m, ks = curve.dimension - 1, list(ks)
+    bad = [k for k in ks if not isinstance(k, (int, np.integer))]
+    if bad:
+        raise ValueError(f"k must be an integer, got {bad[0]!r}")
     bad = [k for k in ks if not 1 <= k <= m + 1]
     if bad:
         raise ValueError(f"k must lie in [1, {m + 1}], got {bad[0]}")
@@ -175,12 +183,16 @@ def coefficient_residuals(curve: Curve, U, grid) -> ResidualTable:
     The direction is expanded over the moving frame; the residuals combine
     each coefficient's grid derivative with the curvature coupling of its
     neighbors. Differentiation is along the curve's own parameter, so feed
-    a unit-speed curve when the exact identities are wanted.
+    a unit-speed curve when the exact identities are wanted. A zero
+    direction raises ValueError.
     """
     ss = np.asarray(grid, dtype=float)
     m = curve.dimension - 1
     axis = as_vector(U, curve.dimension)
-    axis = axis / np.linalg.norm(axis)
+    norm = np.linalg.norm(axis)
+    if norm == 0.0:
+        raise ValueError("direction must be nonzero")
+    axis = axis / norm
     data = frenet_grid(curve, ss, order=m + 1)
     a = data.frame @ axis     # (N, m+1)
     kappa = data.curvatures   # (N, m)
@@ -246,8 +258,11 @@ def verify_focal_slants(curve: Curve, ks, grid=None, tol: float | None = None,
     the base pass that the curve keeps), and its verdicts run on an
     interior sub-grid (``END_TRIM`` points trimmed per end) that keeps
     one-sided stencil noise out of the cone statistics. Axis agreement is
-    the angle between the two axes modulo sign.
+    the angle between the two axes modulo sign. ``tol`` and ``focal_tol``
+    must be positive and finite when given.
     """
+    if focal_tol is not None:  # slant_reports checks tol
+        _check_tol(focal_tol, "focal_tol")
     if grid is None:
         grid = curve.grid(256)
     grid = np.asarray(grid, dtype=float)

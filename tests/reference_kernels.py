@@ -1,11 +1,26 @@
-"""Per-row reference kernels that the stacked library kernels are tested against."""
+"""Per-row reference kernels that the stacked library kernels are tested
+against, and a curve that counts its evaluator calls."""
 
 import math
 
 import numpy as np
 
+from focalframe.curves import make_curve
 from focalframe.errors import DegenerateFlag
 from focalframe.linalg import RANK_RTOL
+
+
+def counting_curve(base):
+    """``base`` behind an evaluator that logs ``(rows, order)`` per call."""
+    calls = []
+
+    def evaluator(t, order):
+        calls.append((t.size, order))
+        return base.evaluator(t, order)
+
+    curve = make_curve(base.dimension, base.domain, base.kind, base.max_order, evaluator,
+                       base.label, check_regularity=False)
+    return curve, calls
 
 
 def gram_schmidt(vectors) -> tuple[np.ndarray, np.ndarray]:

@@ -1,6 +1,9 @@
 import copy
+import dataclasses
 import functools
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -30,6 +33,7 @@ from focalframe.errors import (
     RegularityFailure,
 )
 from focalframe.numdiff import fd_weights
+from reference_kernels import counting_curve
 
 SQRT5 = math.sqrt(5.0)
 
@@ -112,22 +116,135 @@ def _synthesized():
     return ff.synthesize_from_curvatures(profile, 3, step=4.0 / 256)
 
 
+def _kind_curve(kind, helix, salkowski, unit_salkowski):
+    return {
+        "analytic": lambda: salkowski,
+        "sampled": lambda: _sampled_helix(helix),
+        "synthesized": _synthesized,
+        "arclength": lambda: unit_salkowski,
+    }[kind]()
+
+
 @pytest.mark.parametrize("kind", ["analytic", "sampled", "synthesized", "arclength"])
 def test_array_call_equals_stacked_scalar_calls(kind, helix, salkowski, unit_salkowski):
-    curve = {
-        "analytic": salkowski,
-        "sampled": _sampled_helix(helix),
-        "synthesized": _synthesized(),
-        "arclength": unit_salkowski,
-    }[kind]
+    curve = _kind_curve(kind, helix, salkowski, unit_salkowski)
     # a scalar call is the one-row case of the array call, so the two agree
-    # exactly, row by row
+    # exactly, row by row; the scalar calls go to a copy of the curve, which
+    # keeps no array evaluation to answer them from
     ts = np.linspace(curve.domain[0], curve.domain[1], 13)
+    fresh = dataclasses.replace(curve)
     for order in range(curve.max_order + 1):
         got = ff.eval_derivatives(curve, ts, order)
         assert got.shape == (ts.size, order + 1, curve.dimension)
         for t, row in zip(ts, got):
-            np.testing.assert_array_equal(ff.eval_derivatives(curve, float(t), order), row)
+            np.testing.assert_array_equal(ff.eval_derivatives(fresh, float(t), order), row)
+
+
+@pytest.mark.parametrize("kind", ["analytic", "sampled", "synthesized", "arclength"])
+def test_kept_rows_equal_fresh_scalar_calls(kind, helix, salkowski, unit_salkowski):
+    curve, calls = counting_curve(_kind_curve(kind, helix, salkowski, unit_salkowski))
+    # a uniform grid, then parameters off it and out of order
+    ts = np.concatenate([curve.grid(37), curve.domain[0] + np.array([0.3, 0.1, 0.7])])
+    order = curve.max_order
+    ff.eval_derivatives(curve, ts, order)
+    assert calls == [(ts.size, order)]
+    hits = [ff.eval_derivatives(curve, float(t), order) for t in ts]
+    assert calls == [(ts.size, order)]  # every scalar call was served from the kept rows
+    fresh = dataclasses.replace(curve)
+    for t, hit in zip(ts, hits):
+        want = ff.eval_derivatives(fresh, float(t), order)
+        np.testing.assert_array_equal(hit, want)
+        assert hit.shape == want.shape and hit.flags.writeable
+    assert len(calls) == 1 + ts.size
+
+
+def test_oracle_rows_of_a_focal_table_skip_the_evaluator(unit_salkowski):
+    unit, calls = counting_curve(unit_salkowski)
+    table = ff.focal_curvatures(unit, unit.grid(96))
+    assert calls == [(96, 3)]
+    centers = [ff.osculating_center_oracle(unit, fd.s) for fd in table[3:-3]]
+    assert calls == [(96, 3)]
+    fresh = dataclasses.replace(unit)
+    for fd, center in zip(table[3:-3], centers):
+        np.testing.assert_array_equal(center, ff.osculating_center_oracle(fresh, fd.s))
+    assert len(calls) == 1 + 90
+
+
+@pytest.mark.parametrize("miss", ["order", "negative-zero", "one-ulp", "replaced-curve"])
+def test_kept_evaluation_misses(helix, miss):
+    curve, calls = counting_curve(helix)
+    grid = np.linspace(0.0, 2.0, 9)
+    assert grid[0] == 0.0 and not np.signbit(grid[0])
+    ff.eval_derivatives(curve, grid, 3)
+    t, order, target = {
+        "order": (float(grid[4]), 2, curve),
+        "negative-zero": (-0.0, 3, curve),
+        "one-ulp": (float(np.nextafter(grid[4], np.inf)), 3, curve),
+        "replaced-curve": (float(grid[4]), 3, dataclasses.replace(curve)),
+    }[miss]
+    got = ff.eval_derivatives(target, t, order)
+    assert calls == [(9, 3), (1, order)]
+    np.testing.assert_array_equal(got, ff.eval_derivatives(helix, t, order))
+
+
+def test_writing_into_a_kept_row_leaves_the_next_hit_unchanged(helix):
+    curve, calls = counting_curve(helix)
+    grid = helix.grid(16)
+    rows = ff.eval_derivatives(curve, grid, 2)
+    want = rows[5].copy()
+    rows[5] = 0.0  # the caller's array is not the kept one
+    first = ff.eval_derivatives(curve, float(grid[5]), 2)
+    np.testing.assert_array_equal(first, want)
+    first[:] = np.nan
+    np.testing.assert_array_equal(ff.eval_derivatives(curve, float(grid[5]), 2), want)
+    assert calls == [(16, 2)]
+
+
+def test_kept_evaluation_under_threads(helix):
+    # threads that share one curve overwrite its kept evaluation with grids
+    # of other parameters; a scalar call must still get its own row
+    grids = [np.linspace(0.1 * i, 0.1 * i + 1.0, 7) for i in range(6)]
+    fresh = dataclasses.replace(helix)
+    want = {float(t): ff.eval_derivatives(fresh, float(t), 2) for g in grids for t in g}
+    errors = []
+
+    def work(i):
+        try:
+            for j in range(150):
+                grid = grids[(i + j) % len(grids)]
+                ff.eval_derivatives(helix, grid, 2)
+                for t in grid[::2]:
+                    got = ff.eval_derivatives(helix, float(t), 2)
+                    if not np.array_equal(got, want[float(t)]):
+                        errors.append(float(t))
+        except Exception as exc:  # reported through ``errors``
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert errors == []
+
+
+@pytest.mark.parametrize("t", [np.nan, 100.0, -1e-3], ids=repr)
+def test_kept_evaluation_still_checks_the_domain(helix, t):
+    curve, calls = counting_curve(helix)
+    lo, hi = curve.domain
+    # the grid runs past the ends by less than the domain slack
+    ff.eval_derivatives(curve, np.array([lo - 1e-12, 1.0, hi + 1e-12]), 1)
+    with pytest.raises(OutOfDomain):
+        ff.eval_derivatives(curve, t, 1)
+    np.testing.assert_array_equal(ff.eval_derivatives(curve, lo - 1e-12, 1),
+                                  ff.eval_derivatives(helix, lo, 1))
+    assert calls == [(3, 1)]
 
 
 def _trig_reference(coords, t, order):
@@ -448,12 +565,13 @@ def test_start_guess_is_the_linear_guess_where_it_must_be(name):
     curve = _PARITY_CURVES[name]() if name != "steep" else make_curve(
         2, (-1.0, 1.0), "analytic", 3, _steep_speed_evaluator, check_regularity=False)
     amap = curves._ArclengthMap(curve, curve.grid(513))
+    # the same map with every guess correction (c0, c1, c2) zeroed
     linear = copy.copy(amap)
-    linear.linear = True
+    linear.span = amap.span.copy()
+    linear.span[:, 4:7] = 0.0
     np.testing.assert_array_equal(amap.invert(amap.cum), linear.invert(amap.cum))
     if name in ("helix", "wcurve5"):
-        # the interpolant itself, not only the shortcut, gives the linear guess
-        amap.linear = False
+        # the interpolant itself gives the linear guess on every span
         ss = np.linspace(0.0, amap.total, 1001)
         np.testing.assert_array_equal(amap.invert(ss), linear.invert(ss))
 

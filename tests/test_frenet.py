@@ -19,7 +19,7 @@ from focalframe.errors import DegenerateFlag, DivisionGuard, ReducedOrder
 from focalframe.frenet import _alignment_signs
 from focalframe.linalg import gram_schmidt_rows
 from focalframe.numdiff import grid_derivative
-from reference_kernels import gram_schmidt
+from reference_kernels import counting_curve, gram_schmidt
 
 
 def test_circle_apparatus():
@@ -102,6 +102,14 @@ def test_classify_division_guard():
     wiggle = curve_from_coordinates(coords, (0.0, 2 * math.pi))
     with pytest.raises((DivisionGuard, ReducedOrder)):
         ff.classify(wiggle, wiggle.grid(16))
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-6, math.nan, math.inf, -math.inf], ids=repr)
+def test_classify_rejects_a_bad_tolerance(helix, tol):
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        ff.classify(helix, helix.grid(32), tol=tol)
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        ff.classify_curvatures(np.ones((16, 2)), tol)
 
 
 @given(st.floats(0.5, 3.0), st.floats(0.5, 3.0), st.floats(0.3, 2.0))
@@ -363,19 +371,6 @@ def test_frenet_grid_order_validated(helix):
 
 
 # ----------------------------------------------------------- the kept grid pass
-
-def counting_curve(base):
-    """``base`` behind an evaluator that logs ``(rows, order)`` per call."""
-    calls = []
-
-    def evaluator(t, order):
-        calls.append((t.size, order))
-        return base.evaluator(t, order)
-
-    curve = make_curve(base.dimension, base.domain, base.kind, base.max_order, evaluator,
-                       base.label, check_regularity=False)
-    return curve, calls
-
 
 def test_public_calls_on_one_grid_share_one_pass(wcurve5):
     curve, calls = counting_curve(wcurve5)

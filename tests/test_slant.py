@@ -146,6 +146,37 @@ def test_k_range_validated(helix):
         ff.is_k_slant(helix, 4)
 
 
+@pytest.mark.parametrize("k", [1.5, 1.0, np.float64(2.0), "1"], ids=repr)
+def test_slant_reports_reject_a_non_integer_k(helix, k):
+    with pytest.raises(ValueError, match="k must be an integer"):
+        ff.slant_reports(helix, [1, k])
+    with pytest.raises(ValueError, match="k must be an integer"):
+        ff.is_k_slant(helix, k)
+    # numpy integers are integers
+    assert ([r.k for r in ff.slant_reports(helix, [np.int64(1), np.int32(3)])] == [1, 3])
+
+
+BAD_TOLERANCES = [0.0, -1e-6, math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("tol", BAD_TOLERANCES, ids=repr)
+def test_slant_reports_reject_a_bad_tolerance(helix, tol):
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        ff.slant_reports(helix, [1, 2], tol=tol)
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        ff.is_k_slant(helix, 1, tol=tol)
+
+
+@pytest.mark.parametrize("name", ["tol", "focal_tol"])
+@pytest.mark.parametrize("tol", BAD_TOLERANCES, ids=repr)
+def test_verify_focal_slants_reject_a_bad_tolerance(helix, name, tol):
+    # the helix is 1-slant, so a focal verdict runs and would use focal_tol
+    with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
+        ff.verify_focal_slants(helix, [1], **{name: tol})
+    with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
+        ff.verify_focal_slant(helix, 1, **{name: tol})
+
+
 # ------------------------------------------------------- coefficient residuals
 
 def test_residuals_vanish_for_true_axis_in_native_parametrization(helix):
@@ -164,6 +195,13 @@ def test_residuals_vanish_for_any_fixed_direction_at_unit_speed(unit_helix):
     grid = unit_helix.grid(256)
     for u in [(0.0, 0.0, 1.0), (1.0, 0.0, 0.0), (0.3, -0.5, 0.8)]:
         assert ff.coefficient_residuals(unit_helix, u, grid).sup_norm < 1e-6
+
+
+def test_residuals_reject_a_zero_direction(helix):
+    with pytest.raises(ValueError, match="direction must be nonzero"):
+        ff.coefficient_residuals(helix, (0.0, 0.0, 0.0), helix.grid(64))
+    with pytest.raises(ValueError, match="direction must be nonzero"):
+        ff.coefficient_residuals(helix, (-0.0, 0.0, -0.0), helix.grid(64))
 
 
 def test_residual_detector_consistency(unit_salkowski):
