@@ -21,10 +21,8 @@ and slant analyses to reach their stated tolerances; all builtin
 generators are real-analytic.
 
 Everything here is pure and thread-safe: evaluators share no state, and
-curves never change after construction except for two private slots,
-each holding a result the evaluator would give again: the last array
-evaluation, from which a scalar call at one of its parameters takes its
-row, and the Frenet layer's last grid pass.
+curves never change after construction except for one private slot, in
+which the Frenet layer keeps the curve's last grid pass.
 """
 
 from __future__ import annotations
@@ -77,13 +75,11 @@ class Curve:
     :func:`eval_derivatives` for the domain-, order- and shape-checked
     entry point; it also takes a scalar, as the one-row case.
 
-    Two private one-item lists keep results the evaluator would give
-    again. ``_eval_memo`` holds the last array evaluation of
-    :func:`eval_derivatives`: its order, its parameters and a read-only
-    copy of its output. ``_frenet_memo`` is where :mod:`focalframe.frenet`
-    keeps the curve's last grid pass. Neither takes part in construction,
-    equality, hashing or ``repr``, so ``dataclasses.replace`` gives a curve
-    with empty slots.
+    The evaluator returns a fresh array on every call, which callers may
+    keep or mark read-only. The private one-item list ``_frenet_memo`` is
+    where :mod:`focalframe.frenet` keeps the curve's last grid pass. It
+    takes no part in construction, equality, hashing or ``repr``, so
+    ``dataclasses.replace`` gives a curve with an empty slot.
     """
 
     dimension: int
@@ -92,8 +88,6 @@ class Curve:
     max_order: int
     evaluator: Callable[[np.ndarray, int], np.ndarray] = field(repr=False)
     label: str = ""
-    _eval_memo: list = field(default_factory=lambda: [None], init=False, repr=False,
-                             compare=False)
     _frenet_memo: list = field(default_factory=lambda: [None], init=False, repr=False,
                                compare=False)
 
@@ -132,14 +126,9 @@ def eval_derivatives(curve: Curve, t, order: int) -> np.ndarray:
 
     A 1-d array of N parameters gives shape (N, order + 1, dimension) from
     one evaluator call; a scalar ``t`` is its one-row case and gives
-    (order + 1, dimension).
-
-    The curve keeps its last array evaluation. A scalar call at the same
-    order whose float64 bytes equal one of its parameters (so ``-0.0`` and
-    ``0.0`` differ) returns a copy of that row without calling the
-    evaluator. The row has the bits a fresh scalar call would give, because
-    a scalar call is the one-row case of the array call. Kept parameters
-    passed the domain check, so NaN and out-of-domain scalars never match.
+    (order + 1, dimension), with the bits of that row of an array call.
+    Every call checks the order and the domain and calls the evaluator;
+    nothing is kept.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
@@ -147,27 +136,14 @@ def eval_derivatives(curve: Curve, t, order: int) -> np.ndarray:
         raise OrderUnsupported(
             f"order {order} exceeds max_order {curve.max_order} of this {curve.kind} curve"
         )
-    given = np.asarray(t, dtype=float)
-    scalar = given.ndim == 0
-    if scalar:
-        kept = curve._eval_memo[0]
-        if kept is not None and kept[0] == order:
-            hit = np.flatnonzero(kept[1] == given.view(np.uint64))
-            if hit.size:
-                return kept[2][hit[0]].copy()
-    ts = _check_domain(curve, given.reshape(1) if scalar else given)
+    ts = np.asarray(t, dtype=float)
+    scalar = ts.ndim == 0
+    ts = _check_domain(curve, ts.reshape(1) if scalar else ts)
     shape = (ts.size, order + 1, curve.dimension)
     out = np.asarray(curve.evaluator(ts, order), dtype=float)
     if out.shape != shape:
         raise RuntimeError(f"evaluator returned shape {out.shape}, expected {shape}")
-    if scalar:
-        return out[0]
-    rows = out.copy()
-    rows.setflags(write=False)
-    # One store of a whole entry, so a reader never pairs one call's
-    # parameters with another call's rows.
-    curve._eval_memo[0] = (order, given.view(np.uint64).copy(), rows)
-    return out
+    return out[0] if scalar else out
 
 
 def _probe_regularity(curve: Curve) -> None:
@@ -605,11 +581,11 @@ def _substitution_tables(order: int):
             np.array(starts))
 
 
-def reparam_to_arclength(curve: Curve, checkpoints: int = _CHECKPOINTS) -> Curve:
+def reparam_to_arclength(curve: Curve) -> Curve:
     """Same trace, parametrized by arclength starting at 0.
 
     The length table takes one array call to the base oracle (20
-    Gauss-Legendre nodes on each of ``checkpoints`` spans) and raises
+    Gauss-Legendre nodes on each of ``_CHECKPOINTS`` spans) and raises
     :class:`RegularityFailure` at a non-finite or non-positive node speed.
     An evaluation of N arclengths inverts the table for all of them in one
     bracketed Newton solve started from each span's inverse interpolant
@@ -619,7 +595,7 @@ def reparam_to_arclength(curve: Curve, checkpoints: int = _CHECKPOINTS) -> Curve
     by one stacked power-series substitution, so the unit-speed identity
     holds to roundoff rather than to the accuracy of the inversion.
     """
-    amap = _ArclengthMap(curve, curve.grid(checkpoints + 1))
+    amap = _ArclengthMap(curve, curve.grid(_CHECKPOINTS + 1))
 
     def evaluator(s: np.ndarray, order: int) -> np.ndarray:
         base = np.asarray(curve.evaluator(amap.invert(s), max(order, 1)), dtype=float)

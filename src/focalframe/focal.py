@@ -10,9 +10,9 @@ its first m+1 parameter derivatives vanish at the center, which is a
 plain linear system in the center coordinates. Tests and the acceptance
 gate hold the two routes against each other; neither may be rewired to
 call the other. The oracle at a row of a focal table takes its
-derivatives from the array evaluation that the curve keeps (see
-:func:`focalframe.curves.eval_derivatives`): bit for bit what a fresh
-scalar call gives, and nothing of the recursion's frames or curvatures.
+derivatives from the Frenet pass that the curve keeps: the row of the
+derivative stack, bit for bit what a fresh scalar call gives, and nothing
+of the pass's frames or curvatures, nor of the recursion.
 The focal curve and the frame-relation check both read the one
 :class:`FocalData` table that a grid's recursion produces.
 """
@@ -27,7 +27,7 @@ import numpy as np
 
 from .curves import Curve, eval_derivatives, sampled_curve
 from .errors import FocalNotRegular, NotGeneric, NotUnitSpeed, ReducedOrder, RegularityFailure
-from .frenet import FrenetData, RowTable, _alignment_signs, _report_dict, frenet_grid
+from .frenet import FrenetData, RowTable, _alignment_signs, _kept_row, _report_dict, frenet_grid
 from .linalg import solve_linear
 from .numdiff import grid_derivative
 
@@ -112,12 +112,15 @@ def osculating_center_oracle(curve: Curve, s: float) -> np.ndarray:
     has m+1 parameter derivatives that all vanish exactly at the center;
     each is affine in the center once the curve derivatives are known, so
     the center solves a dense (m+1)-square linear system. Serves as the
-    independent oracle for the recursion route. At a parameter of the
-    curve's last array evaluation at order m+1, such as a row of
-    :func:`focal_curvatures`, the derivatives are that evaluation's row,
-    with the bits of a fresh evaluation, so no oracle call is made.
+    independent oracle for the recursion route. At a row of the curve's
+    kept Frenet pass of order m+1, such as a row of
+    :func:`focal_curvatures`, the derivatives are that pass's row, with
+    the bits of a fresh evaluation, so no oracle call is made; nothing
+    else of the pass is read.
     """
-    derivs = eval_derivatives(curve, s, curve.dimension)
+    derivs = _kept_row(curve, s, curve.dimension)
+    if derivs is None:
+        derivs = eval_derivatives(curve, s, curve.dimension)
     return solve_linear(derivs[1:], _center_rhs(derivs))
 
 

@@ -11,8 +11,9 @@ gives one read-only :class:`FrenetData` table: row 0 of the stack as the
 positions, and rows of reduced order flagged, with NaN frames and
 curvatures. :func:`curvature_table` returns it as it is and
 :func:`frenet_grid` raises on its first flagged row; a single point is
-the one-row case. A curve keeps its last pass, so public calls on the
-same grid and order share one table.
+the one-row case. A curve keeps its last pass, derivative stack
+included, so public calls on the same grid and order share one table and
+a one-point call at a kept row can read its derivatives.
 """
 
 from __future__ import annotations
@@ -126,21 +127,28 @@ def _alignment_signs(frames: np.ndarray) -> np.ndarray:
     return run * np.take_along_axis(run, restart, axis=0)
 
 
+def _as_int(value, name: str) -> int:
+    """``value`` as an int; ValueError unless it is a Python or numpy integer."""
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _frenet_pass(curve: Curve, grid, order: int | None) -> FrenetData:
     """One oracle call and one stacked Gram-Schmidt over a grid.
 
-    The curve keeps its last pass: a call with the same order and a grid of
-    the same float64 bytes (so ``-0.0`` and ``0.0`` differ) returns it
-    instead of evaluating again. Every array of a pass is read-only,
+    The curve keeps its last pass, with the derivative stack it evaluated:
+    a call with the same order and a grid of the same float64 bytes (so
+    ``-0.0`` and ``0.0`` differ) returns it instead of evaluating again, and
+    :func:`_kept_row` reads its rows. Every array of a pass is read-only,
     because every later caller shares it.
     """
-    d = curve.dimension if order is None else int(order)
+    d = curve.dimension if order is None else _as_int(order, "order")
     if not 2 <= d <= curve.dimension:
         raise ValueError(f"order must lie in [2, {curve.dimension}], got {d}")
     ss = np.array(grid, dtype=float)
     key = (d, ss.shape, ss.tobytes())
-    memo = curve._frenet_memo
-    last = memo[0]
+    last = curve._frenet_memo[0]
     if last is not None and last[0] == key:
         return last[1]
     derivs = eval_derivatives(curve, ss, d)
@@ -155,22 +163,41 @@ def _frenet_pass(curve: Curve, grid, order: int | None) -> FrenetData:
         frames[flagged] = np.nan
     frames *= _alignment_signs(frames)[:, :, None]
     speed = np.where(reduced == 1, np.nan, norms[:, 0])
-    table = FrenetData(ss, derivs[:, 0].copy(), speed, frames, curvatures, reduced)
-    for a in (ss, table.point, speed, frames, curvatures, reduced):
+    for a in (ss, derivs, speed, frames, curvatures, reduced):
         a.setflags(write=False)
+    table = FrenetData(ss, derivs[:, 0], speed, frames, curvatures, reduced)
     # One store of a whole entry: threads that miss together compute equal
     # passes, and a reader never sees a key paired with another grid's pass.
-    memo[0] = (key, table)
+    curve._frenet_memo[0] = (key, table, derivs)
     return table
+
+
+def _kept_row(curve: Curve, s, order: int) -> np.ndarray | None:
+    """Rows 0..order of the derivative stack at ``s`` from the curve's kept
+    pass, read-only, or None.
+
+    A row is kept only when the pass was made at ``order`` and the float64
+    bytes of ``s`` equal one of its parameters, the byte rule of the pass
+    key. Kept parameters passed the domain check, so NaN never matches. The
+    row has the bits of ``eval_derivatives(curve, s, order)``, because a
+    scalar call is the one-row case of the array call.
+    """
+    last = curve._frenet_memo[0]
+    t = np.asarray(s, dtype=float)
+    if last is None or last[0][0] != order or t.ndim:
+        return None
+    hit = np.flatnonzero(last[1].s.view(np.uint64) == t.view(np.uint64))
+    return last[2][hit[0]] if hit.size else None
 
 
 def frenet_grid(curve: Curve, grid, order: int | None = None) -> FrenetData:
     """Sign-aligned Frenet data over a parameter grid, every row of full order.
 
-    Osculating order ``order`` defaults to the ambient dimension (a generic
-    curve). Raises ReducedOrder with the failing derivative index and
-    parameter of the first grid row whose derivatives stop being linearly
-    independent. Otherwise returns the table of :func:`curvature_table`.
+    Osculating order ``order``, a Python or numpy integer, defaults to the
+    ambient dimension (a generic curve). Raises ReducedOrder with the
+    failing derivative index and parameter of the first grid row whose
+    derivatives stop being linearly independent. Otherwise returns the
+    table of :func:`curvature_table`.
     """
     table = _frenet_pass(curve, grid, order)
     bad = np.flatnonzero(table.reduced_order)
@@ -223,10 +250,13 @@ def classify_curvatures(curvatures, tol: float = DEFAULT_CLASSIFY_TOL) -> Classi
     The rows pass the constant-curvature test when every curvature's
     relative spread stays below ``tol``, which must be positive and finite;
     they pass the constant-ratio test when every consecutive curvature
-    ratio does.
+    ratio does. Raises ValueError unless there is at least one row and one
+    curvature.
     """
     _check_tol(tol)
     K = np.asarray(curvatures, dtype=float)
+    if K.ndim != 2 or not K.size:
+        raise ValueError(f"expected a nonempty (N, d-1) array of curvatures, got shape {K.shape}")
     means = K.mean(axis=0)
     if np.any(np.abs(means) < 1e-12):
         raise DivisionGuard("a curvature mean is below 1e-12; ratios are meaningless")

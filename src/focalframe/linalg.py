@@ -81,13 +81,13 @@ def solve_linear(A, b) -> np.ndarray:
     """Solve the square system ``A x = b`` with LAPACK.
 
     Raises SingularSystem when the smallest singular value of ``A`` is at
-    or below ``1e-13 * ||A||_F``; raises ValueError on a non-square matrix,
-    a mismatched right-hand side or non-finite entries.
+    or below ``1e-13 * ||A||_F``; raises ValueError on an empty or
+    non-square matrix, a mismatched right-hand side or non-finite entries.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {A.shape}")
+    if A.ndim != 2 or A.shape[0] != A.shape[1] or not A.size:
+        raise ValueError(f"expected a nonempty square matrix, got shape {A.shape}")
     n = A.shape[0]
     if b.shape != (n,):
         raise ValueError(f"right-hand side shape {b.shape} does not match system size {n}")

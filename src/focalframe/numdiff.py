@@ -66,8 +66,8 @@ def grid_derivative(values, ts, window: int = 5) -> np.ndarray:
     Interior points get centered ``window``-point stencils (for an odd
     ``window``); the ``window // 2`` points at each end get the one-sided
     ``window``-point stencils that fall out of the same weight recursion.
-    Nodes need not be uniform; all stencils come from one stacked weight
-    call.
+    Nodes need not be uniform, but must be strictly monotone (increasing
+    or decreasing); all stencils come from one stacked weight call.
     """
     y = np.asarray(values, dtype=float)
     t = np.asarray(ts, dtype=float)
@@ -76,6 +76,10 @@ def grid_derivative(values, ts, window: int = 5) -> np.ndarray:
         raise ValueError("values and ts disagree in length")
     if n < window:
         raise ValueError(f"need at least {window} grid points, got {n}")
+    # every step has the sign of the whole run; a repeat, a step back or a NaN does not
+    bad = np.flatnonzero(~(np.diff(t) * np.sign(t[-1] - t[0]) > 0)) + 1
+    if bad.size:
+        raise ValueError(f"grid must be strictly monotone; t={float(t[bad[0]])!r} breaks it")
     idx = window_starts(n, np.arange(n), window)[:, None] + np.arange(window)
     w = fd_weights(t[idx], t, 1)[:, 1]
     return np.einsum("nw,nw...->n...", w, y[idx])

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import Curve, as_unit_speed
-from .frenet import _check_tol, _report_dict, frenet_grid
+from .frenet import _as_int, _check_tol, _report_dict, frenet_grid
 from .focal import END_TRIM, _sampled_focal_curve, focal_curvatures
 from .linalg import as_vector
 from .numdiff import grid_derivative
@@ -135,10 +135,7 @@ def slant_reports(curve: Curve, ks, grid=None, tol: float | None = None) -> list
         tol = default_slant_tol(curve)
     _check_tol(tol)
     m, ks = curve.dimension - 1, list(ks)
-    bad = [k for k in ks if not isinstance(k, (int, np.integer))]
-    if bad:
-        raise ValueError(f"k must be an integer, got {bad[0]!r}")
-    bad = [k for k in ks if not 1 <= k <= m + 1]
+    bad = [k for k in ks if not 1 <= _as_int(k, "k") <= m + 1]
     if bad:
         raise ValueError(f"k must lie in [1, {m + 1}], got {bad[0]}")
     frames = frenet_grid(curve, grid, order=m + 1)
@@ -212,18 +209,15 @@ def theorem_target_index(k: int, m: int) -> int:
     """Slant index of the focal curve given slant index k of the base curve.
 
     The tangent cone moves to the last frame vector, the last frame vector
-    moves to the tangent, and every interior index k reflects to m - k + 2.
-    The interior map is an involution on 2..m. The reflection is often
-    stated only for the open range 2 < k < m, but it holds on the closed
-    range 2 <= k <= m, which is what is implemented; reports carry a note
-    when k lands on the boundary.
+    moves to the tangent, and every interior index k reflects to m - k + 2:
+    all three are the one reflection k -> m - k + 2, an involution on
+    1..m+1. The interior reflection is often stated only for the open range
+    2 < k < m, but it holds on the closed range 2 <= k <= m, which is what
+    is implemented; reports carry a note when k lands on the boundary.
+    Raises ValueError unless k is a Python or numpy integer in [1, m + 1].
     """
-    if not 1 <= k <= m + 1:
+    if not 1 <= _as_int(k, "k") <= m + 1:
         raise ValueError(f"k must lie in [1, {m + 1}], got {k}")
-    if k == 1:
-        return m + 1
-    if k == m + 1:
-        return 1
     return m - k + 2
 
 

@@ -32,6 +32,7 @@ from focalframe.errors import (
     OutOfDomain,
     RegularityFailure,
 )
+from focalframe.frenet import _kept_row
 from focalframe.numdiff import fd_weights
 from reference_kernels import counting_curve
 
@@ -125,41 +126,58 @@ def _kind_curve(kind, helix, salkowski, unit_salkowski):
     }[kind]()
 
 
-@pytest.mark.parametrize("kind", ["analytic", "sampled", "synthesized", "arclength"])
+KINDS = ["analytic", "sampled", "synthesized", "arclength"]
+
+
+@pytest.mark.parametrize("kind", KINDS)
 def test_array_call_equals_stacked_scalar_calls(kind, helix, salkowski, unit_salkowski):
     curve = _kind_curve(kind, helix, salkowski, unit_salkowski)
     # a scalar call is the one-row case of the array call, so the two agree
-    # exactly, row by row; the scalar calls go to a copy of the curve, which
-    # keeps no array evaluation to answer them from
+    # exactly, row by row
     ts = np.linspace(curve.domain[0], curve.domain[1], 13)
-    fresh = dataclasses.replace(curve)
     for order in range(curve.max_order + 1):
         got = ff.eval_derivatives(curve, ts, order)
         assert got.shape == (ts.size, order + 1, curve.dimension)
         for t, row in zip(ts, got):
-            np.testing.assert_array_equal(ff.eval_derivatives(fresh, float(t), order), row)
+            np.testing.assert_array_equal(ff.eval_derivatives(curve, float(t), order), row)
 
 
-@pytest.mark.parametrize("kind", ["analytic", "sampled", "synthesized", "arclength"])
+def test_scalar_calls_always_evaluate(helix):
+    curve, calls = counting_curve(helix)
+    grid = curve.grid(9)
+    ff.eval_derivatives(curve, grid, 3)
+    for t in grid:
+        ff.eval_derivatives(curve, float(t), 3)
+    assert calls == [(9, 3)] + [(1, 3)] * 9
+
+
+@pytest.mark.parametrize("kind", KINDS)
 def test_kept_rows_equal_fresh_scalar_calls(kind, helix, salkowski, unit_salkowski):
     curve, calls = counting_curve(_kind_curve(kind, helix, salkowski, unit_salkowski))
     # a uniform grid, then parameters off it and out of order
     ts = np.concatenate([curve.grid(37), curve.domain[0] + np.array([0.3, 0.1, 0.7])])
-    order = curve.max_order
-    ff.eval_derivatives(curve, ts, order)
+    order = curve.dimension
+    ff.curvature_table(curve, ts)
+    rows = [_kept_row(curve, float(t), order) for t in ts]
     assert calls == [(ts.size, order)]
-    hits = [ff.eval_derivatives(curve, float(t), order) for t in ts]
-    assert calls == [(ts.size, order)]  # every scalar call was served from the kept rows
-    fresh = dataclasses.replace(curve)
-    for t, hit in zip(ts, hits):
-        want = ff.eval_derivatives(fresh, float(t), order)
-        np.testing.assert_array_equal(hit, want)
-        assert hit.shape == want.shape and hit.flags.writeable
-    assert len(calls) == 1 + ts.size
+    for t, row in zip(ts, rows):
+        np.testing.assert_array_equal(row, ff.eval_derivatives(curve, float(t), order))
+        assert row.shape == (order + 1, curve.dimension) and not row.flags.writeable
 
 
-def test_oracle_rows_of_a_focal_table_skip_the_evaluator(unit_salkowski):
-    unit, calls = counting_curve(unit_salkowski)
+def _unit_kind_curve(kind, unit_salkowski):
+    helix = ff.make_helix(0.6, 0.8)
+    return {
+        "analytic": lambda: helix,
+        "sampled": lambda: _sampled_helix(helix),
+        "synthesized": _synthesized,
+        "arclength": lambda: unit_salkowski,
+    }[kind]()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_oracle_rows_of_a_focal_table_skip_the_evaluator(kind, unit_salkowski):
+    unit, calls = counting_curve(_unit_kind_curve(kind, unit_salkowski))
     table = ff.focal_curvatures(unit, unit.grid(96))
     assert calls == [(96, 3)]
     centers = [ff.osculating_center_oracle(unit, fd.s) for fd in table[3:-3]]
@@ -175,46 +193,47 @@ def test_kept_evaluation_misses(helix, miss):
     curve, calls = counting_curve(helix)
     grid = np.linspace(0.0, 2.0, 9)
     assert grid[0] == 0.0 and not np.signbit(grid[0])
-    ff.eval_derivatives(curve, grid, 3)
-    t, order, target = {
-        "order": (float(grid[4]), 2, curve),
-        "negative-zero": (-0.0, 3, curve),
-        "one-ulp": (float(np.nextafter(grid[4], np.inf)), 3, curve),
-        "replaced-curve": (float(grid[4]), 3, dataclasses.replace(curve)),
+    order = 2 if miss == "order" else 3
+    ff.curvature_table(curve, grid, order=order)
+    t, target = {
+        "order": (float(grid[4]), curve),
+        "negative-zero": (-0.0, curve),
+        "one-ulp": (float(np.nextafter(grid[4], np.inf)), curve),
+        "replaced-curve": (float(grid[4]), dataclasses.replace(curve)),
     }[miss]
-    got = ff.eval_derivatives(target, t, order)
-    assert calls == [(9, 3), (1, order)]
-    np.testing.assert_array_equal(got, ff.eval_derivatives(helix, t, order))
+    got = ff.osculating_center_oracle(target, t)
+    assert calls == [(9, order), (1, 3)]
+    np.testing.assert_array_equal(got, ff.osculating_center_oracle(dataclasses.replace(helix), t))
 
 
 def test_writing_into_a_kept_row_leaves_the_next_hit_unchanged(helix):
-    curve, calls = counting_curve(helix)
-    grid = helix.grid(16)
-    rows = ff.eval_derivatives(curve, grid, 2)
-    want = rows[5].copy()
-    rows[5] = 0.0  # the caller's array is not the kept one
-    first = ff.eval_derivatives(curve, float(grid[5]), 2)
-    np.testing.assert_array_equal(first, want)
-    first[:] = np.nan
-    np.testing.assert_array_equal(ff.eval_derivatives(curve, float(grid[5]), 2), want)
-    assert calls == [(16, 2)]
+    curve = dataclasses.replace(helix)
+    table = ff.curvature_table(curve, curve.grid(16))
+    t = float(table.s[5])
+    row = _kept_row(curve, t, 3)
+    want = ff.eval_derivatives(curve, t, 3)
+    # the kept row is read-only, and so is the table's point, a view of it
+    with pytest.raises(ValueError, match="read-only"):
+        row[0] = 0.0
+    assert not table.point.flags.writeable and np.shares_memory(table.point, row)
+    np.testing.assert_array_equal(_kept_row(curve, t, 3), want)
 
 
 def test_kept_evaluation_under_threads(helix):
-    # threads that share one curve overwrite its kept evaluation with grids
-    # of other parameters; a scalar call must still get its own row
+    # threads that share one curve overwrite its kept pass with grids of
+    # other parameters; an oracle call must still get its own row
     grids = [np.linspace(0.1 * i, 0.1 * i + 1.0, 7) for i in range(6)]
     fresh = dataclasses.replace(helix)
-    want = {float(t): ff.eval_derivatives(fresh, float(t), 2) for g in grids for t in g}
+    want = {float(t): ff.osculating_center_oracle(fresh, float(t)) for g in grids for t in g}
     errors = []
 
     def work(i):
         try:
             for j in range(150):
                 grid = grids[(i + j) % len(grids)]
-                ff.eval_derivatives(helix, grid, 2)
+                ff.curvature_table(helix, grid)
                 for t in grid[::2]:
-                    got = ff.eval_derivatives(helix, float(t), 2)
+                    got = ff.osculating_center_oracle(helix, float(t))
                     if not np.array_equal(got, want[float(t)]):
                         errors.append(float(t))
         except Exception as exc:  # reported through ``errors``
@@ -239,12 +258,14 @@ def test_kept_evaluation_still_checks_the_domain(helix, t):
     curve, calls = counting_curve(helix)
     lo, hi = curve.domain
     # the grid runs past the ends by less than the domain slack
-    ff.eval_derivatives(curve, np.array([lo - 1e-12, 1.0, hi + 1e-12]), 1)
+    ff.curvature_table(curve, np.array([lo - 1e-12, 1.0, hi + 1e-12]))
+    assert _kept_row(curve, t, 3) is None
     with pytest.raises(OutOfDomain):
-        ff.eval_derivatives(curve, t, 1)
-    np.testing.assert_array_equal(ff.eval_derivatives(curve, lo - 1e-12, 1),
-                                  ff.eval_derivatives(helix, lo, 1))
-    assert calls == [(3, 1)]
+        ff.osculating_center_oracle(curve, t)
+    # a kept parameter within the slack gives the row of the clamped one
+    np.testing.assert_array_equal(_kept_row(curve, lo - 1e-12, 3),
+                                  ff.eval_derivatives(helix, lo, 3))
+    assert calls == [(3, 3)]
 
 
 def _trig_reference(coords, t, order):
@@ -341,7 +362,7 @@ def test_reparam_sampled_curve(helix, unit_helix):
 
 def test_reparam_synthesized_curve():
     syn = _synthesized()  # already unit speed, domain [0, 4]
-    unit = ff.reparam_to_arclength(syn, checkpoints=64)
+    unit = ff.reparam_to_arclength(syn)
     assert unit.domain[1] == pytest.approx(4.0, abs=1e-8)
     for s in (0.5, 2.0, 3.5):
         np.testing.assert_allclose(unit.point(s), syn.point(s), atol=1e-8)

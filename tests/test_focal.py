@@ -348,6 +348,14 @@ def test_relations_match_row_loop_exactly(name, n, unit_helix, ellipse_arc):
         assert table.is_vertex.any() and want.n_interior < n - 2 * 3
 
 
+def test_repeated_grid_parameters_are_an_input_error(unit_salkowski):
+    grid = np.repeat(unit_salkowski.grid(40), 2)
+    with pytest.raises(ValueError, match="strictly monotone; t=0.0 breaks it"):
+        ff.focal_curvatures(unit_salkowski, grid)
+    with pytest.raises(ValueError, match="strictly monotone; t=0.0 breaks it"):
+        ff.focal_relations_check(unit_salkowski, grid)
+
+
 def test_relations_reject_a_table_from_another_grid(unit_helix):
     table = ff.focal_curvatures(unit_helix, unit_helix.grid(128))
     with pytest.raises(ValueError):

@@ -17,8 +17,9 @@ from focalframe.curves import (
 )
 from focalframe.errors import DegenerateFlag, DivisionGuard, ReducedOrder
 from focalframe.frenet import _alignment_signs
-from focalframe.linalg import gram_schmidt_rows
+from focalframe.linalg import gram_schmidt_rows, solve_linear
 from focalframe.numdiff import grid_derivative
+from focalframe.slant import theorem_target_index
 from reference_kernels import counting_curve, gram_schmidt
 
 
@@ -110,6 +111,19 @@ def test_classify_rejects_a_bad_tolerance(helix, tol):
         ff.classify(helix, helix.grid(32), tol=tol)
     with pytest.raises(ValueError, match="tol must be positive and finite"):
         ff.classify_curvatures(np.ones((16, 2)), tol)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: ff.classify_curvatures(np.ones(16)),
+    lambda: ff.classify_curvatures(np.ones((0, 2))),
+    lambda: ff.classify_curvatures(np.ones((16, 0))),
+    lambda: solve_linear(np.zeros((0, 0)), np.zeros(0)),
+    lambda: theorem_target_index(1.5, 3),
+], ids=["classify-1d", "classify-no-rows", "classify-no-curvatures", "solve-0x0",
+        "target-index-1.5"])
+def test_documented_value_errors(call):
+    with pytest.raises(ValueError):
+        call()
 
 
 @given(st.floats(0.5, 3.0), st.floats(0.5, 3.0), st.floats(0.3, 2.0))
@@ -368,6 +382,19 @@ def test_frenet_grid_order_validated(helix):
     for order in (1, 4):
         with pytest.raises(ValueError):
             ff.frenet_grid(helix, helix.grid(8), order)
+
+
+@pytest.mark.parametrize("order", [2.5, np.float64(2.0)], ids=repr)
+@pytest.mark.parametrize("call", [
+    lambda curve, order: ff.frenet_grid(curve, curve.grid(8), order),
+    lambda curve, order: ff.curvature_table(curve, curve.grid(8), order),
+    lambda curve, order: ff.frenet_apparatus(curve, 0.5, order),
+], ids=["frenet_grid", "curvature_table", "frenet_apparatus"])
+def test_frenet_calls_reject_a_non_integer_order(helix, call, order):
+    curve = dataclasses.replace(helix)
+    with pytest.raises(ValueError, match="order must be an integer"):
+        call(curve, order)
+    assert call(curve, np.int64(2)).frame.shape[-2] == 2
 
 
 # ----------------------------------------------------------- the kept grid pass

@@ -106,6 +106,18 @@ def test_fd_weights_shape_checks():
         fd_weights(np.arange(2.0)[None], np.zeros(1), 2)
 
 
+def test_grid_derivative_needs_strictly_monotone_parameters():
+    t = np.linspace(0.0, 1.0, 12)
+    y = np.sin(t)
+    np.testing.assert_allclose(grid_derivative(y[::-1], t[::-1]), grid_derivative(y, t)[::-1],
+                               rtol=1e-12)
+    # a repeat at the start and in the middle, and a step back
+    for bad, named in [(np.repeat(t, 2), 0.0), (np.r_[t[:5], t[4:]], t[4]),
+                       (np.r_[t[:6], t[4], t[7:]], t[4])]:
+        with pytest.raises(ValueError, match=f"strictly monotone; t={float(named)!r} breaks it"):
+            grid_derivative(np.sin(bad), bad)
+
+
 def test_grid_derivative_nonuniform_matches_row_loop():
     rng = np.random.default_rng(5)
     t = np.cumsum(rng.uniform(0.01, 0.05, 60))
