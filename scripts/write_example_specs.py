@@ -28,6 +28,16 @@ SPECS = {
         "params": {"radii": [1.0, 1.0], "frequencies": [1.0, 2.0], "pitch": 1.0},
         "domain": [0.0, 2 * math.pi],
     },
+    "wcurve6.json": {
+        "type": "wcurve", "dim": 6,
+        "params": {"radii": [1.0, 0.8, 0.6], "frequencies": [1.0, 2.0, 3.0]},
+        "domain": [0.0, 2 * math.pi],
+    },
+    "wcurve7.json": {
+        "type": "wcurve", "dim": 7,
+        "params": {"radii": [1.0, 0.8, 0.6], "frequencies": [1.0, 2.0, 3.0], "pitch": 1.0},
+        "domain": [0.0, 2 * math.pi],
+    },
     "constant_curvatures.json": {
         "type": "curvatures", "dim": 3, "params": {},
         "domain": [0.0, 10.0],

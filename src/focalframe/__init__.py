@@ -30,6 +30,7 @@ from .errors import (
     FocalFrameError,
     FocalNotRegular,
     InvalidProfile,
+    MethodLimit,
     NonOrthonormalFrame,
     NotGeneric,
     NotUnitSpeed,

@@ -58,7 +58,16 @@ _EXPM_THETA = 0.25
 _EXPM_TOL = 1e-17
 _GAUSS_OFFSETS = 0.5 + np.array([-1.0, 1.0]) * math.sqrt(3.0) / 6.0
 _TWO_PI = 2.0 * math.pi
-_CHECKPOINTS = 512
+_START_SPANS = 32
+# The most spans one length table evaluates, split ones included: 512 spans
+# of 20 nodes, the cost of the fixed table that the tail rule replaced.
+_MAX_SPANS = 512
+# A span splits while the larger of its last two Legendre coefficients of the
+# speed exceeds this fraction of its largest one. Roundoff alone leaves them
+# near (19 + 1/2) eps = 4.3e-15, measured at 3.9e-15 to 5.5e-15 on every
+# analytic family at 4-64 spans; a smooth curve's tail sinks to that floor,
+# while a speed that switches stencils inside a span never does.
+_TAIL_RTOL = 1e-13
 _NEWTON_STEPS = 60
 _UNIT_SPEED_PROBES = 17
 _UNIT_SPEED_TOL = 1e-8
@@ -418,8 +427,12 @@ def _legendre_to_power(degree: int) -> np.ndarray:
     return table
 
 
-# On a span of 1/512 of the domain the Legendre coefficients decay fast, so
-# the power form loses nothing that the Newton stop rule can see.
+# Newton evaluates each span in power form. The tail rule leaves a span's
+# Legendre coefficients decayed to roundoff (a sampled curve's capped spans
+# nearly so), and then the power form matches the Legendre form to 1.0e-15 of
+# the span's length, and ds/dx to 1.3e-15 of its largest value, measured on
+# the analytic test families, the steep curve, an ellipse with semi-axes 0.2
+# and 2 and a 256-sample helix: nothing the Newton stop rule can see.
 _LEGENDRE_TO_POWER = _legendre_to_power(20)
 _POWERS = np.arange(21.0)[None, :]
 # The span variable at the quarter points, where the Newton start guess
@@ -427,9 +440,10 @@ _POWERS = np.arange(21.0)[None, :]
 _GUESS_X = np.array([-0.5, 0.0, 0.5])
 _GUESS_POWERS = (_GUESS_X[:, None] ** _POWERS).T
 # Below this sum of |c0|, |c1|, |c2| a guess correction is dropped. On
-# constant-speed spans the coefficients are roundoff, at most 2.1e-12 over
-# random W-curves and circles, so those spans keep the linear guess bit for
-# bit; a correction this small cannot save a Newton step.
+# constant-speed spans the coefficients are roundoff, at most 2.0e-13 over
+# random W-curves and circles (1.8e-12 on spans of 1/512 of the domain), so
+# those spans keep the linear guess bit for bit; a correction this small
+# cannot save a Newton step.
 _GUESS_FLOOR = 1e-9
 
 
@@ -456,21 +470,51 @@ def _inverse_quadratic(arc: np.ndarray, width: np.ndarray) -> np.ndarray:
 
 
 def arc_length(curve: Curve, t0: float, t1: float) -> float:
-    """Length of the arc between parameters t0 <= t1, from the table that
-    :func:`reparam_to_arclength` builds, with spans no wider than its own."""
+    """Length of the arc between parameters t0 <= t1, from the length table
+    that :func:`reparam_to_arclength` builds, built over [t0, t1]."""
     t0, t1 = _check_domain(curve, np.array([t0, t1], dtype=float)).tolist()
     if t1 < t0:
         raise ValueError("t1 must not precede t0")
-    spans = max(1, math.ceil(_CHECKPOINTS * (t1 - t0) / curve.length_of_domain))
-    return _ArclengthMap(curve, np.linspace(t0, t1, spans + 1)).total
+    return _length_table(curve, t0, t1).total
+
+
+def _node_speeds(curve: Curve, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Speeds at the 20 Gauss-Legendre nodes of each span [lo, hi], shape
+    (spans, 20), from one oracle call; RegularityFailure at a non-finite or
+    non-positive one."""
+    half = 0.5 * (hi - lo)
+    nodes = (lo + half)[:, None] + half[:, None] * _GL_NODES
+    derivs = np.asarray(curve.evaluator(nodes.ravel(), 1), dtype=float)
+    speeds = np.linalg.norm(derivs[:, 1], axis=-1).reshape(nodes.shape)
+    bad = np.flatnonzero(~(np.isfinite(speeds) & (speeds > 0.0)))
+    if bad.size:
+        raise RegularityFailure(f"speed {speeds.flat[bad[0]]:.3e} at "
+                                f"t={nodes.flat[bad[0]]!r} in the arclength table")
+    return speeds
+
+
+def _length_table(curve: Curve, t0: float, t1: float) -> _ArclengthMap:
+    """The length table over [t0, t1]: ``_START_SPANS`` equal spans, split
+    where their speed is not resolved."""
+    return _ArclengthMap(curve, np.linspace(t0, t1, _START_SPANS + 1))
 
 
 class _ArclengthMap:
     """Arclength as one polynomial per span, inverted without oracle calls.
 
-    The speeds at the 20 Gauss-Legendre nodes of every span between
-    consecutive ``edges`` come from one oracle call. On each span, mapped to
-    x in [-1, 1], ds/dx is their interpolant and s(x) - s(-1) its
+    The table starts from the spans between consecutive ``edges`` and sizes
+    itself by the Legendre coefficients of the speed on each span (the
+    chopping rule of Aurentz and Trefethen, ACM TOMS 43, 2017): a span
+    whose tail, the larger of its last two coefficients, exceeds
+    ``_TAIL_RTOL`` times its largest coefficient splits in two, and only
+    the halves are evaluated, one oracle call per round, the worst tails
+    first, until every tail is at roundoff or ``_MAX_SPANS`` spans have
+    been evaluated. The rule is unit-free: scaling space or the parameter
+    scales every coefficient of a span alike, so the split spans stay the
+    same. ``edges`` keeps the final span edges.
+
+    On each span, mapped to x in [-1, 1], ds/dx is the interpolant of the
+    speeds at its 20 Gauss-Legendre nodes and s(x) - s(-1) its
     antiderivative, both built as Legendre coefficients and kept as power
     coefficients in x, so that a Newton step over any number of points is
     a fixed handful of array operations. Each span also keeps the three
@@ -479,15 +523,30 @@ class _ArclengthMap:
     """
 
     def __init__(self, curve: Curve, edges: np.ndarray):
-        half = 0.5 * np.diff(edges)
-        nodes = (edges[:-1] + half)[:, None] + half[:, None] * _GL_NODES
-        derivs = np.asarray(curve.evaluator(nodes.ravel(), 1), dtype=float)
-        speeds = np.linalg.norm(derivs[:, 1], axis=-1).reshape(nodes.shape)
-        bad = np.flatnonzero(~(np.isfinite(speeds) & (speeds > 0.0)))
-        if bad.size:
-            raise RegularityFailure(f"speed {speeds.flat[bad[0]]:.3e} at "
-                                    f"t={nodes.flat[bad[0]]!r} in the arclength table")
-        rate = speeds @ _GL_TO_LEGENDRE * half[:, None]
+        lo, hi = edges[:-1], edges[1:]
+        speeds = _node_speeds(curve, lo, hi)
+        coef = speeds @ _GL_TO_LEGENDRE
+        budget = _MAX_SPANS - lo.size
+        while budget >= 2:
+            tail = np.abs(coef[:, -2:]).max(axis=1) / np.abs(coef).max(axis=1)
+            split = np.flatnonzero(tail > _TAIL_RTOL)
+            if not split.size:
+                break
+            split = np.sort(split[np.argsort(-tail[split], kind="stable")[:budget // 2]])
+            mid = 0.5 * (lo[split] + hi[split])
+            new_lo, new_hi = np.concatenate([lo[split], mid]), np.concatenate([mid, hi[split]])
+            new_speeds = _node_speeds(curve, new_lo, new_hi)
+            keep = np.ones(lo.size, dtype=bool)
+            keep[split] = False
+            lo, hi = np.concatenate([lo[keep], new_lo]), np.concatenate([hi[keep], new_hi])
+            speeds = np.concatenate([speeds[keep], new_speeds])
+            coef = np.concatenate([coef[keep], new_speeds @ _GL_TO_LEGENDRE])
+            budget -= new_lo.size
+            order = np.argsort(lo, kind="stable")
+            lo, hi, speeds, coef = lo[order], hi[order], speeds[order], coef[order]
+        self.edges = np.append(lo, hi[-1])
+        half = 0.5 * (hi - lo)
+        rate = coef * half[:, None]
         self.cum = np.concatenate([[0.0], np.cumsum(half * (speeds @ _GL_WEIGHTS))])
         self.total = float(self.cum[-1])
         # Per span: power coefficients of s(x) - s(-1) and of ds/dx (degree 19,
@@ -498,7 +557,7 @@ class _ArclengthMap:
                               rate @ _LEGENDRE_TO_POWER[:20]], axis=2)
         width = np.maximum(np.diff(self.cum), 1e-300)
         guess = _inverse_quadratic(self.poly[:, :, 0], width)
-        self.span = np.column_stack([self.cum[:-1], width, edges[:-1], half, guess])
+        self.span = np.column_stack([self.cum[:-1], width, lo, half, guess])
 
     def invert(self, s: np.ndarray) -> np.ndarray:
         """Parameters at the arclengths ``s`` (a 1-d array).
@@ -584,18 +643,27 @@ def _substitution_tables(order: int):
 def reparam_to_arclength(curve: Curve) -> Curve:
     """Same trace, parametrized by arclength starting at 0.
 
-    The length table takes one array call to the base oracle (20
-    Gauss-Legendre nodes on each of ``_CHECKPOINTS`` spans) and raises
-    :class:`RegularityFailure` at a non-finite or non-positive node speed.
-    An evaluation of N arclengths inverts the table for all of them in one
-    bracketed Newton solve started from each span's inverse interpolant
-    (one step on constant-speed spans, two elsewhere on smooth curves;
-    :class:`ConvergenceFailure` if the step budget runs out), makes one
-    base oracle call at the N parameters and rebuilds the derivative oracle
-    by one stacked power-series substitution, so the unit-speed identity
-    holds to roundoff rather than to the accuracy of the inversion.
+    The length table (:class:`_ArclengthMap`) evaluates the speed at 20
+    Gauss-Legendre nodes on each of ``_START_SPANS`` equal spans in one
+    array call to the base oracle, then splits only the spans whose
+    Legendre tail of the speed is above roundoff and evaluates only their
+    halves, within ``_MAX_SPANS`` evaluated spans (the analytic families
+    never split; a sampled curve's stencils switch inside its spans, so it
+    reaches the cap). It raises :class:`RegularityFailure` at a non-finite
+    or non-positive node speed. An evaluation of N arclengths inverts the
+    table for all of them in one bracketed Newton solve started from each
+    span's inverse interpolant (one step on constant-speed spans, two
+    elsewhere on smooth curves; :class:`ConvergenceFailure` if the step
+    budget runs out), makes one base oracle call at the N parameters and
+    rebuilds the derivative oracle by one stacked power-series
+    substitution, so the unit-speed identity holds to roundoff rather than
+    to the accuracy of the inversion.
     """
-    amap = _ArclengthMap(curve, curve.grid(_CHECKPOINTS + 1))
+    return _arclength_curve(curve, _length_table(curve, *curve.domain))
+
+
+def _arclength_curve(curve: Curve, amap: _ArclengthMap) -> Curve:
+    """The arclength version of ``curve`` over the length table ``amap``."""
 
     def evaluator(s: np.ndarray, order: int) -> np.ndarray:
         base = np.asarray(curve.evaluator(amap.invert(s), max(order, 1)), dtype=float)

@@ -37,6 +37,15 @@ class OrderUnsupported(FocalFrameError):
     """Requested derivative order exceeds what the curve's oracle provides."""
 
 
+class MethodLimit(FocalFrameError):
+    """A valid input asks for more than the numerical method delivers.
+
+    Raised, for one, when a derived curve (the sampled focal curve) is asked
+    for a derivative order beyond its own; the input curve's own
+    :class:`OrderUnsupported` stays an input error.
+    """
+
+
 class BadParameters(FocalFrameError):
     """Curve factory called with parameters outside its admissible range."""
 

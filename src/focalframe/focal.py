@@ -19,6 +19,7 @@ The focal curve and the frame-relation check both read the one
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from dataclasses import dataclass
@@ -26,7 +27,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import Curve, eval_derivatives, sampled_curve
-from .errors import FocalNotRegular, NotGeneric, NotUnitSpeed, ReducedOrder, RegularityFailure
+from .errors import (
+    FocalNotRegular,
+    MethodLimit,
+    NotGeneric,
+    NotUnitSpeed,
+    OrderUnsupported,
+    ReducedOrder,
+    RegularityFailure,
+)
 from .frenet import FrenetData, RowTable, _alignment_signs, _kept_row, _report_dict, frenet_grid
 from .linalg import solve_linear
 from .numdiff import grid_derivative
@@ -154,6 +163,20 @@ def _sampled_focal_curve(curve: Curve, table: FocalData) -> Curve:
                          label=f"focal({curve.label or curve.kind})")
 
 
+@contextlib.contextmanager
+def _focal_order_limit(focal: Curve):
+    """Re-raise the sampled focal curve's OrderUnsupported as MethodLimit: the
+    input is valid, and it is the focal curve's stencils that stop short of
+    the order its full frame needs, its dimension."""
+    try:
+        yield
+    except OrderUnsupported as exc:
+        raise MethodLimit(
+            f"the focal frame in E{focal.dimension} needs derivative order {focal.dimension} "
+            f"of the focal curve, but the focal curve is sampled and its derivatives stop at "
+            f"order {focal.max_order}: focal checks are limited to E5") from exc
+
+
 def focal_curve(curve: Curve, grid) -> Curve:
     """The focal curve as a sampled curve through the focal points.
 
@@ -198,7 +221,9 @@ def focal_relations_check(curve: Curve, grid, *, table=None) -> FocalRelationsRe
 
     ``table`` is ``focal_curvatures(curve, grid)`` when the caller has it.
     Vertex rows are dropped, and so are ``END_TRIM`` rows at each end of
-    the rest, where the sampled focal curve is least accurate.
+    the rest, where the sampled focal curve is least accurate. Above E5 it
+    raises :class:`MethodLimit`: the focal curve's frame needs derivative
+    order m + 1, and the sampled focal curve stops at 5.
     """
     ss = np.asarray(grid, dtype=float)
     m = curve.dimension - 1
@@ -213,7 +238,8 @@ def focal_relations_check(curve: Curve, grid, *, table=None) -> FocalRelationsRe
     # rows again among themselves gives the frames of a grid without the
     # vertex rows, which is the grid the focal curve is sampled on.
     base = kept.frenet.frame * _alignment_signs(kept.frenet.frame)[:, :, None]
-    mirror = frenet_grid(focal, ss, order=m + 1)
+    with _focal_order_limit(focal):
+        mirror = frenet_grid(focal, ss, order=m + 1)
 
     inner = slice(END_TRIM, ss.size - END_TRIM) if ss.size > 2 * END_TRIM + 4 else slice(None)
     A = kept.A[inner, None]

@@ -23,7 +23,7 @@ import numpy as np
 
 from .curves import Curve, as_unit_speed
 from .frenet import _as_int, _check_tol, _report_dict, frenet_grid
-from .focal import END_TRIM, _sampled_focal_curve, focal_curvatures
+from .focal import END_TRIM, _focal_order_limit, _sampled_focal_curve, focal_curvatures
 from .linalg import as_vector
 from .numdiff import grid_derivative
 
@@ -253,7 +253,9 @@ def verify_focal_slants(curve: Curve, ks, grid=None, tol: float | None = None,
     interior sub-grid (``END_TRIM`` points trimmed per end) that keeps
     one-sided stencil noise out of the cone statistics. Axis agreement is
     the angle between the two axes modulo sign. ``tol`` and ``focal_tol``
-    must be positive and finite when given.
+    must be positive and finite when given. Above E5 a slant base verdict
+    raises :class:`MethodLimit`: the sampled focal curve has no derivatives
+    past order 5, and its verdicts need order m + 1.
     """
     if focal_tol is not None:  # slant_reports checks tol
         _check_tol(focal_tol, "focal_tol")
@@ -269,8 +271,9 @@ def verify_focal_slants(curve: Curve, ks, grid=None, tol: float | None = None,
         table = focal_curvatures(unit, grid if unit is curve else unit.grid(grid.size))
         mirror = _sampled_focal_curve(unit, table)
         inner = mirror.grid(grid.size)[END_TRIM:-END_TRIM]
-        focal_reports = iter(slant_reports(mirror, mirrored, inner,
-                                           SAMPLED_TOL if focal_tol is None else focal_tol))
+        with _focal_order_limit(mirror):
+            focal_reports = iter(slant_reports(mirror, mirrored, inner,
+                                               SAMPLED_TOL if focal_tol is None else focal_tol))
 
     reports = []
     for k, k_prime, base in zip(ks, k_primes, bases):

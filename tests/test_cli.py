@@ -338,6 +338,38 @@ def test_unknown_field_is_input_error(tmp_path):
     assert main(["analyze", "--input", spec, "--output", str(tmp_path / "x")]) == EXIT_INPUT_ERROR
 
 
+_FOCAL_LIMIT = "focal checks are limited to E5"
+
+
+def test_verify_above_e5_is_a_method_limit(tmp_path, capsys):
+    # the pitched E7 W-curve is tangent slant, so verify builds its focal
+    # curve, whose sampled derivatives stop at order 5 of the 7 it needs
+    spec = write_spec(tmp_path, "w7.json", EXAMPLE_SPECS["wcurve7.json"])
+    assert main(["verify", "--input", spec, "--output", str(tmp_path / "v"),
+                 "--grid-points", "128"]) == EXIT_NUMERIC_FAILURE
+    assert _FOCAL_LIMIT in capsys.readouterr().err
+
+
+def test_focal_above_e5_is_a_method_limit(tmp_path):
+    spec = write_spec(tmp_path, "w7.json", EXAMPLE_SPECS["wcurve7.json"])
+    out = tmp_path / "f"
+    assert main(["focal", "--input", spec, "--output", str(out),
+                 "--grid-points", "128"]) == EXIT_NUMERIC_FAILURE
+    payload = json.loads(out.with_suffix(".json").read_text())
+    assert payload["relations"] is None and _FOCAL_LIMIT in payload["error"]
+
+
+def test_order_beyond_the_input_curve_stays_an_input_error(tmp_path, capsys):
+    # the same limit on the input curve itself: an E6 samples spec needs
+    # derivative order 6 of a sampled curve
+    t = np.linspace(0.0, 2 * math.pi, 64)
+    rows = np.column_stack([t, *[f(w * t) for w in (1.0, 2.0, 3.0) for f in (np.cos, np.sin)]])
+    spec = write_spec(tmp_path, "s6.json",
+                      {"type": "samples", "dim": 6, "params": {}, "rows": rows.tolist()})
+    assert main(["analyze", "--input", spec, "--output", str(tmp_path / "a")]) == EXIT_INPUT_ERROR
+    assert "exceeds max_order 5" in capsys.readouterr().err
+
+
 def test_dim_flag_contradiction(tmp_path, helix_spec):
     assert main(["analyze", "--input", helix_spec, "--output", str(tmp_path / "x"),
                  "--dim", "4"]) == EXIT_INPUT_ERROR

@@ -322,6 +322,57 @@ def test_helix_length_is_constant_speed(helix):
     assert ff.arc_length(helix, 0.0, 2 * math.pi) == pytest.approx(2 * math.pi * SQRT5, abs=1e-8)
 
 
+def test_arc_length_meets_closed_forms():
+    # exact lengths: a circle, a circular helix, and an ellipse arc through
+    # the incomplete elliptic integral of the second kind; the table stays at
+    # its 32 starting spans on all three
+    ellipeinc = pytest.importorskip("scipy.special").ellipeinc
+    # (1.2 cos t, 2 sin t): speed 2 sqrt(1 - 0.64 sin^2 t)
+    cases = [(ff.make_circle(1.7), 0.0, 2 * math.pi, 1.7 * 2 * math.pi),
+             (ff.make_helix(2.0, 1.0), 0.0, 2 * math.pi, SQRT5 * 2 * math.pi),
+             (ff.make_ellipse(1.2, 2.0), 0.25, 1.35,
+              2.0 * (ellipeinc(1.35, 0.64) - ellipeinc(0.25, 0.64)))]
+    for curve, t0, t1, exact in cases:
+        assert ff.arc_length(curve, t0, t1) == pytest.approx(exact, rel=1e-13, abs=0.0)
+        assert curves._length_table(curve, t0, t1).edges.size == curves._START_SPANS + 1
+
+
+def test_length_table_splits_only_unresolved_spans():
+    # the full ellipse (0.2 cos t, 2 sin t) turns sharply at t = pi/2 and
+    # 3 pi/2, where its speed dips to 0.2: on 4 equal spans its length is off
+    # by 8e-12, so the tail rule splits spans until those at the turns are
+    # 8 times narrower than those far from them
+    ellipeinc = pytest.importorskip("scipy.special").ellipeinc
+    curve = ff.make_ellipse(0.2, 2.0)
+    exact = 2.0 * 4 * ellipeinc(0.5 * math.pi, 0.99)
+    amap = curves._ArclengthMap(curve, curve.grid(5))
+    assert amap.total == pytest.approx(exact, rel=1e-13, abs=0.0)
+    widths = np.diff(amap.edges)
+    assert 4 < widths.size <= curves._MAX_SPANS
+    mids = 0.5 * (amap.edges[:-1] + amap.edges[1:])
+    turn = np.abs(np.abs(mids - math.pi) - 0.5 * math.pi)  # distance to the turns
+    assert turn[np.argmin(widths)] < 0.1
+    assert np.all(widths[turn > 1.0] >= 8 * widths.min())
+
+
+def test_sampled_length_table_costs_no_more_than_the_fixed_table(helix, unit_helix):
+    # the stencils switch at the sample nodes, so the tail of a span across
+    # one never reaches roundoff; the splits stop at _MAX_SPANS evaluated
+    # spans, the 10240 evaluator points of the fixed 512-span table
+    sampled = _sampled_helix(helix)
+    points = []
+
+    def evaluator(t, order):
+        points.append(t.size)
+        return sampled.evaluator(t, order)
+
+    curve = make_curve(3, sampled.domain, "sampled", 5, evaluator, check_regularity=False)
+    amap = curves._length_table(curve, *curve.domain)
+    assert sum(points) == curves._MAX_SPANS * 20 == 10240
+    assert curves._START_SPANS < amap.edges.size - 1 < curves._MAX_SPANS
+    assert amap.total == pytest.approx(unit_helix.domain[1], abs=1e-8)
+
+
 # -------------------------------------------------------------- reparametrization
 
 def test_reparam_of_unit_speed_curve_is_identity_on_trace():
@@ -387,15 +438,17 @@ def test_reparam_rejects_speed_vanishing_inside_domain():
 
 
 def test_inversion_budget_exhaustion_raises(monkeypatch):
-    # inside the steep curve's climb the inversion needs more Newton and
-    # bisection steps than the patched budget (6 at mid-span, 10 from a
-    # linear start guess); a knot converges in one step
+    # inside the steep curve's climb, on the span of the curve's own length
+    # table that holds t = -2e-4, the inversion needs more Newton and
+    # bisection steps than the patched budget (4 at a tenth and at half of
+    # the span, 6 from a linear start guess); a knot converges in one step
     curve = make_curve(2, (-1.0, 1.0), "analytic", 3, _steep_speed_evaluator,
                        check_regularity=False)
     unit = ff.reparam_to_arclength(curve)
-    cum = curves._ArclengthMap(curve, curve.grid(513)).cum
-    lo, width = float(cum[255]), float(cum[256] - cum[255])
-    knot, s_bad, s_worse = float(cum[100]), lo + 0.5 * width, lo + 0.1 * width
+    amap = _length_table(curve)
+    i, cum = int(np.searchsorted(amap.edges, -2e-4)) - 1, amap.cum
+    lo, width = float(cum[i]), float(cum[i + 1] - cum[i])
+    knot, s_bad, s_worse = float(cum[10]), lo + 0.5 * width, lo + 0.1 * width
     monkeypatch.setattr(curves, "_NEWTON_STEPS", 3)
     with pytest.raises(ConvergenceFailure, match=f"at s={s_bad!r} did not converge in 3 "):
         unit.point(s_bad)
@@ -442,9 +495,13 @@ def _ref_reverse(s, n):
     return t
 
 
+def _length_table(curve):
+    # the table that reparam_to_arclength builds
+    return curves._length_table(curve, *curve.domain)
+
+
 class _ScalarArclength:
-    def __init__(self, curve, checkpoints=512):
-        edges = curve.grid(checkpoints + 1)
+    def __init__(self, curve, edges):
         self.curve, self.ts, self.half = curve, edges, 0.5 * np.diff(edges)
         nodes = (edges[:-1] + self.half)[:, None] + self.half[:, None] * curves._GL_NODES
         speeds = np.linalg.norm(curve.evaluator(nodes.ravel(), 1)[:, 1], axis=-1)
@@ -512,9 +569,11 @@ _PARITY_CURVES = {
 
 @pytest.mark.parametrize("name", sorted(_PARITY_CURVES))
 def test_array_arclength_matches_scalar_reference(name):
+    # both routes over the same fixed table of 512 equal spans; the table
+    # that reparam_to_arclength builds is checked in the test below
     curve = _PARITY_CURVES[name]()
-    unit = ff.reparam_to_arclength(curve)
-    ref = _ScalarArclength(curve)
+    unit = curves._arclength_curve(curve, curves._ArclengthMap(curve, curve.grid(513)))
+    ref = _ScalarArclength(curve, curve.grid(513))
     assert unit.domain[1] == ref.total
     ss = np.linspace(0.0, ref.total, 97)
     for order in range(curve.max_order + 1):
@@ -528,9 +587,28 @@ def test_array_arclength_matches_scalar_reference(name):
             np.testing.assert_array_equal(ff.eval_derivatives(unit, float(ss[i]), order), got[i])
 
 
+@pytest.mark.parametrize("name", sorted(_PARITY_CURVES))
+def test_built_table_matches_scalar_reference(name):
+    # the table of reparam_to_arclength: the same total, and inversions that
+    # agree within the Newton stop rule, 1e-15 relative in t
+    curve = _PARITY_CURVES[name]()
+    unit = ff.reparam_to_arclength(curve)
+    amap = _length_table(curve)
+    ref = _ScalarArclength(curve, amap.edges)
+    assert unit.domain[1] == amap.total == ref.total
+    ss = np.linspace(0.0, ref.total, 97)
+    want = np.array([ref.invert(float(s)) for s in ss])
+    assert np.all(np.abs(amap.invert(ss) - want) <= 1e-15 * np.maximum(1.0, np.abs(want)))
+    for order in range(curve.max_order + 1):
+        got = unit.evaluator(ss, order)
+        for i in range(0, 97, 8):
+            np.testing.assert_array_equal(ff.eval_derivatives(unit, float(ss[i]), order), got[i])
+
+
 def _steep_speed_evaluator(t, order):
     # (t + 0.999 e log cosh(t / e), 0): the speed climbs from 0.001 to 1.999
-    # within a few e = 1e-4 of t = 0, inside one span of the length table
+    # within a few e = 1e-4 of t = 0, inside one span of a table of 512 equal
+    # spans; the tail rule spreads the climb over 25 spans of its own table
     t = np.asarray(t, dtype=float)
     zero = np.zeros_like(t)
     u = t / 1e-4
@@ -545,7 +623,7 @@ def test_inversion_bisects_where_newton_leaves_the_bracket():
     # bracket's bisection fallback must carry it
     curve = make_curve(2, (-1.0, 1.0), "analytic", 3, _steep_speed_evaluator,
                        check_regularity=False)
-    ref = _ScalarArclength(curve)
+    ref = _ScalarArclength(curve, curve.grid(513))
     ss = np.linspace(0.0, ref.total, 2001)
     t = curves._ArclengthMap(curve, curve.grid(513)).invert(ss)
     assert np.all(np.diff(t) > 0.0)
@@ -560,6 +638,12 @@ def _elliptical_helix():
     ), (0.0, 2 * math.pi), label="elliptical helix")
 
 
+def _both_tables(curve):
+    # the table that reparam_to_arclength builds, and the fixed one of 512
+    # equal spans that it replaced
+    return _length_table(curve), curves._ArclengthMap(curve, curve.grid(513))
+
+
 @pytest.mark.parametrize("name,budget", [
     ("helix", 1), ("wcurve5", 1), ("circle", 1),
     ("salkowski-0.3", 2), ("salkowski-0.7", 2), ("ellipse-arc", 2), ("elliptical-helix", 2),
@@ -570,12 +654,11 @@ def test_inversion_step_counts(name, budget, monkeypatch):
     # confirming one (the linear guess needed 3 on the second group)
     curve = {**_PARITY_CURVES, "circle": lambda: ff.make_circle(1.7),
              "elliptical-helix": _elliptical_helix}[name]()
-    amap = curves._ArclengthMap(curve, curve.grid(513))
-    ss = np.linspace(0.0, amap.total, 1001)
     monkeypatch.setattr(curves, "_NEWTON_STEPS", budget)
-    t = amap.invert(ss)
-    np.testing.assert_allclose(t[[0, -1]], curve.domain, rtol=0.0, atol=1e-15)
-    assert np.all(np.diff(t) > 0.0)
+    for amap in _both_tables(curve):
+        t = amap.invert(np.linspace(0.0, amap.total, 1001))
+        np.testing.assert_allclose(t[[0, -1]], curve.domain, rtol=0.0, atol=1e-15)
+        assert np.all(np.diff(t) > 0.0)
 
 
 @pytest.mark.parametrize("name", ["salkowski-0.3", "ellipse-arc", "steep", "helix", "wcurve5"])
@@ -585,16 +668,16 @@ def test_start_guess_is_the_linear_guess_where_it_must_be(name):
     # on a constant-speed curve they agree everywhere
     curve = _PARITY_CURVES[name]() if name != "steep" else make_curve(
         2, (-1.0, 1.0), "analytic", 3, _steep_speed_evaluator, check_regularity=False)
-    amap = curves._ArclengthMap(curve, curve.grid(513))
-    # the same map with every guess correction (c0, c1, c2) zeroed
-    linear = copy.copy(amap)
-    linear.span = amap.span.copy()
-    linear.span[:, 4:7] = 0.0
-    np.testing.assert_array_equal(amap.invert(amap.cum), linear.invert(amap.cum))
-    if name in ("helix", "wcurve5"):
-        # the interpolant itself gives the linear guess on every span
-        ss = np.linspace(0.0, amap.total, 1001)
-        np.testing.assert_array_equal(amap.invert(ss), linear.invert(ss))
+    for amap in _both_tables(curve):
+        # the same map with every guess correction (c0, c1, c2) zeroed
+        linear = copy.copy(amap)
+        linear.span = amap.span.copy()
+        linear.span[:, 4:7] = 0.0
+        np.testing.assert_array_equal(amap.invert(amap.cum), linear.invert(amap.cum))
+        if name in ("helix", "wcurve5"):
+            # the interpolant itself gives the linear guess on every span
+            ss = np.linspace(0.0, amap.total, 1001)
+            np.testing.assert_array_equal(amap.invert(ss), linear.invert(ss))
 
 
 def test_zero_width_arclength_map_inverts():
