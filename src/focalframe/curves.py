@@ -58,9 +58,11 @@ _EXPM_THETA = 0.25
 _EXPM_TOL = 1e-17
 _GAUSS_OFFSETS = 0.5 + np.array([-1.0, 1.0]) * math.sqrt(3.0) / 6.0
 _TWO_PI = 2.0 * math.pi
+# Spans of a length table over the whole domain: it starts from
+# _START_SPANS equal ones and evaluates at most _MAX_SPANS, split ones
+# included, the 512 spans of 20 nodes of the fixed table that the tail rule
+# replaced. An arc over a fraction of the domain gets that fraction of both.
 _START_SPANS = 32
-# The most spans one length table evaluates, split ones included: 512 spans
-# of 20 nodes, the cost of the fixed table that the tail rule replaced.
 _MAX_SPANS = 512
 # A span splits while the larger of its last two Legendre coefficients of the
 # speed exceeds this fraction of its largest one. Roundoff alone leaves them
@@ -428,11 +430,12 @@ def _legendre_to_power(degree: int) -> np.ndarray:
 
 
 # Newton evaluates each span in power form. The tail rule leaves a span's
-# Legendre coefficients decayed to roundoff (a sampled curve's capped spans
-# nearly so), and then the power form matches the Legendre form to 1.0e-15 of
-# the span's length, and ds/dx to 1.3e-15 of its largest value, measured on
-# the analytic test families, the steep curve, an ellipse with semi-axes 0.2
-# and 2 and a 256-sample helix: nothing the Newton stop rule can see.
+# Legendre coefficients decayed to roundoff (a sampled curve's 512 equal
+# spans nearly so), and then the power form matches the Legendre form to
+# 8.9e-16 of the span's length, and ds/dx to 1.1e-15 of its largest value,
+# measured on the analytic test families, the steep curve, an ellipse with
+# semi-axes 0.2 and 2 and helices of 200, 256 and 1000 samples: nothing the
+# Newton stop rule can see.
 _LEGENDRE_TO_POWER = _legendre_to_power(20)
 _POWERS = np.arange(21.0)[None, :]
 # The span variable at the quarter points, where the Newton start guess
@@ -471,7 +474,8 @@ def _inverse_quadratic(arc: np.ndarray, width: np.ndarray) -> np.ndarray:
 
 def arc_length(curve: Curve, t0: float, t1: float) -> float:
     """Length of the arc between parameters t0 <= t1, from the length table
-    that :func:`reparam_to_arclength` builds, built over [t0, t1]."""
+    that :func:`reparam_to_arclength` builds, built over [t0, t1] with the
+    arc's share of its spans."""
     t0, t1 = _check_domain(curve, np.array([t0, t1], dtype=float)).tolist()
     if t1 < t0:
         raise ValueError("t1 must not precede t0")
@@ -494,9 +498,17 @@ def _node_speeds(curve: Curve, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 
 def _length_table(curve: Curve, t0: float, t1: float) -> _ArclengthMap:
-    """The length table over [t0, t1]: ``_START_SPANS`` equal spans, split
-    where their speed is not resolved."""
-    return _ArclengthMap(curve, np.linspace(t0, t1, _START_SPANS + 1))
+    """The length table over [t0, t1], a fraction f of the domain: at most
+    ceil(f ``_MAX_SPANS``) evaluated spans, the fixed table's count, from
+    ceil(f ``_START_SPANS``) equal ones. A sampled curve starts from all of
+    them: its stencils switch at the sample nodes, so the speed jumps there
+    and the Legendre tail of a span across a node stays at the jump, however
+    narrow the span; splits would only spend the budget on a coarser table."""
+    width = curve.length_of_domain
+    fraction = (t1 - t0) / width if width > 0.0 else 1.0
+    cap = max(1, math.ceil(_MAX_SPANS * fraction))
+    start = cap if curve.kind == "sampled" else max(1, math.ceil(_START_SPANS * fraction))
+    return _ArclengthMap(curve, np.linspace(t0, t1, start + 1), cap)
 
 
 class _ArclengthMap:
@@ -508,7 +520,7 @@ class _ArclengthMap:
     whose tail, the larger of its last two coefficients, exceeds
     ``_TAIL_RTOL`` times its largest coefficient splits in two, and only
     the halves are evaluated, one oracle call per round, the worst tails
-    first, until every tail is at roundoff or ``_MAX_SPANS`` spans have
+    first, until every tail is at roundoff or ``max_spans`` spans have
     been evaluated. The rule is unit-free: scaling space or the parameter
     scales every coefficient of a span alike, so the split spans stay the
     same. ``edges`` keeps the final span edges.
@@ -522,11 +534,11 @@ class _ArclengthMap:
     with the span's other data.
     """
 
-    def __init__(self, curve: Curve, edges: np.ndarray):
+    def __init__(self, curve: Curve, edges: np.ndarray, max_spans: int = _MAX_SPANS):
         lo, hi = edges[:-1], edges[1:]
         speeds = _node_speeds(curve, lo, hi)
         coef = speeds @ _GL_TO_LEGENDRE
-        budget = _MAX_SPANS - lo.size
+        budget = max_spans - lo.size
         while budget >= 2:
             tail = np.abs(coef[:, -2:]).max(axis=1) / np.abs(coef).max(axis=1)
             split = np.flatnonzero(tail > _TAIL_RTOL)
@@ -616,9 +628,19 @@ def _derivs_through_substitution(base: np.ndarray, order: int) -> np.ndarray:
     square root of |velocity|^2, its powers-table inverse gives the old
     parameter as a series in arclength, and one contraction composes every
     coordinate with it.
+
+    The work is done in ``np.longdouble`` and rounded to float64 at the
+    end. Where the base curve is slow the Taylor terms cancel heavily: at
+    order 4 on Salkowski n = 0.7 near the end of its domain (speed 0.24)
+    terms of about 250 sum to 0.71, and in float64 the result was up to
+    7.4e-14 of its order's scale from the exact value for the same inputs.
+    The 64-bit significand of x86-64's long double brings every order
+    within 1.2e-16 of that scale, at about 1.5 times the cost over a few
+    hundred rows and none for one; where long double is float64 the
+    float64 figures hold.
     """
     fact, ks, perm, starts = _substitution_tables(order)
-    gcoef = base / fact
+    gcoef = base.astype(np.longdouble) / fact
     dcoef = gcoef[:, 1:] * ks[:, None]  # series of the velocity
     # |velocity|^2: the Cauchy product sums dcoef[i] . dcoef[k] over i + k = j
     gram = (dcoef @ dcoef.transpose(0, 2, 1)).reshape(len(base), order * order)
@@ -626,7 +648,7 @@ def _derivs_through_substitution(base: np.ndarray, order: int) -> np.ndarray:
     P = series_reverse_powers(series_sqrt(w, order) / ks, order + 1)
     # f(T) = sum_k f_k T^k, added from the highest power down as Horner's rule
     # does; the order matters at roundoff where the terms cancel heavily
-    return np.einsum("nkc,nkj->njc", gcoef[:, ::-1], P[:, ::-1]) * fact
+    return (np.einsum("nkc,nkj->njc", gcoef[:, ::-1], P[:, ::-1]) * fact).astype(float)
 
 
 @functools.lru_cache(maxsize=None)
@@ -648,22 +670,19 @@ def reparam_to_arclength(curve: Curve) -> Curve:
     array call to the base oracle, then splits only the spans whose
     Legendre tail of the speed is above roundoff and evaluates only their
     halves, within ``_MAX_SPANS`` evaluated spans (the analytic families
-    never split; a sampled curve's stencils switch inside its spans, so it
-    reaches the cap). It raises :class:`RegularityFailure` at a non-finite
-    or non-positive node speed. An evaluation of N arclengths inverts the
-    table for all of them in one bracketed Newton solve started from each
-    span's inverse interpolant (one step on constant-speed spans, two
-    elsewhere on smooth curves; :class:`ConvergenceFailure` if the step
-    budget runs out), makes one base oracle call at the N parameters and
-    rebuilds the derivative oracle by one stacked power-series
-    substitution, so the unit-speed identity holds to roundoff rather than
-    to the accuracy of the inversion.
+    never split). A sampled curve's table is ``_MAX_SPANS`` equal spans
+    from the start (see :func:`_length_table`). It raises
+    :class:`RegularityFailure` at a non-finite or non-positive node speed.
+    An evaluation of N arclengths inverts the table for all of them in one
+    bracketed Newton solve started from each span's inverse interpolant
+    (one step on constant-speed spans, two elsewhere on smooth curves;
+    :class:`ConvergenceFailure` if the step budget runs out), makes one
+    base oracle call at the N parameters and rebuilds the derivative oracle
+    by one stacked power-series substitution
+    (:func:`_derivs_through_substitution`), so the unit-speed identity holds
+    to roundoff rather than to the accuracy of the inversion.
     """
-    return _arclength_curve(curve, _length_table(curve, *curve.domain))
-
-
-def _arclength_curve(curve: Curve, amap: _ArclengthMap) -> Curve:
-    """The arclength version of ``curve`` over the length table ``amap``."""
+    amap = _length_table(curve, *curve.domain)
 
     def evaluator(s: np.ndarray, order: int) -> np.ndarray:
         base = np.asarray(curve.evaluator(amap.invert(s), max(order, 1)), dtype=float)

@@ -18,10 +18,11 @@ import numpy as np
 
 
 def series_sqrt(a: np.ndarray, n: int) -> np.ndarray:
-    """Square roots of a stack of series, shape (N, m) -> (N, n); needs a[:, 0] > 0."""
+    """Square roots of a stack of series, shape (N, m) -> (N, n), in the
+    floating type of ``a``; needs a[:, 0] > 0."""
     if np.count_nonzero(a[:, 0] > 0.0) < len(a):
         raise ValueError("series_sqrt needs a positive leading coefficient")
-    s = np.zeros((len(a), n))
+    s = np.zeros((len(a), n), dtype=np.result_type(a, 1.0))
     s[:, 0] = np.sqrt(a[:, 0])
     twice = 2.0 * s[:, 0]
     for j in range(1, n):
@@ -40,14 +41,15 @@ def series_reverse_powers(d: np.ndarray, n: int) -> np.ndarray:
     term; ``d`` has shape (N, n - 1). Returns P of shape (N, n, n) with
     ``P[:, k, j] = [x^j] T(x)^k``, where T is the inverse series
     (S(T(x)) = x), so ``P[:, 1]`` is T itself and a series f composes as
-    ``f(T) = einsum("nk,nkj->nj", f, P)``. The table fills one column j at
-    a time: the powers k >= 2 need only the coefficients of T below j, and
-    the coefficient of x^j in S(T) then fixes T's j-th (Brent & Kung,
-    J. ACM 25, 1978). That is O(n^2) array operations.
+    ``f(T) = einsum("nk,nkj->nj", f, P)``, in the floating type of ``d``.
+    The table fills one column j at a time: the powers k >= 2 need only the
+    coefficients of T below j, and the coefficient of x^j in S(T) then
+    fixes T's j-th (Brent & Kung, J. ACM 25, 1978). That is O(n^2) array
+    operations.
     """
     if np.count_nonzero(d[:, 0]) < len(d):
         raise ValueError("series_reverse_powers needs a nonzero linear coefficient")
-    P = np.zeros((len(d), n, n))
+    P = np.zeros((len(d), n, n), dtype=np.result_type(d, 1.0))
     P[:, 0, 0] = 1.0
     inv = 1.0 / d[:, 0]
     if n > 1:

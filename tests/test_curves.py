@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import decimal
 import functools
 import math
 import sys
@@ -325,7 +326,7 @@ def test_helix_length_is_constant_speed(helix):
 def test_arc_length_meets_closed_forms():
     # exact lengths: a circle, a circular helix, and an ellipse arc through
     # the incomplete elliptic integral of the second kind; the table stays at
-    # its 32 starting spans on all three
+    # its starting spans on all three, 32 per domain
     ellipeinc = pytest.importorskip("scipy.special").ellipeinc
     # (1.2 cos t, 2 sin t): speed 2 sqrt(1 - 0.64 sin^2 t)
     cases = [(ff.make_circle(1.7), 0.0, 2 * math.pi, 1.7 * 2 * math.pi),
@@ -334,7 +335,8 @@ def test_arc_length_meets_closed_forms():
               2.0 * (ellipeinc(1.35, 0.64) - ellipeinc(0.25, 0.64)))]
     for curve, t0, t1, exact in cases:
         assert ff.arc_length(curve, t0, t1) == pytest.approx(exact, rel=1e-13, abs=0.0)
-        assert curves._length_table(curve, t0, t1).edges.size == curves._START_SPANS + 1
+        start = math.ceil(curves._START_SPANS * (t1 - t0) / curve.length_of_domain)
+        assert curves._length_table(curve, t0, t1).edges.size == start + 1
 
 
 def test_length_table_splits_only_unresolved_spans():
@@ -355,11 +357,16 @@ def test_length_table_splits_only_unresolved_spans():
     assert np.all(widths[turn > 1.0] >= 8 * widths.min())
 
 
-def test_sampled_length_table_costs_no_more_than_the_fixed_table(helix, unit_helix):
+@pytest.mark.parametrize("samples", [200, 256])
+def test_sampled_length_table_is_the_fixed_table(helix, samples):
     # the stencils switch at the sample nodes, so the tail of a span across
-    # one never reaches roundoff; the splits stop at _MAX_SPANS evaluated
-    # spans, the 10240 evaluator points of the fixed 512-span table
-    sampled = _sampled_helix(helix)
+    # one never reaches roundoff; a sampled curve's table is the fixed one of
+    # ceil(512 f) equal spans on an arc over a fraction f of the domain,
+    # with its evaluator points and its length error on the full domain
+    # (1.4e-15 and 1.0e-15 relative; a table split up to the cap read
+    # 1.7e-14 and 3.8e-15)
+    ts = helix.grid(samples)
+    sampled = ff.sampled_curve(ts, np.array([helix.point(float(t)) for t in ts]))
     points = []
 
     def evaluator(t, order):
@@ -367,10 +374,30 @@ def test_sampled_length_table_costs_no_more_than_the_fixed_table(helix, unit_hel
         return sampled.evaluator(t, order)
 
     curve = make_curve(3, sampled.domain, "sampled", 5, evaluator, check_regularity=False)
-    amap = curves._length_table(curve, *curve.domain)
-    assert sum(points) == curves._MAX_SPANS * 20 == 10240
-    assert curves._START_SPANS < amap.edges.size - 1 < curves._MAX_SPANS
-    assert amap.total == pytest.approx(unit_helix.domain[1], abs=1e-8)
+    for t0, t1 in [(0.0, 2 * math.pi), (1.0, 1.0 + 0.3 * 2 * math.pi), (1.0, 1.1), (0.5, 0.502)]:
+        points.clear()
+        amap = curves._length_table(curve, t0, t1)
+        spans = math.ceil(curves._MAX_SPANS * (t1 - t0) / curve.length_of_domain)
+        assert sum(points) == 20 * spans
+        np.testing.assert_array_equal(amap.edges, np.linspace(t0, t1, spans + 1))
+    exact = SQRT5 * 2 * math.pi
+    assert ff.arc_length(curve, 0.0, 2 * math.pi) == pytest.approx(exact, rel=2e-15, abs=0.0)
+    assert ff.reparam_to_arclength(curve).domain[1] == pytest.approx(exact, rel=2e-15, abs=0.0)
+
+
+def test_length_table_of_an_arc_costs_its_share(helix):
+    # an analytic arc over a fraction f of the domain starts from
+    # ceil(32 f) spans, so a short arc evaluates one span of 20 points
+    points = []
+
+    def evaluator(t, order):
+        points.append(t.size)
+        return helix.evaluator(t, order)
+
+    curve = make_curve(3, helix.domain, "analytic", 5, evaluator)
+    points.clear()
+    assert ff.arc_length(curve, 1.0, 1.1) == pytest.approx(0.1 * SQRT5, rel=1e-15, abs=0.0)
+    assert points == [20]
 
 
 # -------------------------------------------------------------- reparametrization
@@ -460,25 +487,30 @@ def test_inversion_budget_exhaustion_raises(monkeypatch):
 
 # The scalar arclength route that array evaluation replaced, kept as the
 # parity reference: Legendre tables, one-point Newton with the three-term
-# recurrence, and fixed-point series reversion with Horner composition.
+# recurrence, and fixed-point series reversion with Horner composition. The
+# series work is exact to 40 digits from the float base derivatives: at
+# order 4 on Salkowski n = 0.7 near the end of its domain the terms cancel
+# from about 250 to 0.71, and a float64 reference was itself up to 8.4e-14
+# of that order's scale from the exact value, beyond the parity bound.
+_REF_CONTEXT = decimal.Context(prec=40)
+
 
 def _ref_sqrt(a, n):
-    s = np.zeros(n)
-    s[0] = math.sqrt(a[0])
+    s = [decimal.Decimal(0)] * n
+    s[0] = a[0].sqrt()
     for j in range(1, n):
-        acc = a[j] if j < a.size else 0.0
-        acc -= np.dot(s[1:j], s[j - 1:0:-1])
-        s[j] = acc / (2.0 * s[0])
+        acc = a[j] if j < len(a) else decimal.Decimal(0)
+        acc -= sum((s[i] * s[j - i] for i in range(1, j)), decimal.Decimal(0))
+        s[j] = acc / (2 * s[0])
     return s
 
 
 def _ref_mul(a, b, n):
-    out = np.convolve(a, b)[:n]
-    return np.pad(out, (0, n - out.size))
+    return [sum((a[i] * b[k - i] for i in range(k + 1)), decimal.Decimal(0)) for k in range(n)]
 
 
 def _ref_compose(f, g, n):
-    out = np.zeros(n)
+    out = [decimal.Decimal(0)] * n
     out[0] = f[-1]
     for c in f[-2::-1]:
         out = _ref_mul(out, g, n)
@@ -487,11 +519,11 @@ def _ref_compose(f, g, n):
 
 
 def _ref_reverse(s, n):
-    ident = np.zeros(n)
-    ident[1] = 1.0
-    t = ident / s[1]
+    ident = [decimal.Decimal(int(k == 1)) for k in range(n)]
+    t = [x / s[1] for x in ident]
     for _ in range(n):
-        t = t - (_ref_compose(s, t, n) - ident) / s[1]
+        comp = _ref_compose(s, t, n)
+        t = [t[k] - (comp[k] - ident[k]) / s[1] for k in range(n)]
     return t
 
 
@@ -510,7 +542,6 @@ class _ScalarArclength:
         self.arc = legint(self.rate, lbnd=-1.0, axis=1)
         self.cum = np.concatenate([[0.0], np.cumsum(self.half * (speeds @ curves._GL_WEIGHTS))])
         self.total = float(self.cum[-1])
-        self.fact = curves.factorials(curve.max_order + 1)
 
     def invert(self, s):
         s = min(max(s, 0.0), self.total)
@@ -544,17 +575,18 @@ class _ScalarArclength:
         if order == 0:
             return base[:1]
         n = order + 1
-        gcoef = base[:n] / self.fact[:n, None]
-        dcoef = gcoef[1:] * np.arange(1, n)[:, None]
-        w = np.zeros(order)
-        for j in range(order):
-            for i in range(j + 1):
-                w[j] += float(dcoef[i] @ dcoef[j - i])
-        scoef = np.zeros(n)
-        scoef[1:] = _ref_sqrt(w, order) / np.arange(1, n)
-        tcoef = _ref_reverse(scoef, n)
-        out = np.column_stack([_ref_compose(g, tcoef, n) for g in gcoef.T])
-        return out * self.fact[:n, None]
+        with decimal.localcontext(_REF_CONTEXT):
+            fact = [decimal.Decimal(math.factorial(k)) for k in range(n)]
+            gcoef = [[decimal.Decimal(float(base[k, c])) / fact[k] for k in range(n)]
+                     for c in range(base.shape[1])]
+            dcoef = [[(k + 1) * g[k + 1] for k in range(order)] for g in gcoef]
+            w = [sum((d[i] * d[j - i] for d in dcoef for i in range(j + 1)), decimal.Decimal(0))
+                 for j in range(order)]
+            root = _ref_sqrt(w, order)
+            scoef = [decimal.Decimal(0)] + [root[k - 1] / k for k in range(1, n)]
+            tcoef = _ref_reverse(scoef, n)
+            out = [_ref_compose(g, tcoef, n) for g in gcoef]
+            return np.array([[float(col[k] * fact[k]) for col in out] for k in range(n)])
 
 
 _PARITY_CURVES = {
@@ -569,13 +601,15 @@ _PARITY_CURVES = {
 
 @pytest.mark.parametrize("name", sorted(_PARITY_CURVES))
 def test_array_arclength_matches_scalar_reference(name):
-    # both routes over the same fixed table of 512 equal spans; the table
-    # that reparam_to_arclength builds is checked in the test below
     curve = _PARITY_CURVES[name]()
-    unit = curves._arclength_curve(curve, curves._ArclengthMap(curve, curve.grid(513)))
-    ref = _ScalarArclength(curve, curve.grid(513))
-    assert unit.domain[1] == ref.total
+    unit = ff.reparam_to_arclength(curve)
+    amap = _length_table(curve)
+    ref = _ScalarArclength(curve, amap.edges)
+    assert unit.domain[1] == amap.total == ref.total
     ss = np.linspace(0.0, ref.total, 97)
+    # inversions agree within the Newton stop rule, 1e-15 relative in t
+    want_t = np.array([ref.invert(float(s)) for s in ss])
+    assert np.all(np.abs(amap.invert(ss) - want_t) <= 1e-15 * np.maximum(1.0, np.abs(want_t)))
     for order in range(curve.max_order + 1):
         got = unit.evaluator(ss, order)
         want = np.array([ref.evaluate(float(s), order) for s in ss])
@@ -583,24 +617,6 @@ def test_array_arclength_matches_scalar_reference(name):
         # the bound scales with each derivative order's own largest entry
         scale = np.max(np.abs(want), axis=(0, 2))
         assert np.all(np.max(np.abs(got - want), axis=(0, 2)) <= 5e-14 * scale)
-        for i in range(0, 97, 8):
-            np.testing.assert_array_equal(ff.eval_derivatives(unit, float(ss[i]), order), got[i])
-
-
-@pytest.mark.parametrize("name", sorted(_PARITY_CURVES))
-def test_built_table_matches_scalar_reference(name):
-    # the table of reparam_to_arclength: the same total, and inversions that
-    # agree within the Newton stop rule, 1e-15 relative in t
-    curve = _PARITY_CURVES[name]()
-    unit = ff.reparam_to_arclength(curve)
-    amap = _length_table(curve)
-    ref = _ScalarArclength(curve, amap.edges)
-    assert unit.domain[1] == amap.total == ref.total
-    ss = np.linspace(0.0, ref.total, 97)
-    want = np.array([ref.invert(float(s)) for s in ss])
-    assert np.all(np.abs(amap.invert(ss) - want) <= 1e-15 * np.maximum(1.0, np.abs(want)))
-    for order in range(curve.max_order + 1):
-        got = unit.evaluator(ss, order)
         for i in range(0, 97, 8):
             np.testing.assert_array_equal(ff.eval_derivatives(unit, float(ss[i]), order), got[i])
 
