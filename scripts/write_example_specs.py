@@ -28,6 +28,12 @@ SPECS = {
         "params": {"radii": [1.0, 1.0], "frequencies": [1.0, 2.0], "pitch": 1.0},
         "domain": [0.0, 2 * math.pi],
     },
+    # wcurve5 with radii and pitch x100: the same curve in other units
+    "wcurve5_x100.json": {
+        "type": "wcurve", "dim": 5,
+        "params": {"radii": [100.0, 100.0], "frequencies": [1.0, 2.0], "pitch": 100.0},
+        "domain": [0.0, 2 * math.pi],
+    },
     "wcurve6.json": {
         "type": "wcurve", "dim": 6,
         "params": {"radii": [1.0, 0.8, 0.6], "frequencies": [1.0, 2.0, 3.0]},

@@ -13,7 +13,8 @@ curvatures. :func:`curvature_table` returns it as it is and
 :func:`frenet_grid` raises on its first flagged row; a single point is
 the one-row case. A curve keeps its last pass, derivative stack
 included, so public calls on the same grid and order share one table and
-a one-point call at a kept row can read its derivatives.
+the osculating-center oracle can solve every row of a full-order pass at
+once.
 """
 
 from __future__ import annotations
@@ -134,23 +135,39 @@ def _as_int(value, name: str) -> int:
     return int(value)
 
 
+class _KeptPass:
+    """A curve's last grid pass: its key ``(order, grid shape, grid bytes)``,
+    its table and the read-only derivative stack it evaluated.
+
+    ``centers`` is None until :func:`focal.osculating_center_oracle` stores
+    the center table it builds from ``derivs`` alone, in one assignment of
+    a complete value.
+    """
+
+    __slots__ = ("key", "table", "derivs", "centers")
+
+    def __init__(self, key: tuple, table: FrenetData, derivs: np.ndarray):
+        self.key, self.table, self.derivs, self.centers = key, table, derivs, None
+
+
 def _frenet_pass(curve: Curve, grid, order: int | None) -> FrenetData:
     """One oracle call and one stacked Gram-Schmidt over a grid.
 
     The curve keeps its last pass, with the derivative stack it evaluated:
     a call with the same order and a grid of the same float64 bytes (so
     ``-0.0`` and ``0.0`` differ) returns it instead of evaluating again, and
-    :func:`_kept_row` reads its rows. Every array of a pass is read-only,
-    because every later caller shares it.
+    the osculating-center oracle builds its center table from its stack.
+    Every array of a pass is read-only, because every later caller shares
+    it.
     """
     d = curve.dimension if order is None else _as_int(order, "order")
     if not 2 <= d <= curve.dimension:
         raise ValueError(f"order must lie in [2, {curve.dimension}], got {d}")
     ss = np.array(grid, dtype=float)
-    key = (d, ss.shape, ss.tobytes())
+    key = _pass_key(d, ss)
     last = curve._frenet_memo[0]
-    if last is not None and last[0] == key:
-        return last[1]
+    if last is not None and last.key == key:
+        return last.table
     derivs = eval_derivatives(curve, ss, d)
     orth, norms, reduced = gram_schmidt_rows(derivs[:, 1:])
     # A flagged row may divide by a zero norm; its values are replaced by NaN.
@@ -168,26 +185,19 @@ def _frenet_pass(curve: Curve, grid, order: int | None) -> FrenetData:
     table = FrenetData(ss, derivs[:, 0], speed, frames, curvatures, reduced)
     # One store of a whole entry: threads that miss together compute equal
     # passes, and a reader never sees a key paired with another grid's pass.
-    curve._frenet_memo[0] = (key, table, derivs)
+    curve._frenet_memo[0] = _KeptPass(key, table, derivs)
     return table
 
 
-def _kept_row(curve: Curve, s, order: int) -> np.ndarray | None:
-    """Rows 0..order of the derivative stack at ``s`` from the curve's kept
-    pass, read-only, or None.
+def _pass_key(order: int, ss: np.ndarray) -> tuple:
+    """The key of a pass at ``order`` over the float64 grid ``ss``."""
+    return (order, ss.shape, ss.tobytes())
 
-    A row is kept only when the pass was made at ``order`` and the float64
-    bytes of ``s`` equal one of its parameters, the byte rule of the pass
-    key. Kept parameters passed the domain check, so NaN never matches. The
-    row has the bits of ``eval_derivatives(curve, s, order)``, because a
-    scalar call is the one-row case of the array call.
-    """
+
+def _kept_pass(curve: Curve, order: int) -> _KeptPass | None:
+    """The curve's kept pass if it was made at ``order``, else None."""
     last = curve._frenet_memo[0]
-    t = np.asarray(s, dtype=float)
-    if last is None or last[0][0] != order or t.ndim:
-        return None
-    hit = np.flatnonzero(last[1].s.view(np.uint64) == t.view(np.uint64))
-    return last[2][hit[0]] if hit.size else None
+    return last if last is not None and last.key[0] == order else None
 
 
 def frenet_grid(curve: Curve, grid, order: int | None = None) -> FrenetData:

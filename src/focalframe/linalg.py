@@ -7,13 +7,17 @@ index. :func:`gram_schmidt_rows` is the one kernel: it takes a stack of
 flags (one per grid row or evaluation point, or a one-row stack for a
 single flag) and reports rank loss per row. It serves every grid pass,
 the synthesized curves' evaluator and the integrator's initial frame.
-The solve is LAPACK's, behind a conditioning check. All functions are pure,
-never mutate their inputs, and are safe to call from multiple threads.
+The solve is LAPACK's, behind a conditioning check, and
+:func:`solve_linear` is stacked the same way: one batched ``svd`` and one
+batched ``solve`` over a stack of systems, with a per-row verdict, so a
+singular or non-finite system fails its own row and not the stack; one
+system is the one-row case. The osculating-center oracle solves the
+center table of a whole grid pass in one such call. All functions are
+pure, never mutate their inputs, and are safe to call from multiple
+threads.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -77,30 +81,68 @@ def gram_schmidt_rows(stack) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return V, norms, failed
 
 
-def solve_linear(A, b) -> np.ndarray:
-    """Solve the square system ``A x = b`` with LAPACK.
+def solve_linear(A, b):
+    """Solve the square system ``A x = b`` with LAPACK, or a stack of them.
 
-    Raises SingularSystem when the smallest singular value of ``A`` is at
-    or below ``1e-13 * ||A||_F``; raises ValueError on an empty or
+    ``A`` of shape (n, n) and ``b`` of shape (n,) give ``x`` of shape
+    (n,). Raises SingularSystem when the smallest singular value of ``A``
+    is at or below ``1e-13 * ||A||_F``; raises ValueError on an empty or
     non-square matrix, a mismatched right-hand side or non-finite entries.
+
+    A stack, ``A`` of shape (N, n, n) and ``b`` of shape (N, n), is solved
+    by one batched ``svd`` and one batched ``solve`` and returns ``(x,
+    errors)``: ``x`` of shape (N, n), NaN on a failed row, and ``errors``,
+    a dict from the index of each failed row to the exception (not raised)
+    that a 2-D call on that row raises. Failed rows are kept out of the
+    LAPACK calls, so one bad system cannot fail the rest; shape errors are
+    raised. A 2-D call is the one-row case of the stack, so its solution
+    has the bits of its row in any stack.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1] or not A.size:
-        raise ValueError(f"expected a nonempty square matrix, got shape {A.shape}")
-    n = A.shape[0]
-    if b.shape != (n,):
-        raise ValueError(f"right-hand side shape {b.shape} does not match system size {n}")
-    # ||A||_F as np.linalg.norm computes it; it and b . b are finite unless an
-    # entry is not, or they overflow, which the entrywise check tells apart
-    flat = A.ravel(order="K")
-    frobenius = math.sqrt(flat.dot(flat))
-    if not (math.isfinite(frobenius) and math.isfinite(b @ b)):
-        if not (np.isfinite(A).all() and np.isfinite(b).all()):
-            raise ValueError("system has non-finite entries")
+    stacked = A.ndim == 3
+    if A.ndim not in (2, 3) or A.shape[-1] != A.shape[-2] or not A.shape[-1]:
+        what = "a stack of nonempty square matrices" if stacked else "a nonempty square matrix"
+        raise ValueError(f"expected {what}, got shape {A.shape}")
+    if b.shape != A.shape[:-1]:
+        size = A.shape[:-1] if stacked else A.shape[0]
+        raise ValueError(f"right-hand side shape {b.shape} does not match system size {size}")
+    if stacked:
+        return _solve_rows(A, b)
+    x, errors = _solve_rows(A[None], b[None])
+    if errors:
+        raise errors[0]
+    return x[0]
 
-    floor = 1e-13 * frobenius
-    smallest = float(np.linalg.svd(A, compute_uv=False)[-1])
-    if smallest <= floor:
-        raise SingularSystem(f"smallest singular value {smallest:.3e} at or below {floor:.3e}")
-    return np.linalg.solve(A, b)
+
+def _solve_rows(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, dict[int, Exception]]:
+    """The stacked kernel of :func:`solve_linear` on checked shapes."""
+    n = len(b)
+    errors: dict[int, Exception] = {}
+    rows = None
+    # ||A||_F^2 (einsum flags no overflow) is finite unless an entry is not,
+    # or it overflows, which the entrywise check tells apart
+    sq = np.einsum("rij,rij->r", A, A)
+    if not (np.isfinite(sq).all() and np.isfinite(b).all()):
+        bad = ~(np.isfinite(A).all(axis=(1, 2)) & np.isfinite(b).all(axis=1))
+        for r in np.flatnonzero(bad).tolist():
+            errors[r] = ValueError("system has non-finite entries")
+        rows = np.flatnonzero(~bad)
+        A, b, sq = A[rows], b[rows], sq[rows]
+    # an overflowing ||A||_F gives an infinite floor: the row is singular
+    floor = 1e-13 * np.sqrt(sq)
+    smallest = np.linalg.svd(A, compute_uv=False)[:, -1]
+    regular = smallest > floor
+    if not regular.all():
+        if rows is None:
+            rows = np.arange(n)
+        for r in np.flatnonzero(~regular).tolist():
+            errors[int(rows[r])] = SingularSystem(
+                f"smallest singular value {smallest[r]:.3e} at or below {floor[r]:.3e}")
+        rows, A, b = rows[regular], A[regular], b[regular]
+    x = np.linalg.solve(A, b[:, :, None])[:, :, 0]
+    if rows is None:
+        return x, errors
+    out = np.full((n, x.shape[1]), np.nan)
+    out[rows] = x
+    return out, errors

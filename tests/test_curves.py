@@ -33,7 +33,6 @@ from focalframe.errors import (
     OutOfDomain,
     RegularityFailure,
 )
-from focalframe.frenet import _kept_row
 from focalframe.numdiff import fd_weights
 from reference_kernels import counting_curve
 
@@ -155,15 +154,18 @@ def test_scalar_calls_always_evaluate(helix):
 @pytest.mark.parametrize("kind", KINDS)
 def test_kept_rows_equal_fresh_scalar_calls(kind, helix, salkowski, unit_salkowski):
     curve, calls = counting_curve(_kind_curve(kind, helix, salkowski, unit_salkowski))
-    # a uniform grid, then parameters off it and out of order
+    # a uniform grid, then parameters off it and out of order; the centers
+    # of the table built from the kept pass have the bits of fresh calls
     ts = np.concatenate([curve.grid(37), curve.domain[0] + np.array([0.3, 0.1, 0.7])])
-    order = curve.dimension
     ff.curvature_table(curve, ts)
-    rows = [_kept_row(curve, float(t), order) for t in ts]
-    assert calls == [(ts.size, order)]
-    for t, row in zip(ts, rows):
-        np.testing.assert_array_equal(row, ff.eval_derivatives(curve, float(t), order))
-        assert row.shape == (order + 1, curve.dimension) and not row.flags.writeable
+    centers = [ff.osculating_center_oracle(curve, float(t)) for t in ts]
+    assert calls == [(ts.size, curve.dimension)]
+    fresh = dataclasses.replace(curve)
+    for t, center in zip(ts, centers):
+        np.testing.assert_array_equal(center, ff.osculating_center_oracle(fresh, float(t)))
+        assert center.shape == (curve.dimension,) and center.flags.writeable
+    np.testing.assert_array_equal(ff.osculating_center_oracle(curve, ts), np.array(centers))
+    assert len(calls) == 1 + ts.size
 
 
 def _unit_kind_curve(kind, unit_salkowski):
@@ -183,10 +185,15 @@ def test_oracle_rows_of_a_focal_table_skip_the_evaluator(kind, unit_salkowski):
     assert calls == [(96, 3)]
     centers = [ff.osculating_center_oracle(unit, fd.s) for fd in table[3:-3]]
     assert calls == [(96, 3)]
+    # the table's own grid reads the table; part of it is one fresh array call
+    np.testing.assert_array_equal(ff.osculating_center_oracle(unit, table.s)[3:-3], centers)
+    assert calls == [(96, 3)]
+    np.testing.assert_array_equal(ff.osculating_center_oracle(unit, table.s[3:-3]), centers)
+    assert calls == [(96, 3), (90, 3)]
     fresh = dataclasses.replace(unit)
     for fd, center in zip(table[3:-3], centers):
         np.testing.assert_array_equal(center, ff.osculating_center_oracle(fresh, fd.s))
-    assert len(calls) == 1 + 90
+    assert len(calls) == 2 + 90
 
 
 @pytest.mark.parametrize("miss", ["order", "negative-zero", "one-ulp", "replaced-curve"])
@@ -209,15 +216,18 @@ def test_kept_evaluation_misses(helix, miss):
 
 def test_writing_into_a_kept_row_leaves_the_next_hit_unchanged(helix):
     curve = dataclasses.replace(helix)
-    table = ff.curvature_table(curve, curve.grid(16))
-    t = float(table.s[5])
-    row = _kept_row(curve, t, 3)
-    want = ff.eval_derivatives(curve, t, 3)
-    # the kept row is read-only, and so is the table's point, a view of it
-    with pytest.raises(ValueError, match="read-only"):
-        row[0] = 0.0
-    assert not table.point.flags.writeable and np.shares_memory(table.point, row)
-    np.testing.assert_array_equal(_kept_row(curve, t, 3), want)
+    grid = curve.grid(16)
+    ff.curvature_table(curve, grid)
+    t = float(grid[5])
+    want = ff.osculating_center_oracle(dataclasses.replace(helix), t)
+    # a returned center, one row or the whole table, is the caller's own
+    center = ff.osculating_center_oracle(curve, t)
+    center[:] = 0.0
+    np.testing.assert_array_equal(ff.osculating_center_oracle(curve, t), want)
+    table = ff.osculating_center_oracle(curve, grid)
+    table[:] = 0.0
+    np.testing.assert_array_equal(ff.osculating_center_oracle(curve, t), want)
+    np.testing.assert_array_equal(ff.osculating_center_oracle(curve, grid)[5], want)
 
 
 def test_kept_evaluation_under_threads(helix):
@@ -260,12 +270,11 @@ def test_kept_evaluation_still_checks_the_domain(helix, t):
     lo, hi = curve.domain
     # the grid runs past the ends by less than the domain slack
     ff.curvature_table(curve, np.array([lo - 1e-12, 1.0, hi + 1e-12]))
-    assert _kept_row(curve, t, 3) is None
     with pytest.raises(OutOfDomain):
         ff.osculating_center_oracle(curve, t)
-    # a kept parameter within the slack gives the row of the clamped one
-    np.testing.assert_array_equal(_kept_row(curve, lo - 1e-12, 3),
-                                  ff.eval_derivatives(helix, lo, 3))
+    # a kept parameter within the slack gives the center of the clamped one
+    np.testing.assert_array_equal(ff.osculating_center_oracle(curve, lo - 1e-12),
+                                  ff.osculating_center_oracle(dataclasses.replace(helix), lo))
     assert calls == [(3, 3)]
 
 

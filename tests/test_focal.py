@@ -1,21 +1,30 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 
 import focalframe as ff
+from focalframe import focal
 from focalframe.curves import (
     CurvatureProfile,
     ProfileFunction,
     TrigCoordinate,
     curve_from_coordinates,
 )
-from focalframe.errors import FocalNotRegular, NotGeneric, NotUnitSpeed, RegularityFailure
+from focalframe.errors import (
+    FocalNotRegular,
+    NotGeneric,
+    NotUnitSpeed,
+    RegularityFailure,
+    SingularSystem,
+)
 from focalframe.focal import FocalRelationsReport, _binomial_table, _center_rhs
 from focalframe.frenet import _alignment_signs
+from focalframe.linalg import solve_linear
 from focalframe.numdiff import grid_derivative
-from reference_kernels import center_rhs
+from reference_kernels import center_rhs, counting_curve
 
 SQRT5 = math.sqrt(5.0)
 
@@ -99,7 +108,7 @@ def test_center_rhs_matches_per_term_loop(dim):
         rng = np.random.default_rng(1000 * dim + seed)
         derivs = rng.normal(size=(dim + 1, dim)) * np.exp(rng.uniform(-3.0, 3.0, (dim + 1, 1)))
         scale = _binomial_table(dim) @ (np.abs(derivs) @ np.abs(derivs).T).ravel()
-        assert np.all(np.abs(_center_rhs(derivs) - center_rhs(derivs)) <= 1e-15 * scale)
+        assert np.all(np.abs(_center_rhs(derivs[None])[0] - center_rhs(derivs)) <= 1e-15 * scale)
 
 
 @pytest.mark.parametrize("builder,n", [
@@ -113,11 +122,70 @@ def test_center_rhs_matches_per_term_loop(dim):
 def test_oracle_equivalence(builder, n):
     unit = ff.reparam_to_arclength(builder())
     table = ff.focal_curvatures(unit, unit.grid(n))
-    worst = max(
-        np.linalg.norm(fd.focal_point - ff.osculating_center_oracle(unit, fd.s))
-        for fd in table[3:-3]
-    )
-    assert worst < 1e-6
+    inner = table[3:-3]
+    gaps = np.linalg.norm(inner.focal_point - ff.osculating_center_oracle(unit, inner.s), axis=1)
+    assert gaps.max() < 1e-6
+
+
+def test_focal_table_rows_make_one_stacked_solve(monkeypatch, unit_helix):
+    solves = []
+
+    def counting_solve(A, b):
+        solves.append(np.shape(A))
+        return solve_linear(A, b)
+
+    monkeypatch.setattr(focal, "solve_linear", counting_solve)
+    unit, calls = counting_curve(unit_helix)
+    grid = unit.grid(96)
+    table = ff.focal_curvatures(unit, grid)
+    for fd in table[3:-3]:
+        ff.osculating_center_oracle(unit, fd.s)
+    assert calls == [(96, 3)] and solves == [(96, 3, 3)]
+    # a pass on another grid drops the table: an old row is solved afresh
+    ff.curvature_table(unit, unit.grid(97))
+    ff.osculating_center_oracle(unit, float(grid[5]))
+    assert calls[1:] == [(97, 3), (1, 3)] and solves[1:] == [(3, 3)]
+    # the first grid again is a new pass with a new table
+    ff.focal_curvatures(unit, grid)
+    ff.osculating_center_oracle(unit, float(grid[5]))
+    ff.osculating_center_oracle(unit, float(grid[6]))
+    assert calls[3:] == [(96, 3)] and solves[2:] == [(96, 3, 3)]
+    # so is a pass at another order, and it has no table
+    ff.curvature_table(unit, grid, order=2)
+    ff.osculating_center_oracle(unit, float(grid[5]))
+    assert calls[4:] == [(96, 2), (1, 3)] and solves[3:] == [(3, 3)]
+
+
+def _inflection():
+    # (t, sin t): its second derivative at t = 0 is sin(pi), of roundoff
+    # size, so the center system there is singular
+    return curve_from_coordinates(
+        (TrigCoordinate(slope=1.0), TrigCoordinate(terms=((1.0, 1.0, 0.0),))), (-1.0, 1.0))
+
+
+def test_array_oracle_equals_stacked_one_point_calls():
+    curve = _inflection()
+    grid = np.linspace(-1.0, 1.0, 9)
+    assert grid[4] == 0.0
+    fresh = dataclasses.replace(curve)
+    with pytest.raises(SingularSystem, match=r"smallest singular value") as one:
+        ff.osculating_center_oracle(fresh, 0.0)
+    message = re.escape(str(one.value))
+    with pytest.raises(SingularSystem, match=rf"at s=0\.0: {message}$"):
+        ff.osculating_center_oracle(curve, grid)
+    regular = np.delete(grid, 4)
+    want = np.array([ff.osculating_center_oracle(fresh, float(t)) for t in regular])
+    np.testing.assert_array_equal(ff.osculating_center_oracle(curve, regular), want)
+    # the center table of a pass through the singular row: the other rows
+    # have the bits of fresh calls, and the singular row raises as one does
+    ff.curvature_table(curve, grid)
+    with pytest.raises(SingularSystem, match=rf"at s=0\.0: {message}$"):
+        ff.osculating_center_oracle(curve, grid)
+    for _ in range(2):
+        with pytest.raises(SingularSystem, match=f"^{message}$"):
+            ff.osculating_center_oracle(curve, 0.0)
+    got = np.array([ff.osculating_center_oracle(curve, float(t)) for t in regular])
+    np.testing.assert_array_equal(got, want)
 
 
 def test_recursion_converges_at_fourth_order():
@@ -132,8 +200,8 @@ def test_recursion_converges_at_fourth_order():
     gaps = []
     for n in (64, 128, 256, 512):
         table = ff.focal_curvatures(unit, unit.grid(n))
-        gaps.append(max(np.linalg.norm(fd.focal_point - ff.osculating_center_oracle(unit, fd.s))
-                        for fd in table))
+        centers = ff.osculating_center_oracle(unit, table.s)
+        gaps.append(np.linalg.norm(table.focal_point - centers, axis=1).max())
     orders = np.log2(np.array(gaps[:-1]) / np.array(gaps[1:]))
     assert np.all((3.5 < orders) & (orders < 5.0)), (gaps, orders)
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -158,3 +160,53 @@ def test_solve_round_trip(n, seed):
     bound = 1e-9 * (np.linalg.norm(A) * np.linalg.norm(x) + np.linalg.norm(b))
     assert err <= bound
     np.testing.assert_allclose(x, np.linalg.solve(A, b), atol=1e-8 * max(1.0, np.linalg.norm(x)))
+
+
+def test_solve_messages():
+    with pytest.raises(ValueError, match=r"^expected a nonempty square matrix, got shape \(2, 3\)$"):
+        solve_linear(np.ones((2, 3)), np.ones(2))
+    with pytest.raises(ValueError, match=r"^expected a nonempty square matrix, got shape \(3,\)$"):
+        solve_linear(np.ones(3), np.ones(3))
+    with pytest.raises(ValueError, match=r"^right-hand side shape \(3,\) does not match "
+                                         r"system size 2$"):
+        solve_linear(np.eye(2), np.ones(3))
+    with pytest.raises(ValueError, match=r"^system has non-finite entries$"):
+        solve_linear(np.eye(2), (1.0, np.inf))
+    with pytest.raises(SingularSystem, match=r"^smallest singular value 3\.355e-17 at or below "
+                                             r"2\.000e-13$"):
+        solve_linear([[1.0, 1.0], [1.0, 1.0]], (1.0, 2.0))
+
+
+def test_stacked_solve_keeps_bad_rows_apart():
+    rng = np.random.default_rng(7)
+    A = rng.normal(size=(9, 4, 4)) + 3.0 * np.eye(4)
+    b = rng.normal(size=(9, 4))
+    A[3, 2] = 2.0 * A[3, 0]          # singular
+    A[5, 1, 2] = np.nan              # non-finite matrix
+    b[6, 0] = -np.inf                # non-finite right-hand side
+    A[7] *= 1e300                    # finite, but ||A||_F overflows: singular
+    x, errors = solve_linear(A, b)
+    assert x.shape == (9, 4) and sorted(errors) == [3, 5, 6, 7]
+    for r in range(9):
+        if r not in errors:
+            np.testing.assert_array_equal(x[r], solve_linear(A[r], b[r]))
+            continue
+        assert np.isnan(x[r]).all()
+        err = errors[r]
+        with pytest.raises(type(err), match=f"^{re.escape(str(err))}$"):
+            solve_linear(A[r], b[r])
+    assert [type(errors[r]) for r in (3, 5, 6, 7)] == [SingularSystem, ValueError, ValueError,
+                                                       SingularSystem]
+
+
+def test_stacked_solve_shapes():
+    x, errors = solve_linear(np.empty((0, 3, 3)), np.empty((0, 3)))
+    assert x.shape == (0, 3) and errors == {}
+    x, errors = solve_linear(np.zeros((2, 2, 2)), np.ones((2, 2)))
+    assert np.isnan(x).all() and sorted(errors) == [0, 1]
+    with pytest.raises(ValueError, match="stack of nonempty square matrices"):
+        solve_linear(np.ones((2, 3, 2)), np.ones((2, 3)))
+    with pytest.raises(ValueError, match="stack of nonempty square matrices"):
+        solve_linear(np.ones((2, 0, 0)), np.ones((2, 0)))
+    with pytest.raises(ValueError, match=r"right-hand side shape \(3,\) does not match"):
+        solve_linear(np.ones((2, 3, 3)), np.ones(3))
