@@ -44,7 +44,6 @@ from .frenet import (
     _alignment_signs,
     _kept_pass,
     _KeptPass,
-    _pass_key,
     _report_dict,
     frenet_grid,
 )
@@ -146,8 +145,8 @@ def osculating_center_oracle(curve: Curve, s) -> np.ndarray:
     recursion), and keeps the centers with the pass. Later calls at its rows
     return a copy of the row. A row matches when the parameter's float64
     bytes equal it: ``-0.0`` does not match ``0.0``, a parameter one ulp off
-    does not, and NaN never does. An array call with the pass's grid bytes
-    returns a copy of the whole table. Every center has the bits of a fresh
+    does not, and NaN never does. An array call reads no table: it always
+    evaluates and solves its own stack. Every center has the bits of a fresh
     one-point call, because that call is the one-row case of the stack. The
     table costs about 0.6 ms at E3 and 1.6 ms at E8 for 256 rows, and 9 ms
     at E3 for 4096, against about 50 µs for a fresh one-point call, so it
@@ -155,19 +154,14 @@ def osculating_center_oracle(curve: Curve, s) -> np.ndarray:
     """
     dim = curve.dimension
     ts = np.asarray(s, dtype=float)
-    kept = _kept_pass(curve, dim)
     if ts.ndim == 0:
-        center = _kept_center(kept, ts)
+        center = _kept_center(_kept_pass(curve, dim), ts)
         if center is None:
             derivs = eval_derivatives(curve, ts, dim)
             center = solve_linear(derivs[1:], _center_rhs(derivs[None])[0])
         return center
-    if kept is not None and kept.key == _pass_key(dim, ts):
-        table = _center_table(kept)
-        centers, errors = table.centers.copy(), table.errors
-    else:
-        derivs = eval_derivatives(curve, ts, dim)
-        centers, errors = solve_linear(derivs[:, 1:], _center_rhs(derivs))
+    derivs = eval_derivatives(curve, ts, dim)
+    centers, errors = solve_linear(derivs[:, 1:], _center_rhs(derivs))
     if errors:
         row = min(errors)
         err = errors[row]
@@ -192,9 +186,16 @@ def _kept_center(kept: _KeptPass | None, t: np.ndarray) -> np.ndarray | None:
     if kept is None:
         return None
     bits = int(t.view(np.uint64))
-    if kept.centers is None and bits not in kept.table.s.view(np.uint64):
-        return None
-    table = _center_table(kept)
+    table = kept.centers
+    if table is None:
+        if bits not in kept.table.s.view(np.uint64):
+            return None
+        # solved from the derivative stack alone, kept with the pass in one store
+        centers, errors = solve_linear(kept.derivs[:, 1:], _center_rhs(kept.derivs))
+        centers.setflags(write=False)
+        grid = kept.table.s.view(np.uint64).tolist()
+        rows = dict(zip(reversed(grid), range(len(grid) - 1, -1, -1)))
+        kept.centers = table = _CenterTable(centers, errors, rows)
     row = table.rows.get(bits)
     if row is None:
         return None
@@ -203,19 +204,6 @@ def _kept_center(kept: _KeptPass | None, t: np.ndarray) -> np.ndarray | None:
         # a new exception: the table's own is shared by every caller
         raise type(err)(*err.args)
     return table.centers[row].copy()
-
-
-def _center_table(kept: _KeptPass) -> _CenterTable:
-    """The center table of ``kept``, solved from its derivative stack alone on
-    the first call and kept with the pass in one store."""
-    table = kept.centers
-    if table is None:
-        centers, errors = solve_linear(kept.derivs[:, 1:], _center_rhs(kept.derivs))
-        centers.setflags(write=False)
-        bits = kept.table.s.view(np.uint64).tolist()
-        rows = dict(zip(reversed(bits), range(len(bits) - 1, -1, -1)))
-        kept.centers = table = _CenterTable(centers, errors, rows)
-    return table
 
 
 def _center_rhs(derivs: np.ndarray) -> np.ndarray:
