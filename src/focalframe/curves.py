@@ -21,8 +21,9 @@ and slant analyses to reach their stated tolerances; all builtin
 generators are real-analytic.
 
 Everything here is pure and thread-safe: evaluators share no state, and
-curves never change after construction except for one private slot, in
-which the Frenet layer keeps the curve's last grid pass.
+curves never change after construction except for two private slots: in
+one the Frenet layer keeps the curve's last grid pass, in the other
+:func:`reparam_to_arclength` keeps the curve's arclength version.
 """
 
 from __future__ import annotations
@@ -87,10 +88,13 @@ class Curve:
     entry point; it also takes a scalar, as the one-row case.
 
     The evaluator returns a fresh array on every call, which callers may
-    keep or mark read-only. The private one-item list ``_frenet_memo`` is
-    where :mod:`focalframe.frenet` keeps the curve's last grid pass. It
-    takes no part in construction, equality, hashing or ``repr``, so
-    ``dataclasses.replace`` gives a curve with an empty slot.
+    keep or mark read-only. Two private one-item lists keep what was
+    computed from the curve: ``_frenet_memo`` is where
+    :mod:`focalframe.frenet` keeps the curve's last grid pass, and
+    ``_arclength_memo`` is where :func:`reparam_to_arclength` keeps the
+    curve's arclength version. They take no part in construction,
+    equality, hashing or ``repr``, so ``dataclasses.replace`` gives a curve
+    with empty slots.
     """
 
     dimension: int
@@ -101,6 +105,8 @@ class Curve:
     label: str = ""
     _frenet_memo: list = field(default_factory=lambda: [None], init=False, repr=False,
                                compare=False)
+    _arclength_memo: list = field(default_factory=lambda: [None], init=False, repr=False,
+                                  compare=False)
 
     def point(self, t: float) -> np.ndarray:
         return eval_derivatives(self, t, 0)[0]
@@ -681,16 +687,25 @@ def reparam_to_arclength(curve: Curve) -> Curve:
     by one stacked power-series substitution
     (:func:`_derivs_through_substitution`), so the unit-speed identity holds
     to roundoff rather than to the accuracy of the inversion.
+
+    The curve keeps its arclength version: a repeat call returns the same
+    curve, with the grid pass that curve keeps, and builds no second table.
+    The version's evaluator holds the base evaluator and the table, not the
+    base curve, so keeping it makes no reference cycle.
     """
+    kept = curve._arclength_memo[0]
+    if kept is not None:
+        return kept
     amap = _length_table(curve, *curve.domain)
+    base_evaluator = curve.evaluator
 
     def evaluator(s: np.ndarray, order: int) -> np.ndarray:
-        base = np.asarray(curve.evaluator(amap.invert(s), max(order, 1)), dtype=float)
+        base = np.asarray(base_evaluator(amap.invert(s), max(order, 1)), dtype=float)
         if order == 0:
             return base[:, :1]
         return _derivs_through_substitution(base[:, :order + 1], order)
 
-    return make_curve(
+    unit = make_curve(
         curve.dimension,
         (0.0, amap.total),
         curve.kind,
@@ -699,10 +714,15 @@ def reparam_to_arclength(curve: Curve) -> Curve:
         label=f"arclength({curve.label or curve.kind})",
         check_regularity=False,
     )
+    # One store of a complete curve: threads that miss together build equal
+    # versions, and a reader sees either none or a whole one.
+    curve._arclength_memo[0] = unit
+    return unit
 
 
 def as_unit_speed(curve: Curve) -> Curve:
-    """``curve`` itself when it already has unit speed, else its arclength version.
+    """``curve`` itself when it already has unit speed, else its arclength
+    version, the one :func:`reparam_to_arclength` keeps.
 
     The speed is probed in one array call at ``_UNIT_SPEED_PROBES`` evenly
     spaced parameters, endpoints included; the curve counts as unit speed

@@ -48,7 +48,7 @@ from .frenet import (
     frenet_grid,
 )
 from .linalg import solve_linear
-from .numdiff import grid_derivative
+from .numdiff import grid_stencils
 
 VERTEX_TOL = 1e-10
 _UNIT_SPEED_TOL = 1e-6
@@ -88,7 +88,9 @@ def focal_curvatures(curve: Curve, grid) -> FocalData:
     """Focal curvatures, focal points and sign data over a uniform grid.
 
     The recursion needs the whole grid at once because each coefficient
-    differentiates the previous one along it. Vertex rows (focal speed
+    differentiates the previous one along it; every level applies the one
+    stencil table of the grid (:func:`grid_stencils`), so the
+    weights are computed once in any dimension. Vertex rows (focal speed
     below 1e-10) are flagged via ``is_vertex``, not dropped.
     """
     try:
@@ -107,10 +109,11 @@ def focal_curvatures(curve: Curve, grid) -> FocalData:
     m = kappa.shape[1]
     c = np.zeros((ss.size, m + 1))  # column 0 holds the implicit c_0 = 0
     c[:, 1] = 1.0 / kappa[:, 0]
+    idx, w = grid_stencils(ss)
     for i in range(1, m):
-        dci = grid_derivative(c[:, i], ss)
+        dci = np.einsum("nw,nw->n", w, c[idx, i])
         c[:, i + 1] = (dci + kappa[:, i - 1] * c[:, i - 1]) / kappa[:, i]
-    dcm = grid_derivative(c[:, m], ss)
+    dcm = np.einsum("nw,nw->n", w, c[idx, m])
     signed_speed = dcm + kappa[:, m - 1] * c[:, m - 1] if m >= 2 else dcm
 
     coeffs = c[:, 1:]

@@ -23,6 +23,33 @@ def counting_curve(base):
     return curve, calls
 
 
+def fornberg_scalar(x, x0, max_order):
+    """Fornberg's recursion on one stencil, one scalar at a time: weights of
+    shape (max_order + 1, len(x)), row k for the k-th derivative at x0."""
+    n = len(x)
+    C = np.zeros((n, max_order + 1))
+    C[0, 0] = 1.0
+    c1 = 1.0
+    c4 = x[0] - x0
+    for i in range(1, n):
+        mn = min(i, max_order)
+        c2 = 1.0
+        c5 = c4
+        c4 = x[i] - x0
+        for j in range(i):
+            c3 = x[i] - x[j]
+            c2 *= c3
+            if j == i - 1:
+                for k in range(mn, 0, -1):
+                    C[i, k] = c1 * (k * C[i - 1, k - 1] - c5 * C[i - 1, k]) / c2
+                C[i, 0] = -c1 * c5 * C[i - 1, 0] / c2
+            for k in range(mn, 0, -1):
+                C[j, k] = (c4 * C[j, k] - k * C[j, k - 1]) / c3
+            C[j, 0] = c4 * C[j, 0] / c3
+        c1 = c2
+    return C.T
+
+
 def gram_schmidt(vectors) -> tuple[np.ndarray, np.ndarray]:
     """Modified Gram-Schmidt on one flag, one vector at a time.
 

@@ -2,9 +2,11 @@ import copy
 import dataclasses
 import decimal
 import functools
+import gc
 import math
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -456,6 +458,81 @@ def test_reparam_synthesized_curve():
     for s in (0.5, 2.0, 3.5):
         np.testing.assert_allclose(unit.point(s), syn.point(s), atol=1e-8)
         np.testing.assert_allclose(unit.derivative(s, 2), syn.derivative(s, 2), atol=1e-6)
+
+
+def test_curve_keeps_its_arclength_version(salkowski):
+    curve, calls = counting_curve(salkowski)
+    unit = ff.reparam_to_arclength(curve)
+    assert calls == [(640, 1)]
+    assert ff.reparam_to_arclength(curve) is unit and calls == [(640, 1)]
+    # the unit-speed probe runs; the version is the kept one
+    assert curves.as_unit_speed(curve) is unit and calls[1:] == [(17, 1)]
+    # a replaced curve starts with an empty slot and builds its own table
+    fresh = dataclasses.replace(curve)
+    assert fresh._arclength_memo == [None]
+    assert ff.reparam_to_arclength(fresh) is not unit and calls[2:] == [(640, 1)]
+    # a unit-speed curve that keeps an arclength version is still its own
+    circle = ff.make_circle(1.0)
+    ff.reparam_to_arclength(circle)
+    assert curves.as_unit_speed(circle) is circle
+
+
+def test_verify_reads_the_pass_of_the_kept_arclength_version(salkowski):
+    curve, calls = counting_curve(salkowski)
+    unit = ff.reparam_to_arclength(curve)
+    ff.focal_curvatures(unit, unit.grid(96))
+    assert calls == [(640, 1), (96, 3)]
+    assert ff.verify_focal_slant(curve, 2, curve.grid(96)).passed
+    # the base curve's pass and the unit-speed probe; no second length
+    # table and no second pass of the arclength version
+    assert calls[2:] == [(96, 3), (17, 1)]
+
+
+def test_kept_arclength_version_holds_no_reference_to_its_base():
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        base = ff.make_helix(2.0, 1.0)
+        unit = ff.reparam_to_arclength(base)
+        ff.focal_curvatures(unit, unit.grid(64))
+        ref = weakref.ref(base)
+        del base
+        assert ref() is None
+        np.testing.assert_allclose(unit.point(SQRT5), [2 * math.cos(1.0), 2 * math.sin(1.0), 1.0],
+                                   atol=1e-9)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_threads_that_build_the_arclength_version_at_once_get_equal_curves():
+    unit = ff.reparam_to_arclength(ff.make_salkowski(0.3))
+    s = unit.grid(33)
+    want = ff.eval_derivatives(unit, s, 3)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            base = ff.make_salkowski(0.3)
+            barrier = threading.Barrier(4, timeout=60.0)
+            got = [None] * 4
+
+            def work(i):
+                barrier.wait()
+                got[i] = ff.reparam_to_arclength(base)
+
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60.0)
+            assert not any(th.is_alive() for th in threads)
+            assert base._arclength_memo[0] in got
+            for unit in got:
+                assert unit.domain == got[0].domain and unit.label == got[0].label
+                np.testing.assert_array_equal(ff.eval_derivatives(unit, s, 3), want)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def _stalling_evaluator(t, order):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import focalframe as ff
-from focalframe import focal
+from focalframe import focal, numdiff
 from focalframe.curves import (
     CurvatureProfile,
     ProfileFunction,
@@ -154,6 +154,40 @@ def test_focal_table_rows_make_one_stacked_solve(monkeypatch, unit_helix):
     ff.curvature_table(unit, grid, order=2)
     ff.osculating_center_oracle(unit, float(grid[5]))
     assert calls[4:] == [(96, 2), (1, 3)] and solves[3:] == [(3, 3)]
+
+
+def _focal_by_levels(frames):
+    """The focal coefficients and signed focal speed of a Frenet table, one
+    ``grid_derivative`` call per level: the recursion before its levels
+    shared one stencil table."""
+    ss, kappa = frames.s, frames.curvatures
+    m = kappa.shape[1]
+    c = np.zeros((ss.size, m + 1))
+    c[:, 1] = 1.0 / kappa[:, 0]
+    for i in range(1, m):
+        c[:, i + 1] = (grid_derivative(c[:, i], ss) + kappa[:, i - 1] * c[:, i - 1]) / kappa[:, i]
+    dcm = grid_derivative(c[:, m], ss)
+    return c[:, 1:], dcm + kappa[:, m - 1] * c[:, m - 1] if m >= 2 else dcm
+
+
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_focal_table_builds_one_stencil_table(monkeypatch, dim):
+    base = ff.make_ellipse(2.0, 1.2) if dim == 2 else ff.random_trig_curve(dim, 0)
+    unit = ff.reparam_to_arclength(base)
+    weight_calls = []
+    fd_weights = numdiff.fd_weights
+
+    def counting_weights(*args):
+        weight_calls.append(np.shape(args[0]))
+        return fd_weights(*args)
+
+    monkeypatch.setattr(numdiff, "fd_weights", counting_weights)
+    table = ff.focal_curvatures(unit, unit.grid(96))
+    assert weight_calls == [(96, 5)]
+    monkeypatch.undo()
+    coeffs, signed_speed = _focal_by_levels(table.frenet)
+    np.testing.assert_array_equal(table.focal_curvatures, coeffs)
+    np.testing.assert_array_equal(table.A, np.abs(signed_speed))
 
 
 def _inflection():

@@ -5,6 +5,7 @@ import pytest
 
 from focalframe.numdiff import fd_weights, grid_derivative, window_starts
 from focalframe.series import factorials, series_reverse_powers, series_sqrt
+from reference_kernels import fornberg_scalar
 
 
 def one_stencil(nodes, x0, max_order):
@@ -58,32 +59,6 @@ def _nonuniform_windows(rng, rows, n):
     return nodes, centers
 
 
-def fornberg_scalar(x, x0, max_order):
-    """Reference: Fornberg's recursion on one stencil, one scalar at a time."""
-    n = len(x)
-    C = np.zeros((n, max_order + 1))
-    C[0, 0] = 1.0
-    c1 = 1.0
-    c4 = x[0] - x0
-    for i in range(1, n):
-        mn = min(i, max_order)
-        c2 = 1.0
-        c5 = c4
-        c4 = x[i] - x0
-        for j in range(i):
-            c3 = x[i] - x[j]
-            c2 *= c3
-            if j == i - 1:
-                for k in range(mn, 0, -1):
-                    C[i, k] = c1 * (k * C[i - 1, k - 1] - c5 * C[i - 1, k]) / c2
-                C[i, 0] = -c1 * c5 * C[i - 1, 0] / c2
-            for k in range(mn, 0, -1):
-                C[j, k] = (c4 * C[j, k] - k * C[j, k - 1]) / c3
-            C[j, 0] = c4 * C[j, 0] / c3
-        c1 = c2
-    return C.T
-
-
 @pytest.mark.parametrize("n,max_order", [(2, 1), (5, 1), (7, 4), (11, 5)])
 def test_stacked_fd_weights_bit_identical_to_rows(n, max_order):
     nodes, centers = _nonuniform_windows(np.random.default_rng(n), 9, n)
@@ -93,6 +68,26 @@ def test_stacked_fd_weights_bit_identical_to_rows(n, max_order):
         np.testing.assert_array_equal(stacked[r], one_stencil(nodes[r], centers[r], max_order))
         np.testing.assert_array_equal(stacked[r],
                                       fornberg_scalar(nodes[r], centers[r], max_order))
+
+
+@pytest.mark.parametrize("rows", [1, 6])
+@pytest.mark.parametrize("centers", ["on-nodes", "off-nodes"])
+def test_fd_weights_bits_equal_the_scalar_loop(rows, centers):
+    # every window of 2-11 nodes at every order 0-5 it supports
+    rng = np.random.default_rng([rows, len(centers)])
+    for n in range(2, 12):
+        for max_order in range(min(n - 1, 5) + 1):
+            nodes, _ = _nonuniform_windows(rng, rows, n)
+            lo, hi = nodes[:, 0], nodes[:, -1]
+            if centers == "on-nodes":
+                x0 = nodes[np.arange(rows), rng.integers(0, n, rows)]
+            else:  # inside the window and beyond its ends
+                x0 = lo + rng.uniform(-0.5, 1.5, rows) * (hi - lo)
+                assert not np.isin(x0, nodes).any()
+            stacked = fd_weights(nodes, x0, max_order)
+            for r in range(rows):
+                np.testing.assert_array_equal(stacked[r],
+                                              fornberg_scalar(nodes[r], x0[r], max_order))
 
 
 def test_fd_weights_shape_checks():
