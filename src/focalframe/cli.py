@@ -14,7 +14,11 @@ Five subcommands over curve spec files (see :mod:`focalframe.specfile`):
 byte-identical files.
 
 Exit codes: 0 success, 1 verification failed, 2 input error, 3 numeric
-failure (degeneracy or vertices covering the whole grid).
+failure (degeneracy or vertices covering the whole grid). An input error
+is a bad flag or spec file (a file that is not UTF-8 JSON included) or an
+``--output`` prefix that cannot be written, such as one under a regular
+file or one whose ``PREFIX.csv`` is a directory; each prints one
+``error:`` line.
 """
 
 from __future__ import annotations
@@ -230,11 +234,11 @@ _COMMANDS = {
 def run(config: RunConfig) -> int:
     """Execute one command; returns the process exit code."""
     out = Path(config.output_path)
-    if out.parent and not out.parent.exists():
-        out.parent.mkdir(parents=True, exist_ok=True)
     try:
+        if not out.parent.exists():
+            out.parent.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[config.command](config, out)
-    except _INPUT_ERRORS as exc:
+    except (*_INPUT_ERRORS, OSError) as exc:  # OSError: a path that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except FocalFrameError as exc:

@@ -10,11 +10,12 @@ its first m+1 parameter derivatives vanish at the center, which is a
 plain linear system in the center coordinates. Tests and the acceptance
 gate hold the two routes against each other; neither may be rewired to
 call the other. The oracle solves the center systems of a whole stack
-at once: the first call at a row of a focal table solves every row of the
-Frenet pass that the curve keeps, from that pass's derivative stack alone
-(nothing of its frames or curvatures, nor of the recursion), and keeps
-the center table with the pass, where later calls at its rows read it.
-Each center has the bits of a fresh one-point call.
+at once, and a single point is the one-row stack: the first call at a
+row of a focal table solves every row of the Frenet pass that the curve
+keeps, from that pass's derivative stack alone (nothing of its frames or
+curvatures, nor of the recursion), and keeps the centers with the pass in
+one dict, where later calls at its rows read them. Each center has the
+bits of a fresh one-point call.
 The focal curve and the frame-relation check both read the one
 :class:`FocalData` table that a grid's recursion produces.
 """
@@ -139,48 +140,42 @@ def osculating_center_oracle(curve: Curve, s) -> np.ndarray:
     A scalar ``s`` gives the center, shape (m+1,), and raises the
     SingularSystem (or ValueError) of that one system. An (N,) array gives
     shape (N, m+1) from one oracle call and one stacked solve, and raises
-    naming the parameter of its first failed row.
+    naming the parameter of its first failed row. A scalar is the one-row
+    case of the array call, so every center has the bits of its row in any
+    stack.
 
     The center table: the first scalar call at a row of the curve's kept
     Frenet pass of order m+1, such as a row of :func:`focal_curvatures`,
     solves every row of that pass in one stacked call, from the pass's
     derivative stack alone (nothing of its frames or curvatures, nor of the
-    recursion), and keeps the centers with the pass. Later calls at its rows
-    return a copy of the row. A row matches when the parameter's float64
-    bytes equal it: ``-0.0`` does not match ``0.0``, a parameter one ulp off
-    does not, and NaN never does. An array call reads no table: it always
-    evaluates and solves its own stack. Every center has the bits of a fresh
-    one-point call, because that call is the one-row case of the stack. The
-    table costs about 0.6 ms at E3 and 1.6 ms at E8 for 256 rows, and 9 ms
-    at E3 for 4096, against about 50 µs for a fresh one-point call, so it
-    pays once a caller asks for more than about 5-12% of a pass's rows.
+    recursion), and keeps with the pass one dict from each row's parameter,
+    by its float64 bits, to the row's read-only center or its exception.
+    Later calls at its rows return a copy of the center or raise the row's
+    exception anew. A row matches when the parameter's float64 bits equal
+    it: ``-0.0`` does not match ``0.0``, a parameter one ulp off does not,
+    and NaN never does. A scalar call that misses the table is the one-row
+    array call, and an array call reads no table. The table costs about
+    0.6 ms at E3 and 1.6 ms at E8 for 256 rows, and 9 ms at E3 for 4096,
+    against about 50 µs for a fresh one-point call, so it pays once a
+    caller asks for more than about 5-12% of a pass's rows.
     """
     dim = curve.dimension
     ts = np.asarray(s, dtype=float)
-    if ts.ndim == 0:
+    scalar = ts.ndim == 0
+    if scalar:
         center = _kept_center(_kept_pass(curve, dim), ts)
-        if center is None:
-            derivs = eval_derivatives(curve, ts, dim)
-            center = solve_linear(derivs[1:], _center_rhs(derivs[None])[0])
-        return center
+        if center is not None:
+            return center
+        ts = ts.reshape(1)
     derivs = eval_derivatives(curve, ts, dim)
     centers, errors = solve_linear(derivs[:, 1:], _center_rhs(derivs))
     if errors:
         row = min(errors)
         err = errors[row]
+        if scalar:
+            raise err
         raise type(err)(f"at s={float(ts[row])!r}: {err}")
-    return centers
-
-
-@dataclass(frozen=True)
-class _CenterTable:
-    """Centers of every row of a kept pass (read-only, NaN on a failed row),
-    the exception of each failed row and each parameter's first row by its
-    float64 bits."""
-
-    centers: np.ndarray
-    errors: dict
-    rows: dict
+    return centers[0] if scalar else centers
 
 
 def _kept_center(kept: _KeptPass | None, t: np.ndarray) -> np.ndarray | None:
@@ -189,24 +184,21 @@ def _kept_center(kept: _KeptPass | None, t: np.ndarray) -> np.ndarray | None:
     if kept is None:
         return None
     bits = int(t.view(np.uint64))
-    table = kept.centers
-    if table is None:
-        if bits not in kept.table.s.view(np.uint64):
+    if kept.centers is None:
+        grid = kept.table.s.view(np.uint64)
+        if bits not in grid:
             return None
-        # solved from the derivative stack alone, kept with the pass in one store
+        # solved from the derivative stack alone, kept with the pass in one
+        # store; a repeated parameter keeps its first row
         centers, errors = solve_linear(kept.derivs[:, 1:], _center_rhs(kept.derivs))
         centers.setflags(write=False)
-        grid = kept.table.s.view(np.uint64).tolist()
-        rows = dict(zip(reversed(grid), range(len(grid) - 1, -1, -1)))
-        kept.centers = table = _CenterTable(centers, errors, rows)
-    row = table.rows.get(bits)
-    if row is None:
-        return None
-    err = table.errors.get(row)
-    if err is not None:
+        rows = [errors.get(r, center) for r, center in enumerate(centers)]
+        kept.centers = dict(zip(reversed(grid.tolist()), reversed(rows)))
+    center = kept.centers.get(bits)
+    if isinstance(center, Exception):
         # a new exception: the table's own is shared by every caller
-        raise type(err)(*err.args)
-    return table.centers[row].copy()
+        raise type(center)(*center.args)
+    return None if center is None else center.copy()
 
 
 def _center_rhs(derivs: np.ndarray) -> np.ndarray:
@@ -216,7 +208,8 @@ def _center_rhs(derivs: np.ndarray) -> np.ndarray:
     matrix. The contraction is a stacked matvec, whose row r has the bits
     of row r contracted alone; a flattened matrix product does not."""
     gram = derivs @ derivs.transpose(0, 2, 1)
-    return (_binomial_table(derivs.shape[2]) @ gram.reshape(derivs.shape[0], -1, 1))[:, :, 0]
+    flat = gram.reshape(derivs.shape[0], derivs.shape[1] ** 2, 1)
+    return (_binomial_table(derivs.shape[2]) @ flat)[:, :, 0]
 
 
 @functools.lru_cache(maxsize=None)

@@ -129,8 +129,9 @@ def _alignment_signs(frames: np.ndarray) -> np.ndarray:
 
 
 def _as_int(value, name: str) -> int:
-    """``value`` as an int; ValueError unless it is a Python or numpy integer."""
-    if not isinstance(value, (int, np.integer)):
+    """``value`` as an int; ValueError unless it is a Python or numpy
+    integer, and on a bool, which is an int to Python but no count."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
 
@@ -141,7 +142,8 @@ class _KeptPass:
 
     ``centers`` is None until :func:`focal.osculating_center_oracle` stores
     the center table it builds from ``derivs`` alone, in one assignment of
-    a complete value.
+    a complete dict: from each grid parameter's float64 bits, as an int, to
+    that row's read-only center, or to the exception its system raised.
     """
 
     __slots__ = ("key", "table", "derivs", "centers")

@@ -27,9 +27,7 @@ def series_sqrt(a: np.ndarray, n: int) -> np.ndarray:
     twice = 2.0 * s[:, 0]
     for j in range(1, n):
         acc = a[:, j] if j < a.shape[1] else 0.0
-        if j > 1:  # the sum is empty at j = 1
-            acc = acc - (s[:, 1:j] * s[:, j - 1:0:-1]).sum(axis=1)
-        s[:, j] = acc / twice
+        s[:, j] = (acc - (s[:, 1:j] * s[:, j - 1:0:-1]).sum(axis=1)) / twice
     return s
 
 

@@ -105,8 +105,8 @@ def load_curve_spec(path) -> CurveSpec:
     if not p.is_file():
         raise SpecFileError(f"no such spec file: {p}")
     try:
-        raw = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
+        raw = json.loads(p.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise SpecFileError(f"{p}: invalid JSON: {exc}") from exc
     return parse_curve_spec(raw)
 

@@ -226,6 +226,19 @@ def test_output_prefix_without_a_name_is_input_error(helix_spec, capsys, prefix)
     assert "names no file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("where", ["under a file", "csv is a directory"])
+def test_unwritable_output_prefix_is_input_error(tmp_path, helix_spec, capsys, where):
+    if where == "under a file":
+        (tmp_path / "some_file").write_text("")
+        prefix = tmp_path / "some_file" / "out"
+    else:
+        prefix = tmp_path / "out"
+        (tmp_path / "out.csv").mkdir()
+    assert main(["analyze", "--input", helix_spec, "--output", str(prefix)]) == EXIT_INPUT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_synthesize_rejects_wrong_spec_type(tmp_path, helix_spec):
     out = tmp_path / "x"
     assert main(["synthesize", "--input", helix_spec, "--output", str(out)]) == EXIT_INPUT_ERROR
@@ -336,6 +349,16 @@ def test_unknown_field_is_input_error(tmp_path):
     spec = write_spec(tmp_path, "bad.json",
                       {"type": "circle", "dim": 2, "params": {"r": 1.0}, "oops": 1})
     assert main(["analyze", "--input", spec, "--output", str(tmp_path / "x")]) == EXIT_INPUT_ERROR
+
+
+def test_spec_that_is_not_utf8_is_input_error(tmp_path, capsys):
+    spec = tmp_path / "bad.json"
+    spec.write_bytes(b"\xff\xfe")
+    with pytest.raises(SpecFileError, match="invalid JSON"):
+        load_curve_spec(spec)
+    assert main(["analyze", "--input", str(spec), "--output", str(tmp_path / "x")]) == EXIT_INPUT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 _FOCAL_LIMIT = "focal checks are limited to E5"

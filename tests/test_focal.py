@@ -144,7 +144,7 @@ def test_focal_table_rows_make_one_stacked_solve(monkeypatch, unit_helix):
     # a pass on another grid drops the table: an old row is solved afresh
     ff.curvature_table(unit, unit.grid(97))
     ff.osculating_center_oracle(unit, float(grid[5]))
-    assert calls[1:] == [(97, 3), (1, 3)] and solves[1:] == [(3, 3)]
+    assert calls[1:] == [(97, 3), (1, 3)] and solves[1:] == [(1, 3, 3)]
     # the first grid again is a new pass with a new table
     ff.focal_curvatures(unit, grid)
     ff.osculating_center_oracle(unit, float(grid[5]))
@@ -153,7 +153,7 @@ def test_focal_table_rows_make_one_stacked_solve(monkeypatch, unit_helix):
     # so is a pass at another order, and it has no table
     ff.curvature_table(unit, grid, order=2)
     ff.osculating_center_oracle(unit, float(grid[5]))
-    assert calls[4:] == [(96, 2), (1, 3)] and solves[3:] == [(3, 3)]
+    assert calls[4:] == [(96, 2), (1, 3)] and solves[3:] == [(1, 3, 3)]
 
 
 def _focal_by_levels(frames):

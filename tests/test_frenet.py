@@ -384,7 +384,7 @@ def test_frenet_grid_order_validated(helix):
             ff.frenet_grid(helix, helix.grid(8), order)
 
 
-@pytest.mark.parametrize("order", [2.5, np.float64(2.0)], ids=repr)
+@pytest.mark.parametrize("order", [2.5, np.float64(2.0), True], ids=repr)
 @pytest.mark.parametrize("call", [
     lambda curve, order: ff.frenet_grid(curve, curve.grid(8), order),
     lambda curve, order: ff.curvature_table(curve, curve.grid(8), order),

@@ -146,7 +146,7 @@ def test_k_range_validated(helix):
         ff.is_k_slant(helix, 4)
 
 
-@pytest.mark.parametrize("k", [1.5, 1.0, np.float64(2.0), "1"], ids=repr)
+@pytest.mark.parametrize("k", [1.5, 1.0, np.float64(2.0), "1", True], ids=repr)
 def test_slant_reports_reject_a_non_integer_k(helix, k):
     with pytest.raises(ValueError, match="k must be an integer"):
         ff.slant_reports(helix, [1, k])
