@@ -277,7 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--k", type=int, default=None, help="slant index (default: all)")
         p.add_argument("--dim", type=int, default=None, help="assert the ambient dimension")
         p.add_argument("--step", type=float, default=None,
-                       help="integrator step override for synthesized curves")
+                       help="upper bound on the integrator step for synthesized curves "
+                            "(default: the domain length / 1024)")
     return parser
 
 

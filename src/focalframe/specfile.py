@@ -117,7 +117,7 @@ def build_curve(spec: CurveSpec, step: float | None = None) -> Curve:
 
     For ``curvatures`` specs the curve is synthesized from a spline profile
     through the rows, starting at the origin with the standard frame;
-    ``step`` (or params.step) overrides the integrator's step size. Values
+    ``step`` (or params.step) bounds the integrator's step from above. Values
     that overflow or go non-finite while building, and a ``dim`` that is
     not the dimension of the curve built, raise SpecFileError.
     """

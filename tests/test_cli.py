@@ -210,6 +210,21 @@ def test_synthesize_then_analyze_round_trip(tmp_path):
     assert max(abs(r[k2] - 0.2) for r in body) < 1e-5
 
 
+def test_synthesize_default_step_matches_a_fine_step(tmp_path):
+    # The 256 sample rows of varying_curvatures.json, all but the ends
+    # between integration nodes, at the default step and at 10/4096.
+    spec = write_spec(tmp_path, "v.json", EXAMPLE_SPECS["varying_curvatures.json"])
+    rows = []
+    for name, step in (("default", []), ("fine", ["--step", "0.00244140625"])):
+        out = tmp_path / name
+        assert main(["synthesize", "--input", spec, "--output", str(out), *step]) == EXIT_OK
+        rows.append(np.array(json.loads(out.with_suffix(".json").read_text())["rows"]))
+    default, fine = rows
+    assert default.shape == fine.shape == (256, 4)
+    assert np.array_equal(default[:, 0], fine[:, 0])
+    assert np.all(np.max(np.abs(default[:, 1:] - fine[:, 1:]), axis=0) < 1e-11)
+
+
 def test_output_prefix_keeps_a_dot_in_its_last_part(tmp_path, helix_spec):
     # the suffix is appended to the whole prefix, so step0.5 and step0.25
     # write four files rather than both landing on step0.csv and step0.json
