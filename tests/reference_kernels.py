@@ -1,12 +1,13 @@
 """Per-row reference kernels that the stacked library kernels are tested
-against, and a curve that counts its evaluator calls."""
+against, a curve that counts its evaluator calls and a counter of SVD
+calls."""
 
 import math
 
 import numpy as np
 
 from focalframe.curves import make_curve
-from focalframe.errors import DegenerateFlag
+from focalframe.errors import DegenerateFlag, SingularSystem
 from focalframe.linalg import RANK_RTOL
 
 
@@ -21,6 +22,19 @@ def counting_curve(base):
     curve = make_curve(base.dimension, base.domain, base.kind, base.max_order, evaluator,
                        base.label, check_regularity=False)
     return curve, calls
+
+
+def counting_svd(monkeypatch):
+    """Shapes of the stacks passed to ``np.linalg.svd`` from here on."""
+    shapes = []
+    svd = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return shapes
 
 
 def fornberg_scalar(x, x0, max_order):
@@ -83,3 +97,38 @@ def center_rhs(derivs) -> np.ndarray:
             acc += 0.5 * math.comb(j, i) * float(derivs[i] @ derivs[j - i])
         b[j - 1] = acc
     return b
+
+
+def svd_solve_rows(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, dict[int, Exception]]:
+    """The stacked solve with the SVD test on every row: ``(x, errors)`` as
+    from a stacked :func:`focalframe.solve_linear` on checked shapes, from
+    one batched ``svd`` of all finite rows."""
+    n = len(b)
+    errors: dict[int, Exception] = {}
+    rows = None
+    # ||A||_F^2 (einsum flags no overflow) is finite unless an entry is not,
+    # or it overflows, which the entrywise check tells apart
+    sq = np.einsum("rij,rij->r", A, A)
+    if not (np.isfinite(sq).all() and np.isfinite(b).all()):
+        bad = ~(np.isfinite(A).all(axis=(1, 2)) & np.isfinite(b).all(axis=1))
+        for r in np.flatnonzero(bad).tolist():
+            errors[r] = ValueError("system has non-finite entries")
+        rows = np.flatnonzero(~bad)
+        A, b, sq = A[rows], b[rows], sq[rows]
+    # an overflowing ||A||_F gives an infinite floor: the row is singular
+    floor = 1e-13 * np.sqrt(sq)
+    smallest = np.linalg.svd(A, compute_uv=False)[:, -1]
+    regular = smallest > floor
+    if not regular.all():
+        if rows is None:
+            rows = np.arange(n)
+        for r in np.flatnonzero(~regular).tolist():
+            errors[int(rows[r])] = SingularSystem(
+                f"smallest singular value {smallest[r]:.3e} at or below {floor[r]:.3e}")
+        rows, A, b = rows[regular], A[regular], b[regular]
+    x = np.linalg.solve(A, b[:, :, None])[:, :, 0]
+    if rows is None:
+        return x, errors
+    out = np.full((n, x.shape[1]), np.nan)
+    out[rows] = x
+    return out, errors

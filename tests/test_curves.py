@@ -1174,6 +1174,24 @@ def test_synthesis_rejects_a_curvature_that_is_nan_between_nodes():
         ff.synthesize_from_curvatures(profile, 3)
 
 
+def test_synthesis_build_makes_no_probe_evaluation(monkeypatch):
+    # unit speed by construction: the build evaluates nothing, and the speed
+    # read back on the regularity probe's 64 points is 1 to roundoff
+    calls = []
+    call = curves._SynthesizedOracle.__call__
+
+    def counting_call(self, s, order):
+        calls.append((np.size(s), order))
+        return call(self, s, order)
+
+    monkeypatch.setattr(curves._SynthesizedOracle, "__call__", counting_call)
+    curve = ff.synthesize_from_curvatures(_synthesis_profile("sinusoid-e5"), 5)
+    assert calls == []
+    speeds = np.linalg.norm(curve.evaluator(curve.grid(64), 1)[:, 1], axis=1)
+    assert calls == [(64, 1)]
+    np.testing.assert_allclose(speeds, 1.0, rtol=0, atol=1e-13)
+
+
 @pytest.mark.parametrize("kind", ["constant-e3", "sinusoid-e5", "spline-e4"])
 def test_synthesis_equals_scalar_reference_loop(kind):
     # 600 steps: a full chunk of exponentials and a partial one

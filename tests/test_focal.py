@@ -24,7 +24,7 @@ from focalframe.focal import FocalRelationsReport, _binomial_table, _center_rhs
 from focalframe.frenet import _alignment_signs
 from focalframe.linalg import solve_linear
 from focalframe.numdiff import grid_derivative
-from reference_kernels import center_rhs, counting_curve
+from reference_kernels import center_rhs, counting_curve, counting_svd
 
 SQRT5 = math.sqrt(5.0)
 
@@ -154,6 +154,26 @@ def test_focal_table_rows_make_one_stacked_solve(monkeypatch, unit_helix):
     ff.curvature_table(unit, grid, order=2)
     ff.osculating_center_oracle(unit, float(grid[5]))
     assert calls[4:] == [(96, 2), (1, 3)] and solves[3:] == [(1, 3, 3)]
+
+
+@pytest.mark.parametrize("dim", range(3, 9))
+def test_wcurve_center_tables_need_no_svd(monkeypatch, dim):
+    # unit-speed W-curves on 256 rows, as in the `unit-frames` benchmark workload:
+    # the LU inverse certifies every center system, so no row takes the SVD
+    blocks = dim // 2
+    radii = [0.8**j for j in range(blocks)]
+    pitch = 0.7 if dim % 2 else 0.0
+    scale = math.sqrt(sum((r * (j + 1.0)) ** 2 for j, r in enumerate(radii)) + pitch**2)
+    curve = ff.make_wcurve(radii, [(j + 1.0) / scale for j in range(blocks)], pitch / scale,
+                           dim=dim, domain=(0.0, 2.0 * math.pi * scale))
+    svd_calls = counting_svd(monkeypatch)
+    table = ff.focal_curvatures(curve, curve.grid(256))
+    inner = table[3:-3]
+    rows = np.array([ff.osculating_center_oracle(curve, s) for s in inner.s])
+    stacked = ff.osculating_center_oracle(curve, inner.s)
+    assert svd_calls == []
+    np.testing.assert_array_equal(rows, stacked)
+    assert np.linalg.norm(inner.focal_point - rows, axis=1).max() < 1e-5
 
 
 def _focal_by_levels(frames):

@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from focalframe import DegenerateFlag, SingularSystem, solve_linear
 from focalframe.linalg import gram_schmidt_rows
-from reference_kernels import gram_schmidt
+from reference_kernels import counting_svd, gram_schmidt, svd_solve_rows
 
 
 # ---------------------------------------------------- Gram-Schmidt on one flag
@@ -72,9 +72,12 @@ def test_gram_schmidt_orthogonality_and_span(V):
     if failed:
         return
     k = V.shape[0]
+    # the same bound on the cosine: at norms near 1e-159, 1e-10 * norms[i] *
+    # norms[j] underflows to zero, and an exactly orthogonal pair would fail
+    unit = orth / norms[:, None]
     for i in range(k):
         for j in range(i + 1, k):
-            assert abs(orth[i] @ orth[j]) < 1e-10 * norms[i] * norms[j]
+            assert abs(unit[i] @ unit[j]) < 1e-10
     # span preservation prefix by prefix: every input vector projects onto the
     # orthogonalized prefix with negligible least-squares residual
     for p in range(1, k + 1):
@@ -210,3 +213,99 @@ def test_stacked_solve_shapes():
         solve_linear(np.ones((2, 0, 0)), np.ones((2, 0)))
     with pytest.raises(ValueError, match=r"right-hand side shape \(3,\) does not match"):
         solve_linear(np.ones((2, 3, 3)), np.ones(3))
+
+
+def test_solve_rejects_a_non_finite_solution():
+    # regular by the singular-value test, but x overflows: 1e310 and 1e600
+    for A, b in [(1e-310 * np.eye(3), np.ones(3)), (1e-300 * np.eye(3), 1e300 * np.ones(3))]:
+        with pytest.raises(SingularSystem, match=r"^solution is not finite$"):
+            solve_linear(A, b)
+        x, errors = solve_linear(np.stack([np.eye(3), A, 2.0 * np.eye(3)]),
+                                 np.stack([np.ones(3), b, np.ones(3)]))
+        assert sorted(errors) == [1] and str(errors[1]) == "solution is not finite"
+        assert isinstance(errors[1], SingularSystem)
+        assert np.isnan(x[1]).all()
+        np.testing.assert_array_equal(x[[0, 2]], [np.ones(3), 0.5 * np.ones(3)])
+
+
+# --------------------------------- the inverse's certificate against the SVD test
+
+def assert_as_reference(A, b):
+    """A stacked solve gives the SVD-only kernel's verdicts, messages and
+    solution bits; the reference's regular rows are all finite here."""
+    x, errors = solve_linear(A, b)
+    rx, rerrors = svd_solve_rows(A, b)
+    assert np.isfinite(np.delete(rx, list(rerrors), axis=0)).all()
+    assert sorted(errors) == sorted(rerrors)
+    for r, err in rerrors.items():
+        assert type(errors[r]) is type(err) and str(errors[r]) == str(err)
+    np.testing.assert_array_equal(x.view(np.uint64), rx.view(np.uint64))
+    return errors
+
+
+# sigma_min over the floor 1e-13 ||A||_F: 1e3 and below take the SVD test,
+# 1e4 and above are certified by the inverse
+RATIOS = (1e-3, 0.5, 1.0, 2.0, 1e3, 1e4, 1e6)
+SCALES = (1e-160, 1e-100, 1e-10, 1.0, 1e10, 1e100, 1e160)
+
+
+def with_ratio(n, ratio, scale, rng):
+    """An n-square matrix with sigma_min = ratio * 1e-13 * ||A||_F, times scale."""
+    U = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    V = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    sigma = rng.uniform(0.5, 2.0, n)
+    sigma[-1] = ratio * 1e-13 * np.linalg.norm(sigma[:-1])
+    return scale * (U * sigma) @ V.T
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_certified_solve_equals_the_svd_test_one_row(n):
+    rng = np.random.default_rng(n)
+    for ratio in RATIOS:
+        for scale in SCALES:
+            A, b = with_ratio(n, ratio, scale, rng), rng.normal(size=n)
+            errors = assert_as_reference(A[None], b[None])
+            if errors:
+                with pytest.raises(type(errors[0]), match=f"^{re.escape(str(errors[0]))}$"):
+                    solve_linear(A, b)
+            else:
+                x, _ = svd_solve_rows(A[None], b[None])
+                np.testing.assert_array_equal(solve_linear(A, b), x[0])
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_certified_solve_equals_the_svd_test_mixed_stack(n):
+    rng = np.random.default_rng(100 + n)
+    A = np.stack([with_ratio(n, ratio, scale, rng) for ratio in RATIOS for scale in SCALES])
+    b = rng.normal(size=(len(A), n))
+    order = rng.permutation(len(A))
+    errors = assert_as_reference(A[order], b[order])
+    # both routes are taken: singular rows, and regular rows on either side of 1e10
+    assert 0 < len(errors) < len(A)
+
+
+def test_certified_solve_equals_the_svd_test_on_bad_rows():
+    # the rows of test_stacked_solve_keeps_bad_rows_apart
+    rng = np.random.default_rng(7)
+    A = rng.normal(size=(9, 4, 4)) + 3.0 * np.eye(4)
+    b = rng.normal(size=(9, 4))
+    A[3, 2] = 2.0 * A[3, 0]
+    A[5, 1, 2] = np.nan
+    b[6, 0] = -np.inf
+    A[7] *= 1e300
+    assert sorted(assert_as_reference(A, b)) == [3, 5, 6, 7]
+
+
+def test_an_exactly_singular_row_sends_the_stack_to_the_svd_test(monkeypatch):
+    rng = np.random.default_rng(11)
+    A = rng.normal(size=(256, 5, 5)) + 3.0 * np.eye(5)
+    b = rng.normal(size=(256, 5))
+    shapes = counting_svd(monkeypatch)
+    x, errors = solve_linear(A, b)
+    assert errors == {} and shapes == []
+    A[100, 2] = 0.0                  # LU meets an exact zero pivot: inv raises
+    errors = assert_as_reference(A, b)
+    assert sorted(errors) == [100] and shapes[0] == (256, 5, 5)
+    keep = np.arange(256) != 100
+    np.testing.assert_array_equal(solve_linear(A, b)[0][keep], x[keep])
+
