@@ -13,6 +13,10 @@ Five subcommands over curve spec files (see :mod:`focalframe.specfile`):
 17-significant-digit CSV floats make identical inputs produce
 byte-identical files.
 
+``--tolerance`` belongs to analyze, slant and verify, and ``--k`` to slant
+and verify; ``--step`` applies to curvatures specs only. Any other use of
+them is an input error.
+
 Exit codes: 0 success, 1 verification failed, 2 input error, 3 numeric
 failure (degeneracy or vertices covering the whole grid). An input error
 is a bad flag or spec file (a file that is not UTF-8 JSON included) or an
@@ -272,12 +276,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--input", required=True, help="curve spec file (JSON)")
         p.add_argument("--output", required=True, help="output path prefix")
         p.add_argument("--grid-points", type=int, default=256)
-        p.add_argument("--tolerance", type=float, default=None,
-                       help="override the per-kind detection/classification tolerance")
-        p.add_argument("--k", type=int, default=None, help="slant index (default: all)")
+        if name in ("analyze", "slant", "verify"):
+            p.add_argument("--tolerance", type=float, default=None,
+                           help="override the per-kind detection/classification tolerance")
+        if name in ("slant", "verify"):
+            p.add_argument("--k", type=int, default=None, help="slant index (default: all)")
         p.add_argument("--dim", type=int, default=None, help="assert the ambient dimension")
         p.add_argument("--step", type=float, default=None,
-                       help="upper bound on the integrator step for synthesized curves "
+                       help="upper bound on the integrator step of a curvatures spec "
                             "(default: the domain length / 1024)")
     return parser
 
@@ -294,8 +300,8 @@ def main(argv=None) -> int:
             input_path=args.input,
             output_path=args.output,
             grid_points=args.grid_points,
-            tolerance=args.tolerance,
-            k=args.k,
+            tolerance=getattr(args, "tolerance", None),
+            k=getattr(args, "k", None),
             dim=args.dim,
             step=args.step,
         )

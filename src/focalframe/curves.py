@@ -49,7 +49,7 @@ from .errors import (
 )
 from .linalg import RANK_RTOL, gram_schmidt_rows
 from .numdiff import fd_weights, window_starts
-from .series import factorials, series_reverse_powers, series_sqrt
+from .series import factorials, series_divide, series_sqrt
 
 _DOMAIN_SLACK = 1e-9
 _PROBE_POINTS = 64
@@ -592,34 +592,32 @@ def _derivs_through_substitution(base: np.ndarray, order: int) -> np.ndarray:
     """Derivatives w.r.t. arclength from derivatives w.r.t. the old parameter.
 
     ``base`` is a stack of shape (N, order + 1, dim). Works in
-    Taylor-coefficient space: the length series is the integral of the
-    square root of |velocity|^2, its powers-table inverse gives the old
-    parameter as a series in arclength, and one contraction composes every
-    coordinate with it.
+    Taylor-coefficient space by the chain rule d/ds = v^-1 d/dt: the speed
+    series v is the square root of |velocity|^2, and each order divides the
+    previous one's series by v, reads its constant term and differentiates
+    the series once more.
 
     The work is done in ``np.longdouble`` and rounded to float64 at the
-    end. Where the base curve is slow the Taylor terms cancel heavily: at
-    order 4 on Salkowski n = 0.7 near the end of its domain (speed 0.24)
-    terms of about 250 sum to 0.71, and in float64 the result was up to
-    7.4e-14 of its order's scale from the exact value for the same inputs.
+    end. Where the base curve is slow the conversion loses digits: at
+    order 4 on Salkowski n = 0.7 near the end of its domain (speed 0.22)
+    the float64 result was up to 1.0e-13 of its order's scale from the
+    exact value for the same inputs.
     The 64-bit significand of x86-64's long double brings every order
-    within 1.2e-16 of that scale, at about 1.5 times the cost over a few
+    within 2.0e-16 of that scale, at about 1.5 times the cost over a few
     hundred rows and none for one; where long double is float64 the
     float64 figures hold.
     """
-    fact = factorials(order + 1)[:, None]
-    ks = np.arange(1.0, order + 1)
-    gcoef = base.astype(np.longdouble) / fact
-    dcoef = gcoef[:, 1:] * ks[:, None]  # series of the velocity
-    # |velocity|^2: the Cauchy product sums dcoef[i] . dcoef[k] over i + k = j,
-    # the flat entries (i, k) of the Gram table taken by anti-diagonal
-    gram = (dcoef @ dcoef.transpose(0, 2, 1)).reshape(len(base), order * order)
-    perm = [i * order + (j - i) for j in range(order) for i in range(j + 1)]
-    w = np.add.reduceat(gram[:, perm], [j * (j + 1) // 2 for j in range(order)], axis=1)
-    P = series_reverse_powers(series_sqrt(w, order) / ks, order + 1)
-    # f(T) = sum_k f_k T^k, added from the highest power down as Horner's rule
-    # does; the order matters at roundoff where the terms cancel heavily
-    return (np.einsum("nkc,nkj->njc", gcoef[:, ::-1], P[:, ::-1]) * fact).astype(float)
+    gcoef = base / factorials(order + 1).astype(np.longdouble)[:, None]
+    f = gcoef[:, 1:] * np.arange(1.0, order + 1)[:, None]  # series of the velocity
+    # |velocity|^2, the Cauchy product of the series with itself
+    w = np.stack([np.einsum("njc,njc->n", f[:, :j + 1], f[:, j::-1]) for j in range(order)], 1)
+    v = series_sqrt(w, order)
+    out = [gcoef[:, 0]]
+    for k in range(order, 0, -1):
+        f = series_divide(f, v)
+        out.append(f[:, 0])
+        f = f[:, 1:] * np.arange(1.0, k)[:, None]
+    return np.stack(out, axis=1).astype(float)
 
 
 def reparam_to_arclength(curve: Curve) -> Curve:
@@ -638,7 +636,7 @@ def reparam_to_arclength(curve: Curve) -> Curve:
     (one step on constant-speed spans, three or four on the varying
     analytic families; :class:`ConvergenceFailure` if the step budget runs
     out), makes one base oracle call at the N parameters and rebuilds the
-    derivative oracle by one stacked power-series substitution
+    derivative oracle by the chain rule on stacked power series
     (:func:`_derivs_through_substitution`), so the unit-speed identity holds
     to roundoff rather than to the accuracy of the inversion.
 

@@ -118,9 +118,12 @@ def build_curve(spec: CurveSpec, step: float | None = None) -> Curve:
     For ``curvatures`` specs the curve is synthesized from a spline profile
     through the rows, starting at the origin with the standard frame;
     ``step`` (or params.step) bounds the integrator's step from above. Values
-    that overflow or go non-finite while building, and a ``dim`` that is
-    not the dimension of the curve built, raise SpecFileError.
+    that overflow or go non-finite while building, a ``dim`` that is not
+    the dimension of the curve built, and a ``step`` for any other type
+    raise SpecFileError.
     """
+    if step is not None and spec.type != "curvatures":
+        raise SpecFileError(f"step applies only to curvatures specs, not type {spec.type!r}")
     curve = _instantiate(spec, step)
     if curve.dimension != spec.dim:
         raise SpecFileError(f"spec dim {spec.dim} contradicts the {curve.dimension}-dimensional "

@@ -426,6 +426,12 @@ def test_dim_flag_contradiction(tmp_path, helix_spec):
     ["analyze", "--step", "0"],
     ["synthesize", "--step", "1e-300"],
     ["slant", "--tolerance", "-1e+16"],  # argparse reads the value as an unknown flag
+    # a flag the command does not read; each exited 0, the flag ignored
+    ["focal", "--k", "7"],
+    ["focal", "--tolerance", "1e-3"],
+    ["analyze", "--k", "9"],
+    ["synthesize", "--tolerance", "5"],
+    ["analyze", "--step", "0.5"],  # a helix spec has nothing to integrate
 ])
 def test_flag_out_of_range_is_input_error(tmp_path, helix_spec, capsys, args):
     spec = helix_spec

@@ -1,10 +1,8 @@
-import math
-
 import numpy as np
 import pytest
 
 from focalframe.numdiff import fd_weights, grid_derivative, window_starts
-from focalframe.series import factorials, series_reverse_powers, series_sqrt
+from focalframe.series import series_divide, series_sqrt
 from reference_kernels import fornberg_scalar
 
 
@@ -149,47 +147,26 @@ def test_series_sqrt_squares_back_on_a_stack():
         series_sqrt(np.array([[1.0, 0.0], [0.0, 1.0]]), 2)
 
 
-def _sin_stack(scales, n):
-    """Rows sin(c x) / c, without their constant term, as (len(scales), n - 1)."""
-    d = np.zeros((len(scales), n - 1))
-    for k in range(1, n, 2):
-        d[:, k - 1] = (-1) ** (k // 2) * np.asarray(scales) ** (k - 1) / math.factorial(k)
-    return d
+def test_series_divide_multiplies_back_on_a_stack():
+    rng = np.random.default_rng(7)
+    b = rng.uniform(-1.0, 1.0, (4, 7))
+    b[:, 0] = [1.0, -0.5, 2.0, 0.3]
+    a = rng.uniform(-1.0, 1.0, (4, 6, 3))
+    q = series_divide(a, b)  # the divisor's seventh term is past the truncation
+    assert q.shape == a.shape
+    for qr, br, ar in zip(q, b, a):
+        for c in range(3):
+            np.testing.assert_allclose(np.convolve(qr[:, c], br)[:6], ar[:, c], atol=1e-12)
+    np.testing.assert_array_equal(q[2], series_divide(a[2:3], b[2:3])[0])
+    np.testing.assert_array_equal(q[..., 1], series_divide(a[..., 1], b))
+    assert series_divide(a.astype(np.longdouble), b).dtype == np.longdouble
 
 
-def test_series_reverse_powers_inverts_sin_on_a_stack():
+def test_series_divide_gives_tan_from_sin_over_cos():
     n = 8
-    scales = [1.0, 0.5, -1.3, 2.0]
-    d = _sin_stack(scales, n)
-    P = series_reverse_powers(d, n)
-    assert P.shape == (len(scales), n, n)
-    for c, table in zip(scales, P):
-        # the inverse of sin(c x)/c is arcsin(c x)/c = x + c^2 x^3/6 + 3 c^4 x^5/40 + 15 c^6 x^7/336
-        expected = np.zeros(n)
-        expected[[1, 3, 5, 7]] = [1.0, c**2 / 6, 3 * c**4 / 40, 15 * c**6 / 336]
-        np.testing.assert_allclose(table[1], expected, atol=1e-12)
-        np.testing.assert_array_equal(table[0], np.eye(n)[0])
-        for k in range(2, n):
-            np.testing.assert_allclose(table[k], np.convolve(table[k - 1], table[1])[:n],
-                                       atol=1e-12)
-    # round trip: composing each sin row with its inverse gives the identity
-    sin_rows = np.column_stack([np.zeros(len(scales)), d])
-    round_trip = np.einsum("nk,nkj->nj", sin_rows, P)
-    np.testing.assert_allclose(round_trip, np.tile(np.eye(n)[1], (len(scales), 1)), atol=1e-12)
-    np.testing.assert_array_equal(P[2], series_reverse_powers(d[2:3], n)[0])
-
-
-def test_powers_table_composes_against_known_expansion():
-    n = 6
-    exp_series = 1.0 / factorials(n)
-    # reversing arcsin gives the powers of sin
-    arcsin = np.array([[1.0, 0.0, 1 / 6, 0.0, 3 / 40]])
-    P = series_reverse_powers(arcsin, n)
-    composed = np.einsum("k,nkj->nj", exp_series, P)[0]
-    # exp(sin x) = 1 + x + x^2/2 - x^4/8 - x^5/15 + ...
-    np.testing.assert_allclose(composed, [1.0, 1.0, 0.5, 0.0, -1 / 8, -1 / 15], atol=1e-12)
-
-
-def test_series_reverse_powers_needs_a_linear_term():
-    with pytest.raises(ValueError):
-        series_reverse_powers(np.array([[1.0, 0.5], [0.0, 1.0]]), 3)
+    scales = np.array([1.0, 0.5, -1.3])
+    powers = scales[:, None] ** np.arange(n)
+    sin = powers * [0.0, 1.0, 0.0, -1 / 6, 0.0, 1 / 120, 0.0, -1 / 5040]
+    cos = powers * [1.0, 0.0, -1 / 2, 0.0, 1 / 24, 0.0, -1 / 720, 0.0]
+    tan = powers * [0.0, 1.0, 0.0, 1 / 3, 0.0, 2 / 15, 0.0, 17 / 315]
+    np.testing.assert_allclose(series_divide(sin, cos), tan, rtol=1e-15, atol=1e-15)
