@@ -229,24 +229,33 @@ def curve_from_coordinates(
     dim = len(coords)
     if max_order is None:
         max_order = dim + 1
-    # Every term and every derivative order in one sin call; one product
+    # Derivative j of A sin(w t + phi) is A w^j sin(w t + phi + j pi/2), which
+    # is (-1)^(j//2) A w^j times sin(theta) for even j or sin(theta + pi/2)
+    # for odd j: two sin calls per term serve every order, and one product
     # with the 0/1 matrix ``owner`` sums the terms into their coordinates.
+    # The second is sin(theta + pi/2), not cos(theta), so orders 0 and 1
+    # equal sin(theta + j pi/2) bit for bit; cos(-pi/2) reads 6.1e-17, not
+    # the 0 that an exact cusp needs.
     terms = [(j, *term) for j, c in enumerate(coords) for term in c.terms]
     owner = np.eye(dim)[[j for j, *_ in terms]]
     amp, freq, phase = np.array([term for _, *term in terms], dtype=float).reshape(-1, 3).T
     const, slope = np.array([(c.const, c.slope) for c in coords], dtype=float).T
     if not np.all(np.isfinite(np.concatenate([amp, freq, phase, const, slope]))):
         raise BadParameters(f"{label or 'curve'}: parameters must be finite")
-    scale = np.array([amp * freq**j for j in range(max_order + 1)])
-    quarter = np.array([[j * 0.5 * math.pi] for j in range(max_order + 1)])
+    # signed[p, q] is the factor of order 2p + q, whose sine has parity q
+    n_pairs = max_order // 2 + 1
+    signed = np.array([(-1) ** (j // 2) * amp * freq**j for j in range(2 * n_pairs)])
+    signed = signed.reshape(n_pairs, 2, freq.size)
+    quarter = np.array([[0.0], [0.5 * math.pi]])
 
     def evaluator(t: np.ndarray, order: int) -> np.ndarray:
         # At least two rows per point: numpy takes a one-row product through
         # another BLAS routine, whose sums can differ in the last bit.
         k = max(order, 1) + 1
-        vals = (np.multiply.outer(t, freq) + phase)[:, None, :] + quarter[:k]
-        np.sin(vals, out=vals)
-        vals *= scale[:k]
+        h = (k + 1) // 2
+        sines = (np.multiply.outer(t, freq) + phase)[:, None, :] + quarter
+        np.sin(sines, out=sines)
+        vals = (sines[:, None] * signed[:h]).reshape(t.size, 2 * h, freq.size)[:, :k]
         out = (vals.reshape(t.size * k, freq.size) @ owner).reshape(t.size, k, dim)[:, :order + 1]
         out[:, 0] += const + np.multiply.outer(t, slope)
         if order:

@@ -7,6 +7,12 @@ index. :func:`gram_schmidt_rows` is the one kernel: it takes a stack of
 flags (one per grid row or evaluation point, or a one-row stack for a
 single flag) and reports rank loss per row. It serves every grid pass,
 the synthesized curves' evaluator and the integrator's initial frame.
+It works on a component-major copy, one ``(dim, rows)`` block per vector,
+so each projection is a few whole-block ufunc calls into reused buffers.
+LAPACK's batched ``qr`` measured slower at grid shapes even than a
+row-major MGS (980 against 830 us at 384 rows of 8x8, 253 against 124 us
+at 384 rows of 3x3), which this layout runs in about half the time, and
+``qr`` gives no rank verdict.
 The solve is LAPACK's, behind a conditioning check, and
 :func:`solve_linear` is stacked the same way, with a per-row verdict, so a
 singular or non-finite system fails its own row and not the stack; one
@@ -52,38 +58,54 @@ def gram_schmidt_rows(stack) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     Each vector is reduced against its row's already-orthogonalized ones in
     order (the modified variant keeps orthogonality through the 4th and 5th
-    vector where the classical one degrades). Returns ``(orthogonal, norms,
-    failed)`` of shapes ``(N, k, dim)``, ``(N, k)`` and ``(N,)``;
-    ``orthogonal[r]`` spans row r's input flag prefix by prefix and the
-    norms are returned apart so curvature quotients come straight from
-    them. ``failed[r]`` is the 1-based index of row r's first vector whose
-    reduced norm is zero or at most ``RANK_RTOL * norms[r, 0]**index``, 0
-    where the row is fine; entries of a failed row from that index on are
-    not meaningful. Raises ValueError on a wrong shape, more vectors than
-    dimensions or non-finite input.
+    vector where the classical one degrades; Bjorck, BIT 7, 1967). Returns
+    ``(orthogonal, norms, failed)``, C-contiguous, of shapes ``(N, k,
+    dim)``, ``(N, k)`` and ``(N,)``; ``orthogonal[r]`` spans row r's input
+    flag prefix by prefix and the norms are returned apart so curvature
+    quotients come straight from them. ``failed[r]`` is the 1-based index
+    of row r's first vector whose reduced norm is zero or at most
+    ``RANK_RTOL * norms[r, 0]**index``, 0 where the row is fine; entries of
+    a failed row from that index on are not meaningful. Raises ValueError
+    on a wrong shape, more vectors than dimensions or non-finite input.
+
+    The work runs on a component-major copy ``W[i, d, r]``: vector i of
+    every row is one contiguous ``(dim, N)`` block, so a projection is four
+    ufunc calls over whole blocks into reused buffers (product, sum over
+    components, scale, subtract) instead of strided per-row reductions.
+    That halves the kernel's time at grid shapes; one row gains nothing.
     """
-    V = np.array(stack, dtype=float)
+    V = np.asarray(stack, dtype=float)
     if V.ndim != 3:
         raise ValueError(f"expected a (rows, vectors, dim) stack, got shape {V.shape}")
-    _, k, dim = V.shape
+    n_rows, k, dim = V.shape
     if k > dim:
         raise ValueError(f"{k} vectors cannot be independent in dimension {dim}")
     if not np.all(np.isfinite(V)):
         raise ValueError("input vectors have non-finite entries")
 
-    norms = np.empty(V.shape[:2])
-    failed = np.zeros(V.shape[0], dtype=int)
+    # copy() always copies: a one-row stack's transpose is already contiguous
+    W = V.transpose(1, 2, 0).copy()
+    sq = np.empty((k, n_rows))
+    norms = np.empty((k, n_rows))
+    failed = np.zeros(n_rows, dtype=int)
+    tmp = np.empty((dim, n_rows))
+    coef = np.empty(n_rows)
     # A failed row may divide by a zero norm further on; its values are never read.
     with np.errstate(divide="ignore", invalid="ignore"):
         for i in range(k):
+            v = W[i]
             for j in range(i):
-                coef = np.einsum("nd,nd->n", V[:, i], V[:, j]) / (norms[:, j] * norms[:, j])
-                V[:, i] -= coef[:, None] * V[:, j]
-            n = np.linalg.norm(V[:, i], axis=1)
-            tol = RANK_RTOL * norms[:, 0] ** (i + 1) if i > 0 else 0.0
+                np.multiply(v, W[j], out=tmp)
+                np.add.reduce(tmp, axis=0, out=coef)
+                coef /= sq[j]
+                np.multiply(coef, W[j], out=tmp)
+                v -= tmp
+            np.multiply(v, v, out=tmp)
+            np.add.reduce(tmp, axis=0, out=sq[i])
+            n = np.sqrt(sq[i], out=norms[i])
+            tol = RANK_RTOL * norms[0] ** (i + 1) if i > 0 else 0.0
             failed[(failed == 0) & ((n <= tol) | (n == 0.0))] = i + 1
-            norms[:, i] = n
-    return V, norms, failed
+    return np.ascontiguousarray(W.transpose(2, 0, 1)), np.ascontiguousarray(norms.T), failed
 
 
 def solve_linear(A, b):

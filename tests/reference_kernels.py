@@ -1,6 +1,6 @@
 """Per-row reference kernels that the stacked library kernels are tested
-against, a curve that counts its evaluator calls and a counter of SVD
-calls."""
+against, former kernels that their rewrites must match, a curve that
+counts its evaluator calls and a counter of SVD calls."""
 
 import math
 
@@ -83,6 +83,59 @@ def gram_schmidt(vectors) -> tuple[np.ndarray, np.ndarray]:
             raise DegenerateFlag(i + 1, n, tol)
         norms[i] = n
     return V, norms
+
+
+def mgs_rows(stack) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The row-major stacked modified Gram-Schmidt that
+    :func:`focalframe.linalg.gram_schmidt_rows` replaced: one ``einsum``
+    per (i, j) pair over the ``(N, k, dim)`` stack. Returns ``(orthogonal,
+    norms, failed)`` as the library kernel does."""
+    V = np.array(stack, dtype=float)
+    _, k, dim = V.shape
+    norms = np.empty(V.shape[:2])
+    failed = np.zeros(V.shape[0], dtype=int)
+    # A failed row may divide by a zero norm further on; its values are never read.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i in range(k):
+            for j in range(i):
+                coef = np.einsum("nd,nd->n", V[:, i], V[:, j]) / (norms[:, j] * norms[:, j])
+                V[:, i] -= coef[:, None] * V[:, j]
+            n = np.linalg.norm(V[:, i], axis=1)
+            tol = RANK_RTOL * norms[:, 0] ** (i + 1) if i > 0 else 0.0
+            failed[(failed == 0) & ((n <= tol) | (n == 0.0))] = i + 1
+            norms[:, i] = n
+    return V, norms, failed
+
+
+def shifted_sine_evaluator(coords, max_order, dtype=float):
+    """The analytic evaluator of :func:`focalframe.curves.curve_from_coordinates`
+    in its former form: one ``sin(w t + phi + j pi/2)`` per term and order.
+
+    With ``dtype=float`` it does that evaluator's arithmetic step for step.
+    With ``np.longdouble`` every step, pi included, runs in extended
+    precision, as a reference for the float64 evaluators."""
+    dim = len(coords)
+    pi = math.pi if dtype is float else np.longdouble("3.14159265358979323846264338327950288")
+    terms = [(j, *term) for j, c in enumerate(coords) for term in c.terms]
+    owner = np.eye(dim, dtype=dtype)[[j for j, *_ in terms]]
+    amp, freq, phase = np.array([term for _, *term in terms], dtype=dtype).reshape(-1, 3).T
+    const, slope = np.array([(c.const, c.slope) for c in coords], dtype=dtype).T
+    scale = np.array([amp * freq**j for j in range(max_order + 1)])
+    quarter = np.array([[j * 0.5 * pi] for j in range(max_order + 1)], dtype=dtype)
+
+    def evaluator(t, order):
+        t = np.asarray(t, dtype=dtype)
+        k = max(order, 1) + 1
+        vals = (np.multiply.outer(t, freq) + phase)[:, None, :] + quarter[:k]
+        np.sin(vals, out=vals)
+        vals *= scale[:k]
+        out = (vals.reshape(t.size * k, freq.size) @ owner).reshape(t.size, k, dim)[:, :order + 1]
+        out[:, 0] += const + np.multiply.outer(t, slope)
+        if order:
+            out[:, 1] += slope
+        return out
+
+    return evaluator
 
 
 def center_rhs(derivs) -> np.ndarray:

@@ -35,7 +35,7 @@ from focalframe.errors import (
     RegularityFailure,
 )
 from focalframe.numdiff import fd_weights
-from reference_kernels import counting_curve
+from reference_kernels import counting_curve, shifted_sine_evaluator
 
 SQRT5 = math.sqrt(5.0)
 
@@ -313,6 +313,54 @@ def test_analytic_curve_matches_per_term_formula(dim):
         want = np.array([_trig_reference(coords, float(t), order) for t in ts])
         scale = np.maximum(1.0, np.max(np.abs(want), axis=(0, 2)))
         assert np.all(np.max(np.abs(got - want), axis=(0, 2)) <= 1e-13 * scale)
+
+
+def _factory_coords(monkeypatch, make):
+    """``make()``'s curve and the coordinates it passed to curve_from_coordinates."""
+    seen = []
+    build = curves.curve_from_coordinates
+
+    def recording(coords, *args, **kwargs):
+        seen.append(coords)
+        return build(coords, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(curves, "curve_from_coordinates", recording)
+        curve = make()
+    (coords,) = seen
+    return coords, curve
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: curves.make_helix(2.0, 1.0),
+    lambda: curves.make_salkowski(0.3),
+    lambda: curves.make_wcurve([1.0, 0.7, 0.5, 0.3], [1.0, 1.5, 2.5, 4.0]),
+    lambda: curves.random_trig_curve(5, seed=3),
+], ids=["helix", "salkowski-0.3", "wcurve-E8", "random-E5"])
+def test_two_sine_evaluator_against_shifted_sines(monkeypatch, make):
+    coords, curve = _factory_coords(monkeypatch, make)
+    top = curve.max_order
+    t = curve.grid(97)
+    # orders 0 and 1 keep the bits of one sin(theta + j pi/2) per order: the
+    # exact cusp of the cycloid and the exact inflections of the sine graph
+    # in test_frenet depend on them
+    former = shifted_sine_evaluator(coords, top)
+    for order in (0, 1, top):
+        low = min(order, 1) + 1
+        np.testing.assert_array_equal(_bits(curve.evaluator(t, order)[:, :low]),
+                                      _bits(former(t, order)[:, :low]))
+    # higher orders within roundoff of each order's scale, against the same
+    # formula in long double
+    got = curve.evaluator(t, top)
+    want = shifted_sine_evaluator(coords, top, np.longdouble)(t, top)
+    terms = [(amp, freq) for c in coords for amp, freq, _ in c.terms]
+    for j in range(2, top + 1):
+        scale = sum(abs(amp * freq**j) for amp, freq in terms)
+        assert float(np.abs(got[:, j] - want[:, j]).max()) <= 1e-14 * scale
 
 
 def test_array_call_on_linear_coordinates():

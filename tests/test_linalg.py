@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from focalframe import DegenerateFlag, SingularSystem, solve_linear
-from focalframe.linalg import gram_schmidt_rows
-from reference_kernels import counting_svd, gram_schmidt, svd_solve_rows
+from focalframe.linalg import RANK_RTOL, gram_schmidt_rows
+from reference_kernels import counting_svd, gram_schmidt, mgs_rows, svd_solve_rows
 
 
 # ---------------------------------------------------- Gram-Schmidt on one flag
@@ -111,6 +111,62 @@ def test_gram_schmidt_rows_match_one_flag_calls():
         np.testing.assert_allclose(orth[r], want_orth, rtol=0, atol=1e-13 * want_norms.max())
     np.testing.assert_array_equal(np.flatnonzero(failed), [7, 19, 23, 31])
     np.testing.assert_array_equal(failed[[7, 19, 23, 31]], [3, 2, 1, 2])
+
+
+def parity_stack(kind, rows, dim, rng):
+    """A ``(rows, dim, dim)`` stack of one kind: random, graded (vector norms
+    from 1e0 to 1e6, as in a derivative stack) or with an exactly
+    dependent vector, a repeat of an earlier one or zero, in every row."""
+    stack = rng.normal(size=(rows, dim, dim))
+    if kind == "graded":
+        stack *= np.logspace(0, 6, dim)[:, None] * rng.uniform(0.5, 2.0, (rows, dim, 1))
+    elif kind == "dependent":
+        for r in range(rows):
+            i = 1 + r % (dim - 1)
+            stack[r, i] = 0.0 if r % 2 else stack[r, rng.integers(i)]
+    return stack
+
+
+@pytest.mark.parametrize("rows", [1, 7, 384])
+@pytest.mark.parametrize("dim", range(2, 9))
+@pytest.mark.parametrize("kind", ["random", "graded", "dependent"])
+def test_gram_schmidt_rows_match_row_major_kernel(kind, dim, rows):
+    # the component-major kernel against the row-major one it replaced: the
+    # same verdicts, the same values to roundoff of each row's scale
+    rng = np.random.default_rng([dim, rows, len(kind)])
+    stack = parity_stack(kind, rows, dim, rng)
+    before = stack.copy()
+    orth, norms, failed = gram_schmidt_rows(stack)
+    want_orth, want_norms, want_failed = mgs_rows(stack)
+    np.testing.assert_array_equal(stack, before)
+    assert orth.shape == stack.shape and norms.shape == (rows, dim) and failed.shape == (rows,)
+    assert orth.flags.c_contiguous and norms.flags.c_contiguous and failed.flags.c_contiguous
+    np.testing.assert_array_equal(failed, want_failed)
+    if kind == "dependent":
+        assert failed.all()
+    scale = np.linalg.norm(stack, axis=2).max(axis=1)
+    for r in range(rows):
+        # entries from a failed row's first dependent vector on are not meaningful
+        good = failed[r] - 1 if failed[r] else dim
+        tol = 1e-12 * scale[r]
+        assert np.abs(norms[r, :good] - want_norms[r, :good]).max(initial=0.0) <= tol
+        assert np.abs(orth[r, :good] - want_orth[r, :good]).max(initial=0.0) <= tol
+
+
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_gram_schmidt_rows_rank_rule_matches_row_major_kernel(dim):
+    # vector i of each row is vector i - 1 plus a perturbation within a
+    # factor 30 of the rank threshold RANK_RTOL * |v_1|**(i + 1): the rule
+    # must flag the same rows
+    rng = np.random.default_rng(dim)
+    stack = rng.normal(size=(384, dim, dim))
+    for r in range(384):
+        i = 1 + r % (dim - 1)
+        tol = RANK_RTOL * np.linalg.norm(stack[r, 0]) ** (i + 1)
+        stack[r, i] = stack[r, i - 1] + tol * 10.0 ** rng.uniform(-1.5, 1.5) * rng.normal(size=dim)
+    failed = gram_schmidt_rows(stack)[2]
+    np.testing.assert_array_equal(failed, mgs_rows(stack)[2])
+    assert 0 < np.count_nonzero(failed) < 384
 
 
 def test_gram_schmidt_rows_input_checks():
