@@ -9,7 +9,9 @@ E8 over 384 rows at the order a Frenet pass asks for (the ambient
 dimension). To compare two trees, run it once under each tree's ``src`` on
 ``PYTHONPATH``.
 
-Usage: python scripts/time_kernels.py [--repeat R] [--number N]
+Each timing is the minimum over R repeats of the mean of NUMBER calls.
+
+Usage: python scripts/time_kernels.py [--repeat R]
 """
 
 import argparse
@@ -23,26 +25,26 @@ from focalframe.linalg import gram_schmidt_rows
 GS_SHAPES = [(120, 3, 3), (248, 5, 5), (384, 3, 3), (384, 8, 8), (256, 8, 8), (1, 5, 5)]
 TRIG_DIMS = [3, 5, 8]
 TRIG_ROWS = 384
+NUMBER = 200
 
 
-def best_us(fn, repeat: int, number: int) -> float:
+def best_us(fn, repeat: int) -> float:
     """Minimum over ``repeat`` runs of the mean time of one call, in us."""
-    return min(timeit.repeat(fn, repeat=repeat, number=number)) / number * 1e6
+    return min(timeit.repeat(fn, repeat=repeat, number=NUMBER)) / NUMBER * 1e6
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeat", type=int, default=7, help="timeit repeats (minimum is kept)")
-    parser.add_argument("--number", type=int, default=200, help="calls per repeat")
     args = parser.parse_args()
-    if args.repeat < 1 or args.number < 1:
-        parser.error("--repeat and --number must be positive")
+    if args.repeat < 1:
+        parser.error("--repeat must be positive")
 
     rng = np.random.default_rng(0)
     print("gram_schmidt_rows            us")
     for shape in GS_SHAPES:
         stack = rng.normal(size=shape)
-        us = best_us(lambda: gram_schmidt_rows(stack), args.repeat, args.number)
+        us = best_us(lambda: gram_schmidt_rows(stack), args.repeat)
         print(f"  {str(shape):24s} {us:8.1f}")
 
     print("trig evaluator (384 rows)    us")
@@ -50,7 +52,7 @@ def main() -> int:
         p = dim // 2
         curve = make_wcurve([0.5**j for j in range(p)], range(1, p + 1), pitch=dim % 2)
         t = curve.grid(TRIG_ROWS)
-        us = best_us(lambda: curve.evaluator(t, dim), args.repeat, args.number)
+        us = best_us(lambda: curve.evaluator(t, dim), args.repeat)
         print(f"  E{dim}, order {dim:<15d} {us:8.1f}")
     return 0
 

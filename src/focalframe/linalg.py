@@ -10,9 +10,9 @@ the synthesized curves' evaluator and the integrator's initial frame.
 It works on a component-major copy, one ``(dim, rows)`` block per vector,
 so each projection is a few whole-block ufunc calls into reused buffers.
 LAPACK's batched ``qr`` measured slower at grid shapes even than a
-row-major MGS (980 against 830 us at 384 rows of 8x8, 253 against 124 us
-at 384 rows of 3x3), which this layout runs in about half the time, and
-``qr`` gives no rank verdict.
+row-major MGS, which this layout runs in about half the time, and ``qr``
+gives no rank verdict; ``scripts/time_kernels.py`` prints the kernel's
+timings.
 The solve is LAPACK's, behind a conditioning check, and
 :func:`solve_linear` is stacked the same way, with a per-row verdict, so a
 singular or non-finite system fails its own row and not the stack; one
@@ -72,7 +72,8 @@ def gram_schmidt_rows(stack) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     every row is one contiguous ``(dim, N)`` block, so a projection is four
     ufunc calls over whole blocks into reused buffers (product, sum over
     components, scale, subtract) instead of strided per-row reductions.
-    That halves the kernel's time at grid shapes; one row gains nothing.
+    That halves the kernel's time at grid shapes. One row gains about a
+    quarter, but still pays the Python double loop over vector pairs.
     """
     V = np.asarray(stack, dtype=float)
     if V.ndim != 3:
