@@ -11,7 +11,8 @@ Five subcommands over curve spec files (see :mod:`focalframe.specfile`):
 ``--output`` is a path prefix: commands write ``PREFIX.csv`` and/or
 ``PREFIX.json``. Outputs are deterministic: fixed summation orders and
 17-significant-digit CSV floats make identical inputs produce
-byte-identical files.
+byte-identical files. Each command imports the library modules it runs
+when it runs, so that a command loads no others.
 
 ``--tolerance`` belongs to analyze, slant and verify, and ``--k`` to slant
 and verify; ``--step`` applies to curvatures specs only. Any other use of
@@ -33,9 +34,9 @@ import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .curves import Curve, as_unit_speed
 from .errors import (
     BadParameters,
     FocalFrameError,
@@ -44,10 +45,10 @@ from .errors import (
     OutOfDomain,
     SpecFileError,
 )
-from .focal import MIN_GRID, focal_curvatures, focal_relations_check
-from .frenet import classify_curvatures, curvature_table
-from .slant import slant_reports, verify_focal_slants
 from .specfile import build_curve, load_curve_spec, samples_spec_dict, save_spec
+
+if TYPE_CHECKING:
+    from .curves import Curve
 
 SCHEMA_VERSION = 2
 
@@ -79,10 +80,13 @@ class RunConfig:
             raise SpecFileError(f"grid_points must be at least 16, got {self.grid_points}")
         if self.grid_points > MAX_GRID:
             raise SpecFileError(f"grid_points must be at most {MAX_GRID}, got {self.grid_points}")
-        if self.command in ("focal", "verify") and self.grid_points < MIN_GRID:
-            raise SpecFileError(
-                f"{self.command} needs at least {MIN_GRID} grid points, got {self.grid_points}"
-            )
+        if self.command in ("focal", "verify"):
+            from .focal import MIN_GRID
+
+            if self.grid_points < MIN_GRID:
+                raise SpecFileError(
+                    f"{self.command} needs at least {MIN_GRID} grid points, got {self.grid_points}"
+                )
         if self.tolerance is not None and not 0 < self.tolerance < math.inf:
             raise SpecFileError(f"tolerance must be positive and finite, got {self.tolerance!r}")
         if self.step is not None and not 0 < self.step < math.inf:
@@ -137,6 +141,8 @@ def _meta(config: RunConfig) -> dict:
 
 
 def _cmd_analyze(config: RunConfig, out: Path) -> int:
+    from .frenet import classify_curvatures, curvature_table
+
     curve = _load(config)
     table = curvature_table(curve, curve.grid(config.grid_points))
     dim, d = curve.dimension, curve.dimension
@@ -164,6 +170,9 @@ def _cmd_analyze(config: RunConfig, out: Path) -> int:
 
 
 def _cmd_focal(config: RunConfig, out: Path) -> int:
+    from .arclength import as_unit_speed
+    from .focal import focal_curvatures, focal_relations_check
+
     curve = as_unit_speed(_load(config))
     grid = curve.grid(config.grid_points)
     table = focal_curvatures(curve, grid)
@@ -188,6 +197,8 @@ def _cmd_focal(config: RunConfig, out: Path) -> int:
 
 
 def _cmd_slant(config: RunConfig, out: Path) -> int:
+    from .slant import slant_reports
+
     curve = _load(config)
     ks = _ks(config, curve)
     grid = curve.grid(config.grid_points)
@@ -198,6 +209,8 @@ def _cmd_slant(config: RunConfig, out: Path) -> int:
 
 
 def _cmd_verify(config: RunConfig, out: Path) -> int:
+    from .slant import verify_focal_slants
+
     curve = _load(config)
     reports = verify_focal_slants(curve, _ks(config, curve), curve.grid(config.grid_points),
                                   tol=config.tolerance, focal_tol=config.tolerance)

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import Curve, as_unit_speed
+from .arclength import as_unit_speed
+from .curves import Curve
 from .frenet import _as_int, _check_tol, _report_dict, frenet_grid
 from .focal import END_TRIM, _focal_order_limit, _sampled_focal_curve, focal_curvatures
 from .linalg import as_vector

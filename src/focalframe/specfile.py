@@ -26,14 +26,12 @@ import numpy as np
 from .curves import (
     _DOMAIN_SLACK,
     Curve,
-    CurvatureProfile,
     eval_derivatives,
     make_circle,
     make_helix,
     make_salkowski,
     make_wcurve,
     sampled_curve,
-    synthesize_from_curvatures,
 )
 from .errors import SpecFileError
 
@@ -151,6 +149,8 @@ def _instantiate(spec: CurveSpec, step: float | None) -> Curve:
         if spec.type == "samples":
             rows = _rows(spec, spec.dim + 1, f"samples rows must be (t, {spec.dim} coordinates)")
             return sampled_curve(rows[:, 0], rows[:, 1:], label="samples spec")
+        from .synthesis import CurvatureProfile, synthesize_from_curvatures
+
         rows = _rows(spec, spec.dim, f"curvature rows must be (s, {spec.dim - 1} curvatures)")
         profile = CurvatureProfile.from_samples(rows[:, 0], rows[:, 1:])
         if step is None and "step" in spec.params:

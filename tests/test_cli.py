@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 import tempfile
@@ -335,6 +336,11 @@ def test_each_command_makes_one_oracle_call_per_curve_and_grid(tmp_path, monkeyp
                                                                 name, calls):
     # Every checked oracle call, keyed by (curve label, number of points). Unit-speed
     # probes and arclength tables call curve.evaluator directly and are not counted.
+    # Modules load on first use, and one loaded after the patch would bind the
+    # real function: load them all first.
+    for info in pkgutil.iter_modules(focalframe.__path__, "focalframe."):
+        if info.name != "focalframe.__main__":
+            importlib.import_module(info.name)
     real = focalframe.curves.eval_derivatives
     seen = collections.Counter()
 
@@ -488,6 +494,103 @@ def test_cli_import_does_not_load_scipy():
     proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
                           capture_output=True, text=True, timeout=120, check=True)
     assert proc.stdout == "[]\n"
+
+
+def _loaded_after(code: str) -> list[str]:
+    """What ``code`` prints in a fresh interpreter, then every module it left loaded."""
+    src = Path(focalframe.__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-c", f"import sys\n{code}\nprint(*sorted(sys.modules))"],
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=120, check=True)
+    return proc.stdout.split()
+
+
+def test_package_import_loads_no_submodule_and_not_numpy():
+    loaded = _loaded_after("import focalframe")
+    assert "focalframe" in loaded
+    assert [m for m in loaded if m.split(".")[0] == "numpy" or m.startswith("focalframe.")] == []
+
+
+@pytest.mark.parametrize("command,name,absent", [
+    ("analyze", "helix", ("focalframe.arclength", "focalframe.synthesis", "focalframe.focal",
+                          "focalframe.slant", "numpy.polynomial")),
+    ("synthesize", "varying_curvatures", ("focalframe.frenet", "focalframe.focal",
+                                          "focalframe.slant", "focalframe.arclength",
+                                          "numpy.polynomial")),
+    ("focal", "helix", ("focalframe.synthesis",)),
+    ("slant", "wcurve5", ("focalframe.synthesis",)),
+    ("verify", "salkowski", ("focalframe.synthesis",)),
+])
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, command, name, absent):
+    path = write_spec(tmp_path, "spec.json", EXAMPLE_SPECS[f"{name}.json"])
+    argv = [command, "--input", path, "--output", str(tmp_path / "out")]
+    rc, *loaded = _loaded_after(f"from focalframe.cli import main\nprint(main({argv!r}))")
+    assert int(rc) == EXIT_OK
+    assert "focalframe.specfile" in loaded
+    assert sorted(set(absent) & set(loaded)) == []
+
+
+# Every public name of the package, and of focalframe.curves, that callers
+# may already use; each keeps resolving wherever its code lives.
+_PACKAGE_NAMES = (
+    "AxisFit", "BadParameters", "Classification", "ConvergenceFailure", "CurvatureProfile",
+    "Curve", "DegenerateFlag", "DivisionGuard", "FocalData", "FocalFrameError",
+    "FocalNotRegular", "FocalRelationsReport", "FrenetData", "InvalidProfile", "MethodLimit",
+    "NonOrthonormalFrame", "NotGeneric", "NotUnitSpeed", "OrderUnsupported", "OutOfDomain",
+    "ReducedOrder", "RegularityFailure", "ResidualTable", "SingularSystem", "SlantReport",
+    "SpecFileError", "TheoremReport", "arc_length", "classify", "classify_curvatures",
+    "coefficient_residuals", "curvature_table", "curve_from_coordinates", "curves", "errors",
+    "estimate_axis", "eval_derivatives", "focal", "focal_curvatures", "focal_curve",
+    "focal_relations_check", "frenet", "frenet_apparatus", "frenet_grid", "is_k_slant",
+    "linalg", "make_circle", "make_ellipse", "make_helix", "make_salkowski", "make_wcurve",
+    "numdiff", "osculating_center_oracle", "random_trig_curve", "reparam_to_arclength",
+    "sampled_curve", "series", "slant", "slant_reports", "solve_linear",
+    "synthesize_from_curvatures", "theorem_target_index", "verify_focal_slant",
+    "verify_focal_slants",
+)
+_CURVES_NAMES = (
+    "Curve", "eval_derivatives", "make_curve", "TrigCoordinate", "curve_from_coordinates",
+    "make_circle", "make_ellipse", "make_helix", "make_wcurve", "make_salkowski",
+    "random_trig_curve", "arc_length", "reparam_to_arclength", "as_unit_speed",
+    "sampled_curve", "ProfileFunction", "ConstantProfile", "LinearProfile", "SinusoidProfile",
+    "SplineProfile", "CurvatureProfile", "synthesize_from_curvatures",
+)
+
+
+def _defined_in_home_module(name: str, obj) -> bool:
+    """``obj`` is the submodule ``focalframe.name`` or the object that its own
+    module binds to ``name``."""
+    if isinstance(obj, type(sys)):
+        return obj is sys.modules[f"focalframe.{name}"]
+    home = sys.modules[obj.__module__]
+    return home.__name__.startswith("focalframe.") and getattr(home, name) is obj
+
+
+def test_package_names_resolve_to_their_home_objects():
+    assert set(_PACKAGE_NAMES) <= set(focalframe.__all__)
+    for name in _PACKAGE_NAMES:
+        assert _defined_in_home_module(name, getattr(focalframe, name)), name
+    assert set(focalframe.__all__) <= set(dir(focalframe))
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from focalframe import *", namespace)
+    assert set(focalframe.__all__) <= set(namespace)
+    assert namespace["make_helix"] is focalframe.curves.make_helix
+    assert namespace["CurvatureProfile"] is focalframe.synthesis.CurvatureProfile
+
+
+def test_curves_names_resolve_wherever_their_kind_lives():
+    import focalframe.curves as curves
+
+    for name in _CURVES_NAMES:
+        obj = getattr(curves, name)
+        assert _defined_in_home_module(name, obj), name
+        assert obj.__module__ in ("focalframe.curves", "focalframe.arclength",
+                                  "focalframe.synthesis"), name
+    with pytest.raises(AttributeError):
+        curves._ArclengthMap  # private names are not forwarded
 
 
 def test_outputs_are_byte_identical(tmp_path, helix_spec):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from numpy.polynomial.legendre import legint
 
 import focalframe as ff
-from focalframe import curves
+from focalframe import arclength, curves, synthesis
 from focalframe.curves import (
     ConstantProfile,
     LinearProfile,
@@ -397,8 +397,8 @@ def test_arc_length_meets_closed_forms():
               2.0 * (ellipeinc(1.35, 0.64) - ellipeinc(0.25, 0.64)))]
     for curve, t0, t1, exact in cases:
         assert ff.arc_length(curve, t0, t1) == pytest.approx(exact, rel=1e-13, abs=0.0)
-        start = math.ceil(curves._START_SPANS * (t1 - t0) / curve.length_of_domain)
-        assert curves._length_table(curve, t0, t1).edges.size == start + 1
+        start = math.ceil(arclength._START_SPANS * (t1 - t0) / curve.length_of_domain)
+        assert arclength._length_table(curve, t0, t1).edges.size == start + 1
 
 
 def test_length_table_splits_only_unresolved_spans():
@@ -409,10 +409,10 @@ def test_length_table_splits_only_unresolved_spans():
     ellipeinc = pytest.importorskip("scipy.special").ellipeinc
     curve = ff.make_ellipse(0.2, 2.0)
     exact = 2.0 * 4 * ellipeinc(0.5 * math.pi, 0.99)
-    amap = curves._ArclengthMap(curve, curve.grid(5))
+    amap = arclength._ArclengthMap(curve, curve.grid(5))
     assert amap.total == pytest.approx(exact, rel=1e-13, abs=0.0)
     widths = np.diff(amap.edges)
-    assert 4 < widths.size <= curves._MAX_SPANS
+    assert 4 < widths.size <= arclength._MAX_SPANS
     mids = 0.5 * (amap.edges[:-1] + amap.edges[1:])
     turn = np.abs(np.abs(mids - math.pi) - 0.5 * math.pi)  # distance to the turns
     assert turn[np.argmin(widths)] < 0.1
@@ -438,8 +438,8 @@ def test_sampled_length_table_is_the_fixed_table(helix, samples):
     curve = make_curve(3, sampled.domain, "sampled", 5, evaluator, check_regularity=False)
     for t0, t1 in [(0.0, 2 * math.pi), (1.0, 1.0 + 0.3 * 2 * math.pi), (1.0, 1.1), (0.5, 0.502)]:
         points.clear()
-        amap = curves._length_table(curve, t0, t1)
-        spans = math.ceil(curves._MAX_SPANS * (t1 - t0) / curve.length_of_domain)
+        amap = arclength._length_table(curve, t0, t1)
+        spans = math.ceil(arclength._MAX_SPANS * (t1 - t0) / curve.length_of_domain)
         assert sum(points) == 20 * spans
         np.testing.assert_array_equal(amap.edges, np.linspace(t0, t1, spans + 1))
     exact = SQRT5 * 2 * math.pi
@@ -613,7 +613,7 @@ def test_inversion_budget_exhaustion_raises(monkeypatch):
     i, cum = int(np.searchsorted(amap.edges, -2e-4)) - 1, amap.cum
     lo, width = float(cum[i]), float(cum[i + 1] - cum[i])
     knot, s_bad, s_worse = float(cum[10]), lo + 0.5 * width, lo + 0.1 * width
-    monkeypatch.setattr(curves, "_NEWTON_STEPS", 3)
+    monkeypatch.setattr(arclength, "_NEWTON_STEPS", 3)
     with pytest.raises(ConvergenceFailure, match=f"at s={s_bad!r} did not converge in 3 "):
         unit.point(s_bad)
     unit.point(knot)
@@ -666,18 +666,18 @@ def _ref_reverse(s, n):
 
 def _length_table(curve):
     # the table that reparam_to_arclength builds
-    return curves._length_table(curve, *curve.domain)
+    return arclength._length_table(curve, *curve.domain)
 
 
 class _ScalarArclength:
     def __init__(self, curve, edges):
         self.curve, self.ts, self.half = curve, edges, 0.5 * np.diff(edges)
-        nodes = (edges[:-1] + self.half)[:, None] + self.half[:, None] * curves._GL_NODES
+        nodes = (edges[:-1] + self.half)[:, None] + self.half[:, None] * arclength._GL_NODES
         speeds = np.linalg.norm(curve.evaluator(nodes.ravel(), 1)[:, 1], axis=-1)
         speeds = speeds.reshape(nodes.shape)
-        self.rate = speeds @ curves._GL_TO_LEGENDRE * self.half[:, None]
+        self.rate = speeds @ arclength._GL_TO_LEGENDRE * self.half[:, None]
         self.arc = legint(self.rate, lbnd=-1.0, axis=1)
-        self.cum = np.concatenate([[0.0], np.cumsum(self.half * (speeds @ curves._GL_WEIGHTS))])
+        self.cum = np.concatenate([[0.0], np.cumsum(self.half * (speeds @ arclength._GL_WEIGHTS))])
         self.total = float(self.cum[-1])
 
     def invert(self, s):
@@ -778,7 +778,7 @@ def test_inversion_bisects_where_newton_leaves_the_bracket():
                        check_regularity=False)
     ref = _ScalarArclength(curve, curve.grid(513))
     ss = np.linspace(0.0, ref.total, 2001)
-    t = curves._ArclengthMap(curve, curve.grid(513)).invert(ss)
+    t = arclength._ArclengthMap(curve, curve.grid(513)).invert(ss)
     assert np.all(np.diff(t) > 0.0)
     np.testing.assert_allclose(t, [ref.invert(float(s)) for s in ss], rtol=0.0, atol=1e-15)
 
@@ -794,7 +794,7 @@ def _elliptical_helix():
 def _both_tables(curve):
     # the table that reparam_to_arclength builds, and the fixed one of 512
     # equal spans that it replaced
-    return _length_table(curve), curves._ArclengthMap(curve, curve.grid(513))
+    return _length_table(curve), arclength._ArclengthMap(curve, curve.grid(513))
 
 
 @pytest.mark.parametrize("name,budget", [
@@ -806,7 +806,7 @@ def test_inversion_step_counts(name, budget, monkeypatch):
     # guess; on the varying families the last step confirms
     curve = {**_PARITY_CURVES, "circle": lambda: ff.make_circle(1.7),
              "elliptical-helix": _elliptical_helix}[name]()
-    monkeypatch.setattr(curves, "_NEWTON_STEPS", budget)
+    monkeypatch.setattr(arclength, "_NEWTON_STEPS", budget)
     for amap in _both_tables(curve):
         t = amap.invert(np.linspace(0.0, amap.total, 1001))
         np.testing.assert_allclose(t[[0, -1]], curve.domain, rtol=0.0, atol=1e-15)
@@ -815,7 +815,7 @@ def test_inversion_step_counts(name, budget, monkeypatch):
 
 def test_zero_width_arclength_map_inverts():
     curve = ff.make_salkowski(0.3)
-    amap = curves._ArclengthMap(curve, np.array([1.0, 1.0]))
+    amap = arclength._ArclengthMap(curve, np.array([1.0, 1.0]))
     assert amap.total == 0.0
     np.testing.assert_array_equal(amap.invert(np.zeros(3)), [1.0, 1.0, 1.0])
 
@@ -1196,7 +1196,7 @@ def test_magnus_exponentials_match_independent_references(dim):
     # 5-9, so the stack is scaled by 2^-5 or 2^-6 and squared as often
     scale = np.linspace(0.0, 1.0, 17)[:, None]
     gauss = scale * rng.uniform(0.5, 2.0, (3, 17, m))
-    E = curves._magnus_exponentials(gauss, h)
+    E = synthesis._magnus_exponentials(gauss, h)
     omegas = [_magnus_omega(*(_skew(k[i]) for k in gauss), h) for i in range(17)]
     norms = [np.abs(w).sum(axis=0).max() for w in omegas]
     assert norms[0] == 0.0 and 5.0 < max(norms) < 10.0
@@ -1226,13 +1226,13 @@ def test_synthesis_build_makes_no_probe_evaluation(monkeypatch):
     # unit speed by construction: the build evaluates nothing, and the speed
     # read back on the regularity probe's 64 points is 1 to roundoff
     calls = []
-    call = curves._SynthesizedOracle.__call__
+    call = synthesis._SynthesizedOracle.__call__
 
     def counting_call(self, s, order):
         calls.append((np.size(s), order))
         return call(self, s, order)
 
-    monkeypatch.setattr(curves._SynthesizedOracle, "__call__", counting_call)
+    monkeypatch.setattr(synthesis._SynthesizedOracle, "__call__", counting_call)
     curve = ff.synthesize_from_curvatures(_synthesis_profile("sinusoid-e5"), 5)
     assert calls == []
     speeds = np.linalg.norm(curve.evaluator(curve.grid(64), 1)[:, 1], axis=1)
@@ -1376,7 +1376,7 @@ def test_planar_profile_in_two_dimensions_is_accepted():
 
 
 def test_synthesis_caps_the_step_count(monkeypatch):
-    monkeypatch.setattr(curves, "_MAX_ODE_STEPS", 16)
+    monkeypatch.setattr(synthesis, "_MAX_ODE_STEPS", 16)
     profile = ff.CurvatureProfile.constants([0.05, 0.02], (0.0, 1.6))
     assert ff.synthesize_from_curvatures(profile, 3, step=0.1).dimension == 3
     with pytest.raises(BadParameters, match="step 0.09"):

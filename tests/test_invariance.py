@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import focalframe as ff
-from focalframe import curves
+from focalframe import arclength, curves
 from focalframe.curves import ConstantProfile, SinusoidProfile, make_curve
 from focalframe.errors import ReducedOrder
 
@@ -213,8 +213,8 @@ _TABLE_CURVES = {
 def test_scaled_curve_gets_the_same_length_table(curve_name, scale):
     # the same span edges, bit for bit, and scale times the length to 1e-14
     curve = _TABLE_CURVES[curve_name]()
-    want = curves._length_table(curve, *curve.domain)
-    got = curves._length_table(transformed(curve, Motion(scale=scale)), *curve.domain)
+    want = arclength._length_table(curve, *curve.domain)
+    got = arclength._length_table(transformed(curve, Motion(scale=scale)), *curve.domain)
     np.testing.assert_array_equal(got.edges, want.edges)
     assert got.total == pytest.approx(scale * want.total, rel=1e-14, abs=0.0)
 
@@ -226,8 +226,8 @@ def test_affine_parameter_change_maps_the_length_table(curve_name, a, b):
     # (reversed for a < 0), and the same length to 1e-14
     curve = _TABLE_CURVES[curve_name]()
     moved = transformed(curve, Motion(a=a, b=b))
-    want = curves._length_table(curve, *curve.domain)
-    got = curves._length_table(moved, *moved.domain)
+    want = arclength._length_table(curve, *curve.domain)
+    got = arclength._length_table(moved, *moved.domain)
     mapped = a * got.edges + b
     np.testing.assert_allclose(mapped if a > 0 else mapped[::-1], want.edges,
                                rtol=0.0, atol=1e-13 * curve.length_of_domain)
