@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
-"""Time the two Frenet-pass kernels: stacked Gram-Schmidt and the analytic
-(trigonometric) curve evaluator.
+"""Time the two Frenet-pass kernels, stacked Gram-Schmidt and the analytic
+(trigonometric) curve evaluator, and arclength inversion.
 
 Prints the timeit minimum, in microseconds, of ``linalg.gram_schmidt_rows``
-on seeded random stacks at grid shapes (N, k, dim), and of the evaluator of
+on seeded random stacks at grid shapes (N, k, dim), of the evaluator of
 a W-curve (a sum of circles, plus an axis in odd dimension) at E3, E5 and
 E8 over 384 rows at the order a Frenet pass asks for (the ambient
-dimension). To compare two trees, run it once under each tree's ``src`` on
+dimension), and of the Newton inversion of the length table that
+``reparam_to_arclength`` builds, for a Salkowski curve (n = 0.3), an
+ellipse arc and an off-unit helix at 96 and 256 evenly spaced arclengths.
+To compare two trees, run it once under each tree's ``src`` on
 ``PYTHONPATH``.
 
 Each timing is the minimum over R repeats of the mean of NUMBER calls.
@@ -19,12 +22,19 @@ import timeit
 
 import numpy as np
 
-from focalframe.curves import make_wcurve
+from focalframe.arclength import _length_table
+from focalframe.curves import make_ellipse, make_helix, make_salkowski, make_wcurve
 from focalframe.linalg import gram_schmidt_rows
 
 GS_SHAPES = [(120, 3, 3), (248, 5, 5), (384, 3, 3), (384, 8, 8), (256, 8, 8), (1, 5, 5)]
 TRIG_DIMS = [3, 5, 8]
 TRIG_ROWS = 384
+INVERSION_CURVES = {
+    "Salkowski n=0.3": lambda: make_salkowski(0.3),
+    "ellipse arc": lambda: make_ellipse(2.0, 1.2, domain=(0.25, 1.35)),
+    "helix (1.3, 0.7)": lambda: make_helix(1.3, 0.7),
+}
+INVERSION_POINTS = [96, 256]
 NUMBER = 200
 
 
@@ -54,6 +64,15 @@ def main() -> int:
         t = curve.grid(TRIG_ROWS)
         us = best_us(lambda: curve.evaluator(t, dim), args.repeat)
         print(f"  E{dim}, order {dim:<15d} {us:8.1f}")
+
+    print("arclength inversion          us")
+    for name, build in INVERSION_CURVES.items():
+        curve = build()
+        amap = _length_table(curve, *curve.domain)
+        for n in INVERSION_POINTS:
+            s = np.linspace(0.0, amap.total, n)
+            us = best_us(lambda: amap.invert(s), args.repeat)
+            print(f"  {name + ', ' + str(n):24s} {us:8.1f}")
     return 0
 
 

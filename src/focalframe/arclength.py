@@ -56,15 +56,15 @@ def _legendre_to_power(degree: int) -> np.ndarray:
     return table
 
 
-# Newton evaluates each span in power form. The tail rule leaves a span's
-# Legendre coefficients decayed to roundoff (a sampled curve's 512 equal
-# spans nearly so), and then the power form matches the Legendre form to
-# 8.9e-16 of the span's length, and ds/dx to 1.1e-15 of its largest value,
-# measured on the analytic test families, the steep curve, an ellipse with
-# semi-axes 0.2 and 2 and helices of 200, 256 and 1000 samples: nothing the
-# Newton stop rule can see.
+# Newton evaluates each span in power form: a step multiplies a table of
+# the powers 1, x, ..., x^20, built by running products, by the span's power
+# coefficients. The tail rule leaves a span's Legendre coefficients decayed
+# to roundoff (a sampled curve's 512 equal spans nearly so), and then the
+# power form matches the Legendre form to 8.9e-16 of the span's length, and
+# ds/dx to 1.1e-15 of its largest value, measured on the analytic test
+# families, the steep curve, an ellipse with semi-axes 0.2 and 2 and helices
+# of 200, 256 and 1000 samples: nothing the Newton stop rule can see.
 _LEGENDRE_TO_POWER = _legendre_to_power(20)
-_POWERS = np.arange(21.0)[None, :]
 
 
 def arc_length(curve: Curve, t0: float, t1: float) -> float:
@@ -183,8 +183,14 @@ class _ArclengthMap:
         lo, hi = -1.0, 1.0  # arrays after the first step
         active = np.arange(s.size)
         t = np.empty_like(s)
+        # Row n holds 1, x_n, ..., x_n^20; only the first x.size rows are live.
+        table = np.empty((s.size, 1, 21))
+        table[:, 0, 0] = 1.0
         for _ in range(_NEWTON_STEPS):
-            err, slope = (x[:, None, None] ** _POWERS @ poly)[:, 0].T
+            powers = table[:x.size]
+            np.multiply.accumulate(np.broadcast_to(x[:, None], (x.size, 20)), axis=1,
+                                   out=powers[:, 0, 1:])
+            err, slope = (powers @ poly)[:, 0].T
             err = err - target
             above = err > 0.0
             hi = np.where(above, x, hi)

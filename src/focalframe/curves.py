@@ -406,11 +406,13 @@ def sampled_curve(
 ) -> Curve:
     """Curve through sample rows, differentiated by local stencils.
 
-    Derivative order j uses a window of j + 6 nearest nodes, giving at least
-    6th-order accuracy for orders 1-2 and 4th-order beyond; orders above 5
-    are refused because difference noise outgrows them. An evaluation gets
-    every window from one ``searchsorted`` and every stencil from one
-    stacked :func:`fd_weights` call.
+    An evaluation of order o takes every derivative of a point from one
+    window of the o + 6 nearest nodes, so derivative j converges at order
+    o + 6 - j, at least 6: the value of a low derivative depends on the
+    order requested. Orders above 5 are refused because difference noise
+    outgrows them. An evaluation gets every window from one
+    ``searchsorted`` and every stencil from one stacked :func:`fd_weights`
+    call.
     """
     t = np.asarray(ts, dtype=float)
     P = np.asarray(points, dtype=float)

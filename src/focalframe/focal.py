@@ -154,10 +154,10 @@ def osculating_center_oracle(curve: Curve, s) -> np.ndarray:
     exception anew. A row matches when the parameter's float64 bits equal
     it: ``-0.0`` does not match ``0.0``, a parameter one ulp off does not,
     and NaN never does. A scalar call that misses the table is the one-row
-    array call, and an array call reads no table. The table costs about
-    0.3 ms at E3 and 0.9 ms at E8 for 256 rows, and 5 ms at E3 for 4096,
-    against about 55 µs for a fresh one-point call, so it pays once a
-    caller asks for more than about 2-6% of a pass's rows.
+    array call, and an array call reads no table. The table costs as much
+    as a few percent of its rows' worth of fresh one-point calls (more in
+    higher dimensions), so it pays once a caller asks for more than that
+    share of a pass's rows.
     """
     dim = curve.dimension
     ts = np.asarray(s, dtype=float)

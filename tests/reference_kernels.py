@@ -1,13 +1,14 @@
 """Per-row reference kernels that the stacked library kernels are tested
-against, former kernels that their rewrites must match, a curve that
-counts its evaluator calls and a counter of SVD calls."""
+against, former kernels that their rewrites must match, exact references,
+a curve that counts its evaluator calls and a counter of SVD calls."""
 
 import math
 
 import numpy as np
 
+from focalframe import arclength
 from focalframe.curves import make_curve
-from focalframe.errors import DegenerateFlag, SingularSystem
+from focalframe.errors import ConvergenceFailure, DegenerateFlag, SingularSystem
 from focalframe.linalg import RANK_RTOL
 
 
@@ -185,3 +186,56 @@ def svd_solve_rows(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, dict[int, 
     out = np.full((n, x.shape[1]), np.nan)
     out[rows] = x
     return out, errors
+
+
+def pow_newton_invert(amap, s) -> np.ndarray:
+    """The bracketed Newton inversion of an arclength map in its former
+    form: each step raises every point's span variable to the float powers
+    0, ..., 20 with ``**``, one libm ``pow`` per point and power, and
+    multiplies that table by the span's power coefficients. Start, bracket,
+    bisection fallback, stop rule and step budget are those of
+    :meth:`focalframe.arclength._ArclengthMap.invert`."""
+    powers = np.arange(21.0)[None, :]
+    s = np.minimum(np.maximum(s, 0.0), amap.total)
+    i = np.searchsorted(amap.cum[1:-1], s)
+    s_lo, width, start, half = amap.span[i].T
+    poly = amap.poly[i]
+    target = s - s_lo
+    x = np.minimum(np.maximum(-1.0 + 2.0 * target / width, -1.0), 1.0)
+    lo, hi = -1.0, 1.0
+    active = np.arange(s.size)
+    t = np.empty_like(s)
+    for _ in range(arclength._NEWTON_STEPS):
+        err, slope = (x[:, None, None] ** powers @ poly)[:, 0].T
+        err = err - target
+        above = err > 0.0
+        hi = np.where(above, x, hi)
+        lo = np.where(above, lo, x)
+        x_new = x - err / np.where(slope > 0.0, slope, np.nan)
+        x_new = np.where((lo <= x_new) & (x_new <= hi), x_new, 0.5 * (lo + hi))
+        t_new = start + half * (1.0 + x_new)
+        done = (err == 0.0) | (half * np.abs(x_new - x)
+                               <= 1e-15 * np.maximum(1.0, np.abs(t_new)))
+        t[active[done]] = t_new[done]
+        if done.all():
+            return t
+        keep = ~done
+        active, x, lo, hi = active[keep], x_new[keep], lo[keep], hi[keep]
+        target, poly, start, half = target[keep], poly[keep], start[keep], half[keep]
+    raise ConvergenceFailure(f"reference inversion at s={float(s[active[0]])!r} did not converge")
+
+
+def wcurve_focal_coefficients(kappa) -> np.ndarray:
+    """Focal curvatures c_1..c_m of a curve with constant curvatures, from
+    its (N, m) curvature rows: the focal recursion with every derivative
+    zero, c_1 = 1/kappa_1 and c_{i+1} = kappa_i c_{i-1} / kappa_{i+1}
+    (c_0 = 0). Exact for a W-curve in any dimension, with no grid
+    derivative; the focal point is the curve point plus c_i times the i-th
+    normal."""
+    kappa = np.asarray(kappa, dtype=float)
+    n, m = kappa.shape
+    c = np.zeros((n, m + 1))
+    c[:, 1] = 1.0 / kappa[:, 0]
+    for i in range(1, m):
+        c[:, i + 1] = kappa[:, i - 1] * c[:, i - 1] / kappa[:, i]
+    return c[:, 1:]

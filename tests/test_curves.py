@@ -35,7 +35,9 @@ from focalframe.errors import (
     RegularityFailure,
 )
 from focalframe.numdiff import fd_weights
-from reference_kernels import counting_curve, shifted_sine_evaluator
+from focalframe.specfile import build_curve, parse_curve_spec
+from reference_kernels import counting_curve, pow_newton_invert, shifted_sine_evaluator
+from test_cli import EXAMPLE_SPECS
 
 SQRT5 = math.sqrt(5.0)
 
@@ -813,6 +815,47 @@ def test_inversion_step_counts(name, budget, monkeypatch):
         assert np.all(np.diff(t) > 0.0)
 
 
+def _seeded_inversion_curves(seed):
+    rng = np.random.default_rng(seed)
+    a, b = rng.uniform(0.3, 3.0, 2)
+    lo = rng.uniform(0.0, 2.0)
+    ts = np.sort(rng.uniform(0.0, 6.0, 160))
+    pts = np.stack([a * np.cos(ts), b * np.sin(ts), 0.4 * ts], axis=-1)
+    return {
+        "salkowski": ff.make_salkowski(rng.uniform(0.12, 0.45)),
+        "helix": ff.make_helix(*rng.uniform(0.3, 3.0, 2)),
+        "ellipse-arc": ff.make_ellipse(a, b + 0.1, domain=(lo, lo + rng.uniform(0.5, 3.0))),
+        "sampled": ff.sampled_curve(ts, pts),
+    }
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_inversion_matches_pow_kernel_within_two_ulp(seed):
+    # running products round differently from libm pow, so a Newton step
+    # may land an ulp apart
+    rng = np.random.default_rng(100 + seed)
+    fixed = {"ellipse-0.2/2": ff.make_ellipse(0.2, 2.0),
+             "steep": make_curve(2, (-1.0, 1.0), "analytic", 3, _steep_speed_evaluator,
+                                 check_regularity=False)}
+    for name, curve in {**_seeded_inversion_curves(seed), **fixed}.items():
+        amap = _length_table(curve)
+        ss = np.concatenate([np.sort(rng.uniform(0.0, amap.total, 500)), amap.cum])
+        want = pow_newton_invert(amap, ss)
+        got = amap.invert(ss)
+        assert np.all(np.abs(got - want) <= 2 * np.spacing(np.abs(want))), name
+
+
+@pytest.mark.parametrize("n", [96, 256])
+@pytest.mark.parametrize("name", sorted(name for name, spec in EXAMPLE_SPECS.items()
+                                        if spec["type"] != "curvatures"))
+def test_inversion_matches_pow_kernel_bitwise_on_example_grids(name, n):
+    curve = build_curve(parse_curve_spec(EXAMPLE_SPECS[name]))
+    unit = ff.reparam_to_arclength(curve)
+    amap = _length_table(curve)
+    ss = unit.grid(n)
+    np.testing.assert_array_equal(amap.invert(ss), pow_newton_invert(amap, ss))
+
+
 def test_zero_width_arclength_map_inverts():
     curve = ff.make_salkowski(0.3)
     amap = arclength._ArclengthMap(curve, np.array([1.0, 1.0]))
@@ -903,6 +946,26 @@ def test_sampled_matches_analytic_derivatives(helix, salkowski):
             for order in range(1, 4):
                 rel = np.linalg.norm(got[order] - want[order]) / np.linalg.norm(want[order])
                 assert rel < 1e-6
+
+
+@pytest.mark.parametrize("order", [1, 3, 5])
+def test_sampled_derivative_convergence_order_depends_on_requested_order(order):
+    # one evaluation of order o differentiates from one window of o + 6
+    # nodes, so derivative j converges at order o + 6 - j: halving the
+    # spacing of a sampled helix (1, 0.5) from 24 to 48 samples reads
+    # 5.85-7.02 at o = 1, 6.03-9.42 at o = 3 and 6.30-11.85 at o = 5
+    helix = ff.make_helix(1.0, 0.5)
+    probe = helix.grid(97)
+    want = helix.evaluator(probe, order)
+
+    def worst_error(samples):
+        ts = helix.grid(samples)
+        sampled = ff.sampled_curve(ts, helix.evaluator(ts, 0)[:, 0])
+        return np.max(np.abs(sampled.evaluator(probe, order) - want), axis=(0, 2))
+
+    rates = np.log2(worst_error(24) / worst_error(48))
+    assert np.all(rates >= 5.5)
+    assert np.all(rates >= order + 5.5 - np.arange(order + 1))
 
 
 def test_sampled_curve_rejects_bad_input():

@@ -7,6 +7,7 @@ import pytest
 
 import focalframe as ff
 from focalframe import focal, numdiff
+from focalframe.arclength import as_unit_speed
 from focalframe.curves import (
     CurvatureProfile,
     ProfileFunction,
@@ -24,7 +25,12 @@ from focalframe.focal import FocalRelationsReport, _binomial_table, _center_rhs
 from focalframe.frenet import _alignment_signs
 from focalframe.linalg import solve_linear
 from focalframe.numdiff import grid_derivative
-from reference_kernels import center_rhs, counting_curve, counting_svd
+from reference_kernels import (
+    center_rhs,
+    counting_curve,
+    counting_svd,
+    wcurve_focal_coefficients,
+)
 
 SQRT5 = math.sqrt(5.0)
 
@@ -174,6 +180,45 @@ def test_wcurve_center_tables_need_no_svd(monkeypatch, dim):
     assert svd_calls == []
     np.testing.assert_array_equal(rows, stacked)
     assert np.linalg.norm(inner.focal_point - rows, axis=1).max() < 1e-5
+
+
+def _exact_wcurve_centers(dim):
+    """A unit-speed W-curve in E^dim on 256 rows (radii 1/(j+1), frequencies
+    1 + j/2, pitch 0.7 in odd dimensions, domain (0, 3) before the
+    reparametrization), its grid, and its focal points from the
+    derivative-free recursion on its Frenet pass."""
+    blocks = dim // 2
+    curve = as_unit_speed(ff.make_wcurve(
+        [1.0 / (j + 1) for j in range(blocks)], [1.0 + 0.5 * j for j in range(blocks)],
+        pitch=0.7 if dim % 2 else 0.0, domain=(0.0, 3.0)))
+    grid = curve.grid(256)
+    frames = ff.frenet_grid(curve, grid, order=dim)
+    coeffs = wcurve_focal_coefficients(frames.curvatures)
+    return curve, grid, frames.point + np.einsum("nk,nkd->nd", coeffs, frames.frame[:, 1:])
+
+
+def _center_gap(got, want):
+    """Largest distance between matching rows 8 to -8, relative to max(1, |center|)."""
+    got, want = got[8:-8], want[8:-8]
+    scale = np.maximum(1.0, np.linalg.norm(want, axis=1))
+    return float(np.max(np.linalg.norm(got - want, axis=1) / scale))
+
+
+@pytest.mark.parametrize("dim", range(3, 13))
+def test_oracle_matches_exact_wcurve_centers(dim):
+    # measured gap 1.9e-15 at E3, 7.5e-13 at E8 and 1.5e-10 at E12
+    curve, grid, exact = _exact_wcurve_centers(dim)
+    assert _center_gap(ff.osculating_center_oracle(curve, grid), exact) <= 1e-9
+
+
+@pytest.mark.parametrize("dim", [pytest.param(dim, marks=pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="the finite-difference focal recursion loses one to two digits per dimension "
+           "(ROADMAP item 7)")) for dim in range(9, 13)])
+def test_focal_recursion_matches_exact_wcurve_centers(dim):
+    # measured gap 5.2e-3 at E9 to 6.3e2 at E12 (and 4.8e-8 to 1.5e-4 at E6-E8)
+    curve, grid, exact = _exact_wcurve_centers(dim)
+    assert _center_gap(ff.focal_curvatures(curve, grid).focal_point, exact) <= 1e-9
 
 
 def _focal_by_levels(frames):
