@@ -1,14 +1,19 @@
 #!/usr/bin/env python3
 """Time the two Frenet-pass kernels, stacked Gram-Schmidt and the analytic
-(trigonometric) curve evaluator, and arclength inversion.
+(trigonometric) curve evaluator, arclength inversion, and the reads that a
+curve's kept pass serves.
 
 Prints the timeit minimum, in microseconds, of ``linalg.gram_schmidt_rows``
 on seeded random stacks at grid shapes (N, k, dim), of the evaluator of
 a W-curve (a sum of circles, plus an axis in odd dimension) at E3, E5 and
 E8 over 384 rows at the order a Frenet pass asks for (the ambient
-dimension), and of the Newton inversion of the length table that
+dimension), of the Newton inversion of the length table that
 ``reparam_to_arclength`` builds, for a Salkowski curve (n = 0.3), an
-ellipse arc and an off-unit helix at 96 and 256 evenly spaced arclengths.
+ellipse arc and an off-unit helix at 96 and 256 evenly spaced arclengths,
+and of two reads of the kept pass of an arclength version at 96 rows: a
+repeated ``focal_curvatures`` on the same grid and a scalar
+``osculating_center_oracle`` call at one of its rows, for one curve of
+each family of the benchmark's ``arclength-focal`` workload.
 To compare two trees, run it once under each tree's ``src`` on
 ``PYTHONPATH``.
 
@@ -18,12 +23,21 @@ Usage: python scripts/time_kernels.py [--repeat R]
 """
 
 import argparse
+import math
 import timeit
 
 import numpy as np
 
-from focalframe.arclength import _length_table
-from focalframe.curves import make_ellipse, make_helix, make_salkowski, make_wcurve
+from focalframe.arclength import _length_table, reparam_to_arclength
+from focalframe.curves import (
+    TrigCoordinate,
+    curve_from_coordinates,
+    make_ellipse,
+    make_helix,
+    make_salkowski,
+    make_wcurve,
+)
+from focalframe.focal import focal_curvatures, osculating_center_oracle
 from focalframe.linalg import gram_schmidt_rows
 
 GS_SHAPES = [(120, 3, 3), (248, 5, 5), (384, 3, 3), (384, 8, 8), (256, 8, 8), (1, 5, 5)]
@@ -35,6 +49,18 @@ INVERSION_CURVES = {
     "helix (1.3, 0.7)": lambda: make_helix(1.3, 0.7),
 }
 INVERSION_POINTS = [96, 256]
+KEPT_CURVES = {
+    "Salkowski n=0.3": lambda: make_salkowski(0.3),
+    "helix (1.3, 0.7)": lambda: make_helix(1.3, 0.7),
+    "ellipse arc": lambda: make_ellipse(2.0, 1.2, domain=(0.25, 1.35)),
+    "elliptical helix": lambda: curve_from_coordinates(
+        (TrigCoordinate(terms=((1.0, 1.0, 0.5 * math.pi),)),
+         TrigCoordinate(terms=((0.93, 1.0, 0.0),)), TrigCoordinate(slope=1.0)),
+        (0.0, 2.0 * math.pi)),
+    "W-curve E5": lambda: make_wcurve([0.8, 0.6], [1.0, 2.1], pitch=0.8, dim=5),
+    "W-curve E4": lambda: make_wcurve([0.8, 0.6], [1.0, 2.1], dim=4),
+}
+KEPT_ROWS = 96
 NUMBER = 200
 
 
@@ -73,6 +99,16 @@ def main() -> int:
             s = np.linspace(0.0, amap.total, n)
             us = best_us(lambda: amap.invert(s), args.repeat)
             print(f"  {name + ', ' + str(n):24s} {us:8.1f}")
+
+    print(f"kept-pass reads ({KEPT_ROWS} rows)  focal table  oracle hit  us")
+    for name, build in KEPT_CURVES.items():
+        unit = reparam_to_arclength(build())
+        grid = unit.grid(KEPT_ROWS)
+        t = float(focal_curvatures(unit, grid).s[KEPT_ROWS // 2])
+        osculating_center_oracle(unit, t)
+        table_us = best_us(lambda: focal_curvatures(unit, grid), args.repeat)
+        hit_us = best_us(lambda: osculating_center_oracle(unit, t), args.repeat)
+        print(f"  {name:24s} {table_us:11.1f} {hit_us:11.2f}")
     return 0
 
 

@@ -14,10 +14,13 @@ at once, and a single point is the one-row stack: the first call at a
 row of a focal table solves every row of the Frenet pass that the curve
 keeps, from that pass's derivative stack alone (nothing of its frames or
 curvatures, nor of the recursion), and keeps the centers with the pass in
-one dict, where later calls at its rows read them. Each center has the
-bits of a fresh one-point call.
+one dict, where a later call at one of its rows is one lookup. Each
+center has the bits of a fresh one-point call.
 The focal curve and the frame-relation check both read the one
-:class:`FocalData` table that a grid's recursion produces.
+:class:`FocalData` table that a grid's recursion produces. That table is
+kept with the Frenet pass it reads, read-only, so a repeated call on the
+same grid, such as the focal slant check after a focal table of the same
+arclength version, returns it without a second recursion.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,7 +47,6 @@ from .frenet import (
     FrenetData,
     RowTable,
     _alignment_signs,
-    _kept_pass,
     _KeptPass,
     _report_dict,
     frenet_grid,
@@ -57,6 +60,8 @@ MIN_GRID = 64
 # Rows of a sampled focal curve left out at each end of a comparison: its
 # one-sided difference stencils there are its least accurate data.
 END_TRIM = 3
+# The float64 bits of a real scalar, as 8 bytes: the key of a center-table row.
+_FLOAT64 = struct.Struct("d").pack
 
 
 @dataclass(frozen=True)
@@ -93,11 +98,21 @@ def focal_curvatures(curve: Curve, grid) -> FocalData:
     stencil table of the grid (:func:`grid_stencils`), so the
     weights are computed once in any dimension. Vertex rows (focal speed
     below 1e-10) are flagged via ``is_vertex``, not dropped.
+
+    The table is kept with the curve's Frenet pass it reads, so a repeated
+    call on the same grid returns the same table, and its arrays are
+    read-only like the pass's own. A table computed on a pass that another
+    thread has meanwhile replaced is returned but not kept.
     """
     try:
         frames = frenet_grid(curve, grid, order=curve.dimension)
     except ReducedOrder as exc:
         raise NotGeneric(f"curve is not generic on the grid: {exc}") from exc
+    kept = curve._frenet_memo[0]
+    if kept.table is not frames:
+        kept = None
+    elif kept.focal is not None:
+        return kept.focal
     if len(frames) < MIN_GRID:
         raise ValueError(f"focal analysis needs at least {MIN_GRID} grid points, "
                          f"got {len(frames)}")
@@ -123,9 +138,14 @@ def focal_curvatures(curve: Curve, grid) -> FocalData:
     alphas = np.arange(1, m + 1)
     deltas = (np.where(alphas % 2 == 0, eps[:, None], -eps[:, None])
               * np.sign(kappa[:, m - 1:]).astype(int))
-    return FocalData(s=ss, focal_curvatures=coeffs, focal_point=points,
-                     A=np.abs(signed_speed), epsilon=eps, deltas=deltas,
-                     R_m=np.linalg.norm(coeffs, axis=1), frenet=frames)
+    table = FocalData(s=ss, focal_curvatures=coeffs, focal_point=points,
+                      A=np.abs(signed_speed), epsilon=eps, deltas=deltas,
+                      R_m=np.linalg.norm(coeffs, axis=1), frenet=frames)
+    for a in (coeffs, points, table.A, eps, deltas, table.R_m):
+        a.setflags(write=False)
+    if kept is not None:
+        kept.focal = table
+    return table
 
 
 def osculating_center_oracle(curve: Curve, s) -> np.ndarray:
@@ -150,22 +170,37 @@ def osculating_center_oracle(curve: Curve, s) -> np.ndarray:
     derivative stack alone (nothing of its frames or curvatures, nor of the
     recursion), and keeps with the pass one dict from each row's parameter,
     by its float64 bits, to the row's read-only center or its exception.
-    Later calls at its rows return a copy of the center or raise the row's
-    exception anew. A row matches when the parameter's float64 bits equal
-    it: ``-0.0`` does not match ``0.0``, a parameter one ulp off does not,
-    and NaN never does. A scalar call that misses the table is the one-row
+    Later calls at its rows take the bits of ``s`` once, whatever its
+    scalar type (Python or numpy float or integer, 0-d array), and return
+    a copy of the center or raise the row's exception anew: one lookup. A
+    row matches when the parameter's float64 bits equal it: ``-0.0`` does
+    not match ``0.0``, a parameter one ulp off does not, and NaN never
+    does. A scalar call that misses the table is the one-row
     array call, and an array call reads no table. The table costs as much
     as a few percent of its rows' worth of fresh one-point calls (more in
     higher dimensions), so it pays once a caller asks for more than that
     share of a pass's rows.
     """
     dim = curve.dimension
+    try:
+        key = _FLOAT64(s)
+    except struct.error:  # not a real number: an array, or left to np.asarray below
+        key = None
+    if key is not None:
+        kept = curve._frenet_memo[0]
+        if kept is not None and kept.key[0] == dim:
+            centers = kept.centers
+            if centers is None:
+                centers = _center_table(kept, key)
+            center = centers.get(key)
+            if center is not None:
+                if isinstance(center, Exception):
+                    # a new exception: the table's own is shared by every caller
+                    raise type(center)(*center.args)
+                return center.copy()
     ts = np.asarray(s, dtype=float)
     scalar = ts.ndim == 0
     if scalar:
-        center = _kept_center(_kept_pass(curve, dim), ts)
-        if center is not None:
-            return center
         ts = ts.reshape(1)
     derivs = eval_derivatives(curve, ts, dim)
     centers, errors = solve_linear(derivs[:, 1:], _center_rhs(derivs))
@@ -178,27 +213,20 @@ def osculating_center_oracle(curve: Curve, s) -> np.ndarray:
     return centers[0] if scalar else centers
 
 
-def _kept_center(kept: _KeptPass | None, t: np.ndarray) -> np.ndarray | None:
-    """The center at the scalar ``t`` from the center table of ``kept``;
-    None off its rows, where no table is built."""
-    if kept is None:
-        return None
-    bits = int(t.view(np.uint64))
-    if kept.centers is None:
-        grid = kept.table.s.view(np.uint64)
-        if bits not in grid:
-            return None
-        # solved from the derivative stack alone, kept with the pass in one
-        # store; a repeated parameter keeps its first row
-        centers, errors = solve_linear(kept.derivs[:, 1:], _center_rhs(kept.derivs))
-        centers.setflags(write=False)
-        rows = [errors.get(r, center) for r, center in enumerate(centers)]
-        kept.centers = dict(zip(reversed(grid.tolist()), reversed(rows)))
-    center = kept.centers.get(bits)
-    if isinstance(center, Exception):
-        # a new exception: the table's own is shared by every caller
-        raise type(center)(*center.args)
-    return None if center is None else center.copy()
+def _center_table(kept: _KeptPass, key: bytes) -> dict:
+    """The center table of ``kept``, built and kept if the float64 bits
+    ``key`` name one of its rows; else an empty dict, and nothing is kept."""
+    grid = kept.table.s.tobytes()
+    keys = [grid[i:i + 8] for i in range(0, len(grid), 8)]
+    if key not in keys:
+        return {}
+    # solved from the derivative stack alone, kept with the pass in one
+    # store; a repeated parameter keeps its first row
+    centers, errors = solve_linear(kept.derivs[:, 1:], _center_rhs(kept.derivs))
+    centers.setflags(write=False)
+    rows = [errors.get(r, center) for r, center in enumerate(centers)]
+    kept.centers = table = dict(zip(reversed(keys), reversed(rows)))
+    return table
 
 
 def _center_rhs(derivs: np.ndarray) -> np.ndarray:

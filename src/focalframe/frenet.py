@@ -12,9 +12,11 @@ positions, and rows of reduced order flagged, with NaN frames and
 curvatures. :func:`curvature_table` returns it as it is and
 :func:`frenet_grid` raises on its first flagged row; a single point is
 the one-row case. A curve keeps its last pass, derivative stack
-included, so public calls on the same grid and order share one table and
+included, so public calls on the same grid and order share one table,
 the osculating-center oracle can solve every row of a full-order pass at
-once.
+once, and the pass keeps the focal table and the center table computed
+from it, so a repeated read of either is a lookup. A new pass drops
+both.
 """
 
 from __future__ import annotations
@@ -140,16 +142,20 @@ class _KeptPass:
     """A curve's last grid pass: its key ``(order, grid shape, grid bytes)``,
     its table and the read-only derivative stack it evaluated.
 
-    ``centers`` is None until :func:`focal.osculating_center_oracle` stores
-    the center table it builds from ``derivs`` alone, in one assignment of
-    a complete dict: from each grid parameter's float64 bits, as an int, to
-    that row's read-only center, or to the exception its system raised.
+    Two slots are None until a reader of the pass fills them, each in one
+    assignment of a complete value. ``focal`` is the read-only
+    :class:`focal.FocalData` that :func:`focal.focal_curvatures` computes
+    from ``table``. ``centers`` is the center table that
+    :func:`focal.osculating_center_oracle` builds from ``derivs`` alone: a
+    dict from each grid parameter's float64 bits, as 8 bytes, to that row's
+    read-only center, or to the exception its system raised.
     """
 
-    __slots__ = ("key", "table", "derivs", "centers")
+    __slots__ = ("key", "table", "derivs", "focal", "centers")
 
     def __init__(self, key: tuple, table: FrenetData, derivs: np.ndarray):
-        self.key, self.table, self.derivs, self.centers = key, table, derivs, None
+        self.key, self.table, self.derivs = key, table, derivs
+        self.focal = self.centers = None
 
 
 def _frenet_pass(curve: Curve, grid, order: int | None) -> FrenetData:
@@ -160,7 +166,7 @@ def _frenet_pass(curve: Curve, grid, order: int | None) -> FrenetData:
     ``-0.0`` and ``0.0`` differ) returns it instead of evaluating again, and
     the osculating-center oracle builds its center table from its stack.
     Every array of a pass is read-only, because every later caller shares
-    it.
+    it. A new pass starts with no focal table and no center table.
     """
     d = curve.dimension if order is None else _as_int(order, "order")
     if not 2 <= d <= curve.dimension:
@@ -194,12 +200,6 @@ def _frenet_pass(curve: Curve, grid, order: int | None) -> FrenetData:
 def _pass_key(order: int, ss: np.ndarray) -> tuple:
     """The key of a pass at ``order`` over the float64 grid ``ss``."""
     return (order, ss.shape, ss.tobytes())
-
-
-def _kept_pass(curve: Curve, order: int) -> _KeptPass | None:
-    """The curve's kept pass if it was made at ``order``, else None."""
-    last = curve._frenet_memo[0]
-    return last if last is not None and last.key[0] == order else None
 
 
 def frenet_grid(curve: Curve, grid, order: int | None = None) -> FrenetData:

@@ -1,8 +1,11 @@
 """Per-row reference kernels that the stacked library kernels are tested
 against, former kernels that their rewrites must match, exact references,
-a curve that counts its evaluator calls and a counter of SVD calls."""
+a curve that counts its evaluator calls, a counter of SVD calls and a
+runner of racing threads."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 
@@ -23,6 +26,23 @@ def counting_curve(base):
     curve = make_curve(base.dimension, base.domain, base.kind, base.max_order, evaluator,
                        base.label, check_regularity=False)
     return curve, calls
+
+
+def run_in_threads(work, count=4):
+    """Run ``work(i)`` for i < ``count`` in threads that switch every
+    microsecond, so that they interleave as finely as the interpreter lets
+    them; fails unless all of them finish within a minute."""
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(count)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
 
 
 def counting_svd(monkeypatch):

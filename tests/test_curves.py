@@ -3,7 +3,6 @@ import decimal
 import functools
 import gc
 import math
-import sys
 import threading
 import weakref
 
@@ -36,7 +35,12 @@ from focalframe.errors import (
 )
 from focalframe.numdiff import fd_weights
 from focalframe.specfile import build_curve, parse_curve_spec
-from reference_kernels import counting_curve, pow_newton_invert, shifted_sine_evaluator
+from reference_kernels import (
+    counting_curve,
+    pow_newton_invert,
+    run_in_threads,
+    shifted_sine_evaluator,
+)
 from test_cli import EXAMPLE_SPECS
 
 SQRT5 = math.sqrt(5.0)
@@ -199,6 +203,20 @@ def test_oracle_rows_of_a_focal_table_skip_the_evaluator(kind, unit_salkowski):
     assert ff.osculating_center_oracle(unit, np.array([])).shape == (0, 3)
 
 
+def test_scalar_hits_of_every_type_read_the_table(helix):
+    curve, calls = counting_curve(helix)
+    grid = np.linspace(0.0, 2.0, 9)
+    assert grid[4] == 1.0
+    ff.curvature_table(curve, grid)
+    want = ff.osculating_center_oracle(dataclasses.replace(helix), 1.0)
+    # one float64 key for every scalar type, and no evaluator call
+    for t in (1.0, np.float64(1.0), np.array(1.0), 1):
+        got = ff.osculating_center_oracle(curve, t)
+        np.testing.assert_array_equal(got, want)
+        assert got.flags.writeable
+    assert calls == [(9, 3)]
+
+
 @pytest.mark.parametrize("miss", ["order", "negative-zero", "one-ulp", "replaced-curve"])
 def test_kept_evaluation_misses(helix, miss):
     curve, calls = counting_curve(helix)
@@ -257,17 +275,7 @@ def test_kept_evaluation_under_threads(helix):
         except Exception as exc:  # reported through ``errors``
             errors.append(exc)
 
-    threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for th in threads:
-            th.start()
-        for th in threads:
-            th.join(timeout=60.0)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(th.is_alive() for th in threads)
+    run_in_threads(work)
     assert errors == []
 
 
@@ -560,30 +568,20 @@ def test_threads_that_build_the_arclength_version_at_once_get_equal_curves():
     unit = ff.reparam_to_arclength(ff.make_salkowski(0.3))
     s = unit.grid(33)
     want = ff.eval_derivatives(unit, s, 3)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(10):
-            base = ff.make_salkowski(0.3)
-            barrier = threading.Barrier(4, timeout=60.0)
-            got = [None] * 4
+    for _ in range(10):
+        base = ff.make_salkowski(0.3)
+        barrier = threading.Barrier(4, timeout=60.0)
+        got = [None] * 4
 
-            def work(i):
-                barrier.wait()
-                got[i] = ff.reparam_to_arclength(base)
+        def work(i):
+            barrier.wait()
+            got[i] = ff.reparam_to_arclength(base)
 
-            threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
-            for th in threads:
-                th.start()
-            for th in threads:
-                th.join(timeout=60.0)
-            assert not any(th.is_alive() for th in threads)
-            assert base._arclength_memo[0] in got
-            for unit in got:
-                assert unit.domain == got[0].domain and unit.label == got[0].label
-                np.testing.assert_array_equal(ff.eval_derivatives(unit, s, 3), want)
-    finally:
-        sys.setswitchinterval(interval)
+        run_in_threads(work)
+        assert base._arclength_memo[0] in got
+        for unit in got:
+            assert unit.domain == got[0].domain and unit.label == got[0].label
+            np.testing.assert_array_equal(ff.eval_derivatives(unit, s, 3), want)
 
 
 def _stalling_evaluator(t, order):

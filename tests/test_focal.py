@@ -29,6 +29,7 @@ from reference_kernels import (
     center_rhs,
     counting_curve,
     counting_svd,
+    run_in_threads,
     wcurve_focal_coefficients,
 )
 
@@ -253,6 +254,101 @@ def test_focal_table_builds_one_stencil_table(monkeypatch, dim):
     coeffs, signed_speed = _focal_by_levels(table.frenet)
     np.testing.assert_array_equal(table.focal_curvatures, coeffs)
     np.testing.assert_array_equal(table.A, np.abs(signed_speed))
+
+
+FOCAL_FIELDS = ("s", "focal_curvatures", "focal_point", "A", "epsilon", "deltas", "R_m")
+
+
+def _assert_tables_equal(got, want):
+    for name in FOCAL_FIELDS:
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+    np.testing.assert_array_equal(got.frenet.frame, want.frenet.frame)
+
+
+def test_repeated_focal_table_is_the_kept_one(unit_salkowski):
+    unit = dataclasses.replace(unit_salkowski)
+    grid = unit.grid(96)
+    table = ff.focal_curvatures(unit, grid)
+    assert ff.focal_curvatures(unit, grid) is table
+    assert ff.focal_curvatures(unit, grid.copy()) is table
+    # shared with every later caller, so read-only like the pass's own arrays
+    for name in FOCAL_FIELDS:
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(table, name)[0] = 0
+    _assert_tables_equal(table, ff.focal_curvatures(dataclasses.replace(unit), grid))
+
+
+@pytest.mark.parametrize("between", ["grid", "order"])
+def test_a_pass_in_between_rebuilds_the_focal_table(unit_salkowski, between):
+    unit = dataclasses.replace(unit_salkowski)
+    grid = unit.grid(96)
+    table = ff.focal_curvatures(unit, grid)
+    if between == "grid":
+        ff.curvature_table(unit, unit.grid(97))
+    else:
+        ff.curvature_table(unit, grid, order=2)
+    again = ff.focal_curvatures(unit, grid)
+    assert again is not table
+    _assert_tables_equal(again, table)
+
+
+def test_verify_reads_the_kept_focal_table(monkeypatch, salkowski):
+    curve = dataclasses.replace(salkowski)
+    stencil_calls = []
+    grid_stencils = focal.grid_stencils
+
+    def counting_stencils(ss):
+        stencil_calls.append(ss.size)
+        return grid_stencils(ss)
+
+    monkeypatch.setattr(focal, "grid_stencils", counting_stencils)
+    unit = ff.reparam_to_arclength(curve)
+    ff.focal_curvatures(unit, unit.grid(96))
+    assert ff.verify_focal_slant(curve, 2, curve.grid(96)).passed
+    assert stencil_calls == [96]
+
+
+def test_a_focal_table_of_a_replaced_pass_is_not_kept(monkeypatch, unit_helix):
+    # another caller replaces the pass while the recursion runs: the table
+    # is still its own grid's, and the new pass does not get it
+    unit = dataclasses.replace(unit_helix)
+    grid, other = unit.grid(96), unit.grid(97)
+    grid_stencils = focal.grid_stencils
+
+    def replacing_stencils(ss):
+        monkeypatch.setattr(focal, "grid_stencils", grid_stencils)
+        ff.curvature_table(unit, other)
+        return grid_stencils(ss)
+
+    monkeypatch.setattr(focal, "grid_stencils", replacing_stencils)
+    table = ff.focal_curvatures(unit, grid)
+    fresh = dataclasses.replace(unit)
+    _assert_tables_equal(table, ff.focal_curvatures(fresh, grid))
+    _assert_tables_equal(ff.focal_curvatures(unit, other), ff.focal_curvatures(fresh, other))
+
+
+def test_kept_focal_table_under_threads(unit_helix):
+    # threads that share one curve overwrite its kept pass with other
+    # grids; a focal table must still be the one of its own grid
+    unit = dataclasses.replace(unit_helix)
+    grids = [unit.grid(64 + i) for i in range(4)]
+    want = [ff.focal_curvatures(dataclasses.replace(unit), g) for g in grids]
+    errors = []
+
+    def work(i):
+        try:
+            for j in range(100):
+                k = (i + j) % len(grids)
+                for _ in range(2):
+                    got = ff.focal_curvatures(unit, grids[k])
+                    if not (np.array_equal(got.s, want[k].s)
+                            and np.array_equal(got.focal_point, want[k].focal_point)):
+                        errors.append(k)
+        except Exception as exc:  # reported through ``errors``
+            errors.append(exc)
+
+    run_in_threads(work)
+    assert errors == []
 
 
 def _inflection():
