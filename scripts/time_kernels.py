@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Time the two Frenet-pass kernels, stacked Gram-Schmidt and the analytic
-(trigonometric) curve evaluator, arclength inversion, and the reads that a
-curve's kept pass serves.
+(trigonometric) curve evaluator, arclength inversion, the reads that a
+curve's kept pass serves, and the row access of focal tables.
 
 Prints the timeit minimum, in microseconds, of ``linalg.gram_schmidt_rows``
 on seeded random stacks at grid shapes (N, k, dim), of the evaluator of
@@ -10,10 +10,14 @@ E8 over 384 rows at the order a Frenet pass asks for (the ambient
 dimension), of the Newton inversion of the length table that
 ``reparam_to_arclength`` builds, for a Salkowski curve (n = 0.3), an
 ellipse arc and an off-unit helix at 96 and 256 evenly spaced arclengths,
-and of two reads of the kept pass of an arclength version at 96 rows: a
-repeated ``focal_curvatures`` on the same grid and a scalar
-``osculating_center_oracle`` call at one of its rows, for one curve of
-each family of the benchmark's ``arclength-focal`` workload.
+of three reads of the kept pass of an arclength version at 96 rows: a
+repeated ``focal_curvatures`` on the same grid, a scalar
+``osculating_center_oracle`` call at one of its rows and one at a
+parameter between two rows (a miss, which solves its own system), for one
+curve of each family of the benchmark's ``arclength-focal`` workload, and
+of slicing the interior rows ``[3:-3]`` of a focal table and iterating
+that slice row by row, as the benchmark's focal checks do, for a 256-row
+E5 W-curve table and a 96-row Salkowski table.
 To compare two trees, run it once under each tree's ``src`` on
 ``PYTHONPATH``.
 
@@ -61,6 +65,10 @@ KEPT_CURVES = {
     "W-curve E4": lambda: make_wcurve([0.8, 0.6], [1.0, 2.1], dim=4),
 }
 KEPT_ROWS = 96
+FOCAL_ROW_TABLES = {
+    "W-curve E5, 256 rows": (lambda: make_wcurve([0.8, 0.6], [1.0, 2.1], pitch=0.8, dim=5), 256),
+    "Salkowski n=0.3, 96 rows": (lambda: make_salkowski(0.3), 96),
+}
 NUMBER = 200
 
 
@@ -100,15 +108,26 @@ def main() -> int:
             us = best_us(lambda: amap.invert(s), args.repeat)
             print(f"  {name + ', ' + str(n):24s} {us:8.1f}")
 
-    print(f"kept-pass reads ({KEPT_ROWS} rows)  focal table  oracle hit  us")
+    print(f"kept-pass reads ({KEPT_ROWS} rows)  focal table  oracle hit  off-grid  us")
     for name, build in KEPT_CURVES.items():
         unit = reparam_to_arclength(build())
         grid = unit.grid(KEPT_ROWS)
         t = float(focal_curvatures(unit, grid).s[KEPT_ROWS // 2])
+        off = 0.5 * (t + float(grid[KEPT_ROWS // 2 + 1]))
         osculating_center_oracle(unit, t)
         table_us = best_us(lambda: focal_curvatures(unit, grid), args.repeat)
         hit_us = best_us(lambda: osculating_center_oracle(unit, t), args.repeat)
-        print(f"  {name:24s} {table_us:11.1f} {hit_us:11.2f}")
+        off_us = best_us(lambda: osculating_center_oracle(unit, off), args.repeat)
+        print(f"  {name:24s} {table_us:11.1f} {hit_us:11.2f} {off_us:9.1f}")
+
+    print("focal rows                   slice [3:-3]  iterate it  us")
+    for name, (build, rows) in FOCAL_ROW_TABLES.items():
+        unit = reparam_to_arclength(build())
+        table = focal_curvatures(unit, unit.grid(rows))
+        interior = table[3:-3]
+        slice_us = best_us(lambda: table[3:-3], args.repeat)
+        iter_us = best_us(lambda: list(interior), args.repeat)
+        print(f"  {name:24s} {slice_us:12.1f} {iter_us:11.1f}")
     return 0
 
 

@@ -141,7 +141,7 @@ def _meta(config: RunConfig) -> dict:
 
 
 def _cmd_analyze(config: RunConfig, out: Path) -> int:
-    from .frenet import classify_curvatures, curvature_table
+    from .frenet import DEFAULT_CLASSIFY_TOL, classify_curvatures, curvature_table
 
     curve = _load(config)
     table = curvature_table(curve, curve.grid(config.grid_points))
@@ -156,7 +156,7 @@ def _cmd_analyze(config: RunConfig, out: Path) -> int:
     if n_ok >= 8:
         try:
             cl = classify_curvatures(table.curvatures[table.ok],
-                                     tol=config.tolerance if config.tolerance else 1e-6)
+                                     tol=config.tolerance or DEFAULT_CLASSIFY_TOL)
             payload["classification"] = {
                 "is_w_curve": cl.is_w_curve,
                 "is_ccr": cl.is_ccr,

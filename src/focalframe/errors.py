@@ -40,9 +40,10 @@ class OrderUnsupported(FocalFrameError):
 class MethodLimit(FocalFrameError):
     """A valid input asks for more than the numerical method delivers.
 
-    Raised, for one, when a derived curve (the sampled focal curve) is asked
-    for a derivative order beyond its own; the input curve's own
-    :class:`OrderUnsupported` stays an input error.
+    Raised, for one, before a frame of a derived curve (the sampled focal
+    curve) is read when that frame needs a derivative order beyond the
+    curve's own; the input curve's own :class:`OrderUnsupported` stays an
+    input error.
     """
 
 

@@ -25,7 +25,6 @@ arclength version, returns it without a second recursion.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
 import struct
@@ -39,18 +38,10 @@ from .errors import (
     MethodLimit,
     NotGeneric,
     NotUnitSpeed,
-    OrderUnsupported,
     ReducedOrder,
     RegularityFailure,
 )
-from .frenet import (
-    FrenetData,
-    RowTable,
-    _alignment_signs,
-    _KeptPass,
-    _report_dict,
-    frenet_grid,
-)
+from .frenet import RowTable, _alignment_signs, _KeptPass, _report_dict, frenet_grid
 from .linalg import solve_linear
 from .numdiff import grid_stencils
 
@@ -72,8 +63,11 @@ class FocalData(RowTable):
     ``A`` is the focal curve's speed, ``epsilon`` the sign of its signed
     version (0 exactly at a vertex), ``deltas`` the per-normal signs that
     govern how the focal frame maps back onto the base frame, ``R_m`` the
-    osculating hypersphere radius and ``frenet`` the base curve's Frenet
-    data. Each field has a leading row axis; one row drops it.
+    osculating hypersphere radius. Each field has a leading row axis; one
+    row drops it. The base curve's frames and curvatures are not among the
+    fields: they are ``frenet_grid(curve, table.s)``, which looks up the
+    pass the table is kept with (a replaced pass is computed again, bit
+    for bit).
     """
 
     s: np.ndarray
@@ -83,7 +77,6 @@ class FocalData(RowTable):
     epsilon: np.ndarray
     deltas: np.ndarray
     R_m: np.ndarray
-    frenet: FrenetData
 
     @property
     def is_vertex(self):
@@ -140,7 +133,7 @@ def focal_curvatures(curve: Curve, grid) -> FocalData:
               * np.sign(kappa[:, m - 1:]).astype(int))
     table = FocalData(s=ss, focal_curvatures=coeffs, focal_point=points,
                       A=np.abs(signed_speed), epsilon=eps, deltas=deltas,
-                      R_m=np.linalg.norm(coeffs, axis=1), frenet=frames)
+                      R_m=np.linalg.norm(coeffs, axis=1))
     for a in (coeffs, points, table.A, eps, deltas, table.R_m):
         a.setflags(write=False)
     if kept is not None:
@@ -216,10 +209,10 @@ def osculating_center_oracle(curve: Curve, s) -> np.ndarray:
 def _center_table(kept: _KeptPass, key: bytes) -> dict:
     """The center table of ``kept``, built and kept if the float64 bits
     ``key`` name one of its rows; else an empty dict, and nothing is kept."""
+    if not np.any(kept.table.s.view(np.uint64) == np.frombuffer(key, np.uint64)):
+        return {}
     grid = kept.table.s.tobytes()
     keys = [grid[i:i + 8] for i in range(0, len(grid), 8)]
-    if key not in keys:
-        return {}
     # solved from the derivative stack alone, kept with the pass in one
     # store; a repeated parameter keeps its first row
     centers, errors = solve_linear(kept.derivs[:, 1:], _center_rhs(kept.derivs))
@@ -263,18 +256,15 @@ def _sampled_focal_curve(curve: Curve, table: FocalData) -> Curve:
                          label=f"focal({curve.label or curve.kind})")
 
 
-@contextlib.contextmanager
-def _focal_order_limit(focal: Curve):
-    """Re-raise the sampled focal curve's OrderUnsupported as MethodLimit: the
-    input is valid, and it is the focal curve's stencils that stop short of
-    the order its full frame needs, its dimension."""
-    try:
-        yield
-    except OrderUnsupported as exc:
+def _require_frame_order(focal: Curve) -> None:
+    """Raise MethodLimit unless the sampled focal curve has the derivative
+    order its full frame needs, its dimension: the input is valid, and it is
+    the focal curve's stencils that stop short."""
+    if focal.max_order < focal.dimension:
         raise MethodLimit(
             f"the focal frame in E{focal.dimension} needs derivative order {focal.dimension} "
             f"of the focal curve, but the focal curve is sampled and its derivatives stop at "
-            f"order {focal.max_order}: focal checks are limited to E5") from exc
+            f"order {focal.max_order}: focal checks are limited to E5")
 
 
 def focal_curve(curve: Curve, grid) -> Curve:
@@ -320,10 +310,12 @@ def focal_relations_check(curve: Curve, grid, *, table=None) -> FocalRelationsRe
     """Measure how the focal curve's frame and curvatures track the base curve's.
 
     ``table`` is ``focal_curvatures(curve, grid)`` when the caller has it.
-    Vertex rows are dropped, and so are ``END_TRIM`` rows at each end of
-    the rest, where the sampled focal curve is least accurate. Above E5 it
-    raises :class:`MethodLimit`: the focal curve's frame needs derivative
-    order m + 1, and the sampled focal curve stops at 5.
+    The base frames and curvatures come from the curve's Frenet pass on the
+    grid, which is a lookup when the table was computed from the pass the
+    curve keeps. Vertex rows are dropped, and so are ``END_TRIM`` rows at
+    each end of the rest, where the sampled focal curve is least accurate.
+    Above E5 it raises :class:`MethodLimit`: the focal curve's frame needs
+    derivative order m + 1, and the sampled focal curve stops at 5.
     """
     ss = np.asarray(grid, dtype=float)
     m = curve.dimension - 1
@@ -332,18 +324,19 @@ def focal_relations_check(curve: Curve, grid, *, table=None) -> FocalRelationsRe
     elif not np.array_equal(table.s, ss):
         raise ValueError("table was computed on a different grid")
     focal = _sampled_focal_curve(curve, table)
+    _require_frame_order(focal)
     kept = table[~table.is_vertex]
     ss = kept.s
-    # The table's frames were aligned along the full grid; aligning the kept
-    # rows again among themselves gives the frames of a grid without the
+    # The base pass's frames were aligned along the full grid; aligning the
+    # kept rows again among themselves gives the frames of a grid without the
     # vertex rows, which is the grid the focal curve is sampled on.
-    base = kept.frenet.frame * _alignment_signs(kept.frenet.frame)[:, :, None]
-    with _focal_order_limit(focal):
-        mirror = frenet_grid(focal, ss, order=m + 1)
+    frames = frenet_grid(curve, table.s, order=m + 1)[~table.is_vertex]
+    base = frames.frame * _alignment_signs(frames.frame)[:, :, None]
+    mirror = frenet_grid(focal, ss, order=m + 1)
 
     inner = slice(END_TRIM, ss.size - END_TRIM) if ss.size > 2 * END_TRIM + 4 else slice(None)
     A = kept.A[inner, None]
-    k_base = kept.frenet.curvatures[inner, ::-1]
+    k_base = frames.curvatures[inner, ::-1]
     k_foc = mirror.curvatures[inner]
     kres = float(np.max(np.abs(k_foc - k_base / A)))
     quotients = k_foc * A / k_base

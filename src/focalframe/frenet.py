@@ -60,8 +60,8 @@ class RowTable:
 
     def __iter__(self):
         # Column by column: a 1-d field's rows are its ``tolist()``, which
-        # gives the Python scalars of ``_row``; other arrays and nested
-        # tables give their rows by their own iteration.
+        # gives the Python scalars of ``_row``; another array's rows are its
+        # iteration. No field is itself a table.
         cls = type(self)
         columns = []
         for name in _field_names(cls):
@@ -272,7 +272,7 @@ def classify_curvatures(curvatures, tol: float = DEFAULT_CLASSIFY_TOL) -> Classi
     means = K.mean(axis=0)
     if np.any(np.abs(means) < 1e-12):
         raise DivisionGuard("a curvature mean is below 1e-12; ratios are meaningless")
-    spreads = (K.max(axis=0) - K.min(axis=0)) / means
+    spreads = (K.max(axis=0) - K.min(axis=0)) / np.abs(means)
     is_w = bool(np.all(spreads < tol))
 
     if K.shape[1] >= 2:

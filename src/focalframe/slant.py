@@ -24,7 +24,7 @@ import numpy as np
 from .arclength import as_unit_speed
 from .curves import Curve
 from .frenet import _as_int, _check_tol, _report_dict, frenet_grid
-from .focal import END_TRIM, _focal_order_limit, _sampled_focal_curve, focal_curvatures
+from .focal import END_TRIM, _require_frame_order, _sampled_focal_curve, focal_curvatures
 from .linalg import as_vector
 from .numdiff import grid_derivative
 
@@ -272,9 +272,9 @@ def verify_focal_slants(curve: Curve, ks, grid=None, tol: float | None = None,
         table = focal_curvatures(unit, grid if unit is curve else unit.grid(grid.size))
         mirror = _sampled_focal_curve(unit, table)
         inner = mirror.grid(grid.size)[END_TRIM:-END_TRIM]
-        with _focal_order_limit(mirror):
-            focal_reports = iter(slant_reports(mirror, mirrored, inner,
-                                               SAMPLED_TOL if focal_tol is None else focal_tol))
+        _require_frame_order(mirror)
+        focal_reports = iter(slant_reports(mirror, mirrored, inner,
+                                           SAMPLED_TOL if focal_tol is None else focal_tol))
 
     reports = []
     for k, k_prime, base in zip(ks, k_primes, bases):

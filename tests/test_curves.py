@@ -232,6 +232,8 @@ def test_kept_evaluation_misses(helix, miss):
     }[miss]
     got = ff.osculating_center_oracle(target, t)
     assert calls == [(9, order), (1, 3)]
+    # a miss keeps no center table
+    assert curve._frenet_memo[0].centers is None
     np.testing.assert_array_equal(got, ff.osculating_center_oracle(dataclasses.replace(helix), t))
 
 

@@ -251,7 +251,7 @@ def test_focal_table_builds_one_stencil_table(monkeypatch, dim):
     table = ff.focal_curvatures(unit, unit.grid(96))
     assert weight_calls == [(96, 5)]
     monkeypatch.undo()
-    coeffs, signed_speed = _focal_by_levels(table.frenet)
+    coeffs, signed_speed = _focal_by_levels(ff.frenet_grid(unit, table.s))
     np.testing.assert_array_equal(table.focal_curvatures, coeffs)
     np.testing.assert_array_equal(table.A, np.abs(signed_speed))
 
@@ -262,7 +262,6 @@ FOCAL_FIELDS = ("s", "focal_curvatures", "focal_point", "A", "epsilon", "deltas"
 def _assert_tables_equal(got, want):
     for name in FOCAL_FIELDS:
         np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
-    np.testing.assert_array_equal(got.frenet.frame, want.frenet.frame)
 
 
 def test_repeated_focal_table_is_the_kept_one(unit_salkowski):
@@ -271,6 +270,9 @@ def test_repeated_focal_table_is_the_kept_one(unit_salkowski):
     table = ff.focal_curvatures(unit, grid)
     assert ff.focal_curvatures(unit, grid) is table
     assert ff.focal_curvatures(unit, grid.copy()) is table
+    # the table holds focal columns only; its base frames are the kept pass
+    assert FOCAL_FIELDS == tuple(f.name for f in dataclasses.fields(table))
+    assert ff.frenet_grid(unit, table.s) is unit._frenet_memo[0].table
     # shared with every later caller, so read-only like the pass's own arrays
     for name in FOCAL_FIELDS:
         with pytest.raises(ValueError, match="read-only"):
@@ -293,7 +295,7 @@ def test_a_pass_in_between_rebuilds_the_focal_table(unit_salkowski, between):
 
 
 def test_verify_reads_the_kept_focal_table(monkeypatch, salkowski):
-    curve = dataclasses.replace(salkowski)
+    curve, calls = counting_curve(salkowski)
     stencil_calls = []
     grid_stencils = focal.grid_stencils
 
@@ -303,9 +305,14 @@ def test_verify_reads_the_kept_focal_table(monkeypatch, salkowski):
 
     monkeypatch.setattr(focal, "grid_stencils", counting_stencils)
     unit = ff.reparam_to_arclength(curve)
-    ff.focal_curvatures(unit, unit.grid(96))
+    grid = unit.grid(96)
+    table = ff.focal_curvatures(unit, grid)
     assert ff.verify_focal_slant(curve, 2, curve.grid(96)).passed
     assert stencil_calls == [96]
+    # the relations check reads its base frames from the same kept pass
+    calls.clear()
+    ff.focal_relations_check(unit, grid, table=table)
+    assert calls == [] and stencil_calls == [96]
 
 
 def test_a_focal_table_of_a_replaced_pass_is_not_kept(monkeypatch, unit_helix):
@@ -668,28 +675,24 @@ def test_last_scalar_equation_residual(ellipse_arc):
     assert np.max(resid[3:-3]) < 1e-5
 
 
-def test_focal_table_rows_carry_their_frenet_row(helix_focal_table):
+def test_focal_table_rows_hold_their_columns_rows(unit_helix, helix_focal_table):
     assert helix_focal_table.is_vertex.shape == (256,)
     row = helix_focal_table[7]
     assert isinstance(row, ff.FocalData) and row.is_vertex is False
     assert type(row.A) is float and type(row.epsilon) is int
-    assert row.frenet.s == row.s == helix_focal_table.s[7]
-    np.testing.assert_array_equal(row.frenet.frame, helix_focal_table.frenet.frame[7])
     assert sum(fd.is_vertex for fd in helix_focal_table) == 0
-    # an integer row of either table holds its columns' rows: Python numbers
-    # from the 1-d columns, arrays from the others, the Frenet row nested
+    # an integer row of the focal table or of its base pass holds its
+    # columns' rows: Python numbers from the 1-d columns, arrays from the others
     numbers = {"s": float, "speed": float, "reduced_order": int, "A": float, "epsilon": int,
                "R_m": float}
     for i in (0, 7, -1):
-        for table in (helix_focal_table, helix_focal_table.frenet):
+        for table in (helix_focal_table, ff.frenet_grid(unit_helix, helix_focal_table.s)):
             row = table[i]
             assert type(row) is type(table)
             for f in dataclasses.fields(table):
                 column, value = getattr(table, f.name), getattr(row, f.name)
                 if f.name in numbers:
                     assert type(value) is numbers[f.name] and value == column[i]
-                elif f.name == "frenet":
-                    assert type(value) is ff.FrenetData and value.s == table.frenet.s[i]
                 else:
                     assert type(value) is np.ndarray
                     np.testing.assert_array_equal(value, column[i])
@@ -700,19 +703,18 @@ def _assert_same_row(got, want):
     for f in dataclasses.fields(want):
         value, expected = getattr(got, f.name), getattr(want, f.name)
         assert type(value) is type(expected), f.name
-        if dataclasses.is_dataclass(expected):
-            _assert_same_row(value, expected)
-        elif isinstance(expected, np.ndarray):
+        if isinstance(expected, np.ndarray):
             assert value.dtype == expected.dtype
             np.testing.assert_array_equal(value, expected)
         else:
             assert value == expected
 
 
-def test_iteration_gives_the_indexed_rows(helix_focal_table):
+def test_iteration_gives_the_indexed_rows(unit_helix, helix_focal_table):
     # rows come column by column; each equals the integer-indexed row in
-    # values and in types, nested Frenet rows included
-    for table in (helix_focal_table, helix_focal_table.frenet, helix_focal_table[5:40:3]):
+    # values and in types
+    frames = ff.frenet_grid(unit_helix, helix_focal_table.s)
+    for table in (helix_focal_table, frames, helix_focal_table[5:40:3]):
         rows = list(table)
         assert len(rows) == len(table)
         for i, row in enumerate(rows):

@@ -96,6 +96,15 @@ def test_classify_salkowski_not_w(salkowski):
     assert cl.spreads[1] > 0.1
 
 
+def test_classify_reads_a_varying_negative_curvature_as_varying():
+    # the second column runs from -1 to -3 about a negative mean: its spread
+    # is relative to the mean's size, so it is positive and above any tol
+    cl = ff.classify_curvatures([[1.0, -1.0]] * 4 + [[1.0, -3.0]] * 4)
+    np.testing.assert_array_equal(cl.spreads, [0.0, 1.0])
+    assert not cl.is_w_curve
+    assert ff.classify_curvatures([[1.0, -2.0]] * 8).is_w_curve
+
+
 def test_classify_division_guard():
     # plane curve whose single curvature is fine, but force a near-zero mean
     # through a curve with vanishing mean curvature: a straight-ish S-shape
