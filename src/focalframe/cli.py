@@ -16,7 +16,11 @@ when it runs, so that a command loads no others.
 
 ``--tolerance`` belongs to analyze, slant and verify, and ``--k`` to slant
 and verify; ``--step`` applies to curvatures specs only. Any other use of
-them is an input error.
+them is an input error. Each flag value is checked once, by its argparse
+``type=`` as it is parsed. :func:`run` takes the parsed namespace and
+makes the two checks that read more than one argument, an output prefix
+that names a file and the minimum grid of focal and verify, before it
+creates any directory.
 
 Exit codes: 0 success, 1 verification failed, 2 input error, 3 numeric
 failure (degeneracy or vertices covering the whole grid). An input error
@@ -32,7 +36,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -64,37 +67,6 @@ EXIT_NUMERIC_FAILURE = 3
 _INPUT_ERRORS = (SpecFileError, BadParameters, InvalidProfile, OutOfDomain, OrderUnsupported)
 
 
-@dataclass
-class RunConfig:
-    command: str
-    input_path: str
-    output_path: str
-    grid_points: int = 256
-    tolerance: float | None = None
-    k: int | None = None
-    dim: int | None = None
-    step: float | None = None
-
-    def __post_init__(self):
-        if self.grid_points < 16:
-            raise SpecFileError(f"grid_points must be at least 16, got {self.grid_points}")
-        if self.grid_points > MAX_GRID:
-            raise SpecFileError(f"grid_points must be at most {MAX_GRID}, got {self.grid_points}")
-        if self.command in ("focal", "verify"):
-            from .focal import MIN_GRID
-
-            if self.grid_points < MIN_GRID:
-                raise SpecFileError(
-                    f"{self.command} needs at least {MIN_GRID} grid points, got {self.grid_points}"
-                )
-        if self.tolerance is not None and not 0 < self.tolerance < math.inf:
-            raise SpecFileError(f"tolerance must be positive and finite, got {self.tolerance!r}")
-        if self.step is not None and not 0 < self.step < math.inf:
-            raise SpecFileError(f"step must be positive and finite, got {self.step!r}")
-        if not Path(self.output_path).name:
-            raise SpecFileError(f"output prefix {self.output_path!r} names no file")
-
-
 def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
@@ -116,35 +88,37 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _load(config: RunConfig) -> Curve:
-    spec = load_curve_spec(config.input_path)
-    if config.dim is not None and config.dim != spec.dim:
-        raise SpecFileError(f"--dim {config.dim} contradicts spec dim {spec.dim}")
-    return build_curve(spec, step=config.step)
+def _load(args: argparse.Namespace, spec_type: str | None = None) -> Curve:
+    spec = load_curve_spec(args.input)
+    if spec_type is not None and spec.type != spec_type:
+        raise SpecFileError(f"{args.command} needs a {spec_type} spec, got type {spec.type!r}")
+    if args.dim is not None and args.dim != spec.dim:
+        raise SpecFileError(f"--dim {args.dim} contradicts spec dim {spec.dim}")
+    return build_curve(spec, step=args.step)
 
 
-def _ks(config: RunConfig, curve: Curve) -> list[int]:
-    if config.k is None:
+def _ks(args: argparse.Namespace, curve: Curve) -> list[int]:
+    if args.k is None:
         return list(range(1, curve.dimension + 1))
-    if not 1 <= config.k <= curve.dimension:
-        raise SpecFileError(f"--k must lie in [1, {curve.dimension}], got {config.k}")
-    return [config.k]
+    if not 1 <= args.k <= curve.dimension:
+        raise SpecFileError(f"--k must lie in [1, {curve.dimension}], got {args.k}")
+    return [args.k]
 
 
-def _meta(config: RunConfig) -> dict:
+def _meta(args: argparse.Namespace) -> dict:
     return {
-        "command": config.command,
-        "input": config.input_path,
-        "grid_points": config.grid_points,
+        "command": args.command,
+        "input": args.input,
+        "grid_points": args.grid_points,
         "version": __version__,
     }
 
 
-def _cmd_analyze(config: RunConfig, out: Path) -> int:
+def _cmd_analyze(args: argparse.Namespace, out: Path) -> int:
     from .frenet import DEFAULT_CLASSIFY_TOL, classify_curvatures, curvature_table
 
-    curve = _load(config)
-    table = curvature_table(curve, curve.grid(config.grid_points))
+    curve = _load(args)
+    table = curvature_table(curve, curve.grid(args.grid_points))
     dim, d = curve.dimension, curve.dimension
     header = (["s"] + [f"x{i}" for i in range(dim)]
               + [f"kappa_{i}" for i in range(1, d)] + ["speed"])
@@ -152,11 +126,11 @@ def _cmd_analyze(config: RunConfig, out: Path) -> int:
     _write_csv(_suffixed(out, ".csv"), header, rows)
 
     n_ok = int(table.ok.sum())
-    payload = _meta(config) | {"rows_ok": n_ok, "rows_total": int(table.s.size)}
+    payload = _meta(args) | {"rows_ok": n_ok, "rows_total": int(table.s.size)}
     if n_ok >= 8:
         try:
             cl = classify_curvatures(table.curvatures[table.ok],
-                                     tol=config.tolerance or DEFAULT_CLASSIFY_TOL)
+                                     tol=args.tolerance or DEFAULT_CLASSIFY_TOL)
             payload["classification"] = {
                 "is_w_curve": cl.is_w_curve,
                 "is_ccr": cl.is_ccr,
@@ -169,12 +143,12 @@ def _cmd_analyze(config: RunConfig, out: Path) -> int:
     return EXIT_OK if n_ok else EXIT_NUMERIC_FAILURE
 
 
-def _cmd_focal(config: RunConfig, out: Path) -> int:
+def _cmd_focal(args: argparse.Namespace, out: Path) -> int:
     from .arclength import as_unit_speed
     from .focal import focal_curvatures, focal_relations_check
 
-    curve = as_unit_speed(_load(config))
-    grid = curve.grid(config.grid_points)
+    curve = as_unit_speed(_load(args))
+    grid = curve.grid(args.grid_points)
     table = focal_curvatures(curve, grid)
     m = curve.dimension - 1
     header = (["s"] + [f"C{i}" for i in range(curve.dimension)]
@@ -184,7 +158,7 @@ def _cmd_focal(config: RunConfig, out: Path) -> int:
                table.A, table.epsilon, table.R_m, table.is_vertex)
     _write_csv(_suffixed(out, ".csv"), header, rows)
 
-    payload = _meta(config) | {"n_vertices": int(table.is_vertex.sum())}
+    payload = _meta(args) | {"n_vertices": int(table.is_vertex.sum())}
     try:
         payload["relations"] = focal_relations_check(curve, grid, table=table).to_dict()
         status = EXIT_OK
@@ -196,28 +170,28 @@ def _cmd_focal(config: RunConfig, out: Path) -> int:
     return status
 
 
-def _cmd_slant(config: RunConfig, out: Path) -> int:
+def _cmd_slant(args: argparse.Namespace, out: Path) -> int:
     from .slant import slant_reports
 
-    curve = _load(config)
-    ks = _ks(config, curve)
-    grid = curve.grid(config.grid_points)
-    reports = slant_reports(curve, ks, grid, config.tolerance)
-    payload = _meta(config) | {"reports": [r.to_dict() for r in reports]}
+    curve = _load(args)
+    ks = _ks(args, curve)
+    grid = curve.grid(args.grid_points)
+    reports = slant_reports(curve, ks, grid, args.tolerance)
+    payload = _meta(args) | {"reports": [r.to_dict() for r in reports]}
     _write_json(_suffixed(out, ".json"), payload)
     return EXIT_OK
 
 
-def _cmd_verify(config: RunConfig, out: Path) -> int:
+def _cmd_verify(args: argparse.Namespace, out: Path) -> int:
     from .slant import verify_focal_slants
 
-    curve = _load(config)
-    reports = verify_focal_slants(curve, _ks(config, curve), curve.grid(config.grid_points),
-                                  tol=config.tolerance, focal_tol=config.tolerance)
-    if config.k is None:  # every index was tried; report the ones the base curve has
+    curve = _load(args)
+    reports = verify_focal_slants(curve, _ks(args, curve), curve.grid(args.grid_points),
+                                  tol=args.tolerance, focal_tol=args.tolerance)
+    if args.k is None:  # every index was tried; report the ones the base curve has
         reports = [r for r in reports if r.base.is_slant]
     all_passed = bool(reports) and all(r.passed for r in reports)
-    payload = _meta(config) | {
+    payload = _meta(args) | {
         "verified_k": [r.k for r in reports],
         "all_passed": all_passed,
         "reports": [r.to_dict() for r in reports],
@@ -228,14 +202,9 @@ def _cmd_verify(config: RunConfig, out: Path) -> int:
     return EXIT_OK if all_passed else EXIT_VERIFY_FAILED
 
 
-def _cmd_synthesize(config: RunConfig, out: Path) -> int:
-    spec = load_curve_spec(config.input_path)
-    if spec.type != "curvatures":
-        raise SpecFileError(f"synthesize needs a curvatures spec, got type {spec.type!r}")
-    if config.dim is not None and config.dim != spec.dim:
-        raise SpecFileError(f"--dim {config.dim} contradicts spec dim {spec.dim}")
-    curve = build_curve(spec, step=config.step)
-    save_spec(samples_spec_dict(curve, config.grid_points), _suffixed(out, ".json"))
+def _cmd_synthesize(args: argparse.Namespace, out: Path) -> int:
+    curve = _load(args, "curvatures")
+    save_spec(samples_spec_dict(curve, args.grid_points), _suffixed(out, ".json"))
     return EXIT_OK
 
 
@@ -248,13 +217,21 @@ _COMMANDS = {
 }
 
 
-def run(config: RunConfig) -> int:
-    """Execute one command; returns the process exit code."""
-    out = Path(config.output_path)
+def run(args: argparse.Namespace) -> int:
+    """Execute one parsed command line; returns the process exit code."""
+    out = Path(args.output)
     try:
+        if args.command in ("focal", "verify"):
+            from .focal import MIN_GRID
+
+            if args.grid_points < MIN_GRID:
+                raise SpecFileError(f"{args.command} needs --grid-points of at least "
+                                    f"{MIN_GRID}, got {args.grid_points}")
+        if not out.name:
+            raise SpecFileError(f"output prefix {args.output!r} names no file")
         if not out.parent.exists():
             out.parent.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[config.command](config, out)
+        return _COMMANDS[args.command](args, out)
     except (*_INPUT_ERRORS, OSError) as exc:  # OSError: a path that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
@@ -269,6 +246,24 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message: str):
         raise argparse.ArgumentError(None, message)
+
+
+def _checked(convert, ok, rule: str):
+    """An argparse ``type=`` that converts with ``convert`` and refuses a
+    value failing ``ok``; a text ``convert`` refuses is reported under
+    ``convert``'s name, as argparse reports the bare type."""
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {value!r}")
+        return value
+
+    parse.__name__ = convert.__name__
+    return parse
+
+
+_GRID_POINTS = _checked(int, lambda n: 16 <= n <= MAX_GRID, f"in [16, {MAX_GRID}]")
+_POSITIVE = _checked(float, lambda x: 0 < x < math.inf, "positive and finite")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -286,16 +281,17 @@ def build_parser() -> argparse.ArgumentParser:
         ("synthesize", "integrate a curvatures spec into a samples spec"),
     ]:
         p = sub.add_parser(name, help=doc)
+        p.set_defaults(tolerance=None, k=None)  # every command reads the same names
         p.add_argument("--input", required=True, help="curve spec file (JSON)")
         p.add_argument("--output", required=True, help="output path prefix")
-        p.add_argument("--grid-points", type=int, default=256)
+        p.add_argument("--grid-points", type=_GRID_POINTS, default=256)
         if name in ("analyze", "slant", "verify"):
-            p.add_argument("--tolerance", type=float, default=None,
+            p.add_argument("--tolerance", type=_POSITIVE,
                            help="override the per-kind detection/classification tolerance")
         if name in ("slant", "verify"):
-            p.add_argument("--k", type=int, default=None, help="slant index (default: all)")
-        p.add_argument("--dim", type=int, default=None, help="assert the ambient dimension")
-        p.add_argument("--step", type=float, default=None,
+            p.add_argument("--k", type=int, help="slant index (default: all)")
+        p.add_argument("--dim", type=int, help="assert the ambient dimension")
+        p.add_argument("--step", type=_POSITIVE,
                        help="upper bound on the integrator step of a curvatures spec "
                             "(default: the domain length / 1024)")
     return parser
@@ -307,21 +303,7 @@ def main(argv=None) -> int:
     except argparse.ArgumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    try:
-        config = RunConfig(
-            command=args.command,
-            input_path=args.input,
-            output_path=args.output,
-            grid_points=args.grid_points,
-            tolerance=getattr(args, "tolerance", None),
-            k=getattr(args, "k", None),
-            dim=args.dim,
-            step=args.step,
-        )
-    except SpecFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    return run(config)
+    return run(args)
 
 
 if __name__ == "__main__":

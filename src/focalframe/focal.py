@@ -13,9 +13,9 @@ call the other. The oracle solves the center systems of a whole stack
 at once, and a single point is the one-row stack: the first call at a
 row of a focal table solves every row of the Frenet pass that the curve
 keeps, from that pass's derivative stack alone (nothing of its frames or
-curvatures, nor of the recursion), and keeps the centers with the pass in
-one dict, where a later call at one of its rows is one lookup. Each
-center has the bits of a fresh one-point call.
+curvatures, nor of the recursion), and keeps the solved rows' centers
+with the pass in one dict, where a later call at one of them is one
+lookup. Each center has the bits of a fresh one-point call.
 The focal curve and the frame-relation check both read the one
 :class:`FocalData` table that a grid's recursion produces. That table is
 kept with the Frenet pass it reads, read-only, so a repeated call on the
@@ -123,14 +123,14 @@ def focal_curvatures(curve: Curve, grid) -> FocalData:
         dci = np.einsum("nw,nw->n", w, c[idx, i])
         c[:, i + 1] = (dci + kappa[:, i - 1] * c[:, i - 1]) / kappa[:, i]
     dcm = np.einsum("nw,nw->n", w, c[idx, m])
-    signed_speed = dcm + kappa[:, m - 1] * c[:, m - 1] if m >= 2 else dcm
+    signed_speed = dcm + kappa[:, m - 1] * c[:, m - 1]
 
     coeffs = c[:, 1:]
     points = frames.point + np.einsum("nk,nkd->nd", coeffs, frames.frame[:, 1:])
     eps = np.where(np.abs(signed_speed) < VERTEX_TOL, 0, np.where(signed_speed > 0, 1, -1))
     alphas = np.arange(1, m + 1)
-    deltas = (np.where(alphas % 2 == 0, eps[:, None], -eps[:, None])
-              * np.sign(kappa[:, m - 1:]).astype(int))
+    # kappa_m is a norm quotient, positive on a generic row, so it adds no sign
+    deltas = np.where(alphas % 2 == 0, eps[:, None], -eps[:, None])
     table = FocalData(s=ss, focal_curvatures=coeffs, focal_point=points,
                       A=np.abs(signed_speed), epsilon=eps, deltas=deltas,
                       R_m=np.linalg.norm(coeffs, axis=1))
@@ -161,15 +161,15 @@ def osculating_center_oracle(curve: Curve, s) -> np.ndarray:
     Frenet pass of order m+1, such as a row of :func:`focal_curvatures`,
     solves every row of that pass in one stacked call, from the pass's
     derivative stack alone (nothing of its frames or curvatures, nor of the
-    recursion), and keeps with the pass one dict from each row's parameter,
-    by its float64 bits, to the row's read-only center or its exception.
-    Later calls at its rows take the bits of ``s`` once, whatever its
-    scalar type (Python or numpy float or integer, 0-d array), and return
-    a copy of the center or raise the row's exception anew: one lookup. A
-    row matches when the parameter's float64 bits equal it: ``-0.0`` does
-    not match ``0.0``, a parameter one ulp off does not, and NaN never
-    does. A scalar call that misses the table is the one-row
-    array call, and an array call reads no table. The table costs as much
+    recursion), and keeps with the pass one dict from each solved row's
+    parameter, by its float64 bits, to the row's read-only center. Later
+    calls at its rows take the bits of ``s`` once, whatever its scalar type
+    (Python or numpy float or integer, 0-d array), and return a copy of the
+    center: one lookup. A row matches when the parameter's float64 bits
+    equal it: ``-0.0`` does not match ``0.0``, a parameter one ulp off does
+    not, and NaN never does. A scalar call that misses the table, a failed
+    row's included, is the one-row array call, so it solves and raises as
+    a fresh call does; an array call reads no table. The table costs as much
     as a few percent of its rows' worth of fresh one-point calls (more in
     higher dimensions), so it pays once a caller asks for more than that
     share of a pass's rows.
@@ -187,9 +187,6 @@ def osculating_center_oracle(curve: Curve, s) -> np.ndarray:
                 centers = _center_table(kept, key)
             center = centers.get(key)
             if center is not None:
-                if isinstance(center, Exception):
-                    # a new exception: the table's own is shared by every caller
-                    raise type(center)(*center.args)
                 return center.copy()
     ts = np.asarray(s, dtype=float)
     scalar = ts.ndim == 0
@@ -213,12 +210,11 @@ def _center_table(kept: _KeptPass, key: bytes) -> dict:
         return {}
     grid = kept.table.s.tobytes()
     keys = [grid[i:i + 8] for i in range(0, len(grid), 8)]
-    # solved from the derivative stack alone, kept with the pass in one
-    # store; a repeated parameter keeps its first row
+    # solved from the derivative stack alone and kept with the pass in one
+    # store; rows with equal bits have equal centers, so any of them may win
     centers, errors = solve_linear(kept.derivs[:, 1:], _center_rhs(kept.derivs))
     centers.setflags(write=False)
-    rows = [errors.get(r, center) for r, center in enumerate(centers)]
-    kept.centers = table = dict(zip(reversed(keys), reversed(rows)))
+    kept.centers = table = {key: centers[r] for r, key in enumerate(keys) if r not in errors}
     return table
 
 
@@ -252,7 +248,6 @@ def _sampled_focal_curve(curve: Curve, table: FocalData) -> Curve:
     if n_keep < 8:
         raise FocalNotRegular(f"only {n_keep} of {len(table)} grid rows are away from vertices")
     return sampled_curve(table.s[keep], table.focal_point[keep],
-                         max_order=min(curve.dimension, 5),
                          label=f"focal({curve.label or curve.kind})")
 
 

@@ -147,8 +147,8 @@ class _KeptPass:
     :class:`focal.FocalData` that :func:`focal.focal_curvatures` computes
     from ``table``. ``centers`` is the center table that
     :func:`focal.osculating_center_oracle` builds from ``derivs`` alone: a
-    dict from each grid parameter's float64 bits, as 8 bytes, to that row's
-    read-only center, or to the exception its system raised.
+    dict from the float64 bits, as 8 bytes, of each grid parameter whose
+    system solves to that row's read-only center.
     """
 
     __slots__ = ("key", "table", "derivs", "focal", "centers")

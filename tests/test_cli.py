@@ -23,7 +23,6 @@ from focalframe.cli import (
     EXIT_NUMERIC_FAILURE,
     EXIT_OK,
     EXIT_VERIFY_FAILED,
-    RunConfig,
     main,
 )
 from focalframe.errors import SpecFileError
@@ -105,11 +104,13 @@ def test_samples_spec_round_trip(tmp_path, helix_spec):
         np.testing.assert_allclose(rebuilt.point(float(t)), curve.point(float(t)), atol=1e-9)
 
 
-def test_run_config_validation():
-    with pytest.raises(SpecFileError):
-        RunConfig("analyze", "a", "b", grid_points=4)
-    with pytest.raises(SpecFileError):
-        RunConfig("analyze", "a", "b", tolerance=-1.0)
+def test_run_config_validation(tmp_path, helix_spec, capsys):
+    # each value is refused while argparse parses it, before any directory is made
+    out = tmp_path / "new" / "x"
+    for flag in ["--grid-points=4", "--tolerance=-1.0"]:
+        assert main(["analyze", flag, "--input", helix_spec, "--output", str(out)]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err.startswith(f"error: argument {flag.split('=')[0]}: ")
+    assert not out.parent.exists()
 
 
 # ----------------------------------------------------------------------- analyze
@@ -438,6 +439,10 @@ def test_dim_flag_contradiction(tmp_path, helix_spec):
     ["analyze", "--k", "9"],
     ["synthesize", "--tolerance", "5"],
     ["analyze", "--step", "0.5"],  # a helix spec has nothing to integrate
+    ["analyze", "--grid-points", "x"],
+    ["slant", "--tolerance", "x"],
+    ["analyze", "--grid-points", "8"],
+    ["analyze", "--grid-points", "65537"],
 ])
 def test_flag_out_of_range_is_input_error(tmp_path, helix_spec, capsys, args):
     spec = helix_spec
@@ -449,6 +454,7 @@ def test_flag_out_of_range_is_input_error(tmp_path, helix_spec, capsys, args):
     assert rc == EXIT_INPUT_ERROR
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert args[1].lstrip("-") in err  # the message names the flag
 
 
 @pytest.mark.parametrize("fields", [
