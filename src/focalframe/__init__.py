@@ -28,9 +28,9 @@ _EXPORTS = {
     "synthesis": ("CurvatureProfile", "synthesize_from_curvatures"),
     "errors": (
         "BadParameters", "ConvergenceFailure", "DegenerateFlag", "DivisionGuard",
-        "FocalFrameError", "FocalNotRegular", "InvalidProfile", "MethodLimit",
-        "NonOrthonormalFrame", "NotGeneric", "NotUnitSpeed", "OrderUnsupported", "OutOfDomain",
-        "ReducedOrder", "RegularityFailure", "SingularSystem", "SpecFileError",
+        "FocalFrameError", "FocalNotRegular", "InvalidProfile", "MethodLimit", "NotGeneric",
+        "NotUnitSpeed", "OrderUnsupported", "OutOfDomain", "ReducedOrder", "RegularityFailure",
+        "SingularSystem", "SpecFileError",
     ),
     "focal": (
         "FocalData", "FocalRelationsReport", "focal_curvatures", "focal_curve",

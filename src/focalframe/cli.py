@@ -14,9 +14,11 @@ Five subcommands over curve spec files (see :mod:`focalframe.specfile`):
 byte-identical files. Each command imports the library modules it runs
 when it runs, so that a command loads no others.
 
-``--tolerance`` belongs to analyze, slant and verify, and ``--k`` to slant
+``--tolerance`` belongs to analyze, slant and verify (in verify it is the
+tolerance of both the base and the focal verdicts), and ``--k`` to slant
 and verify; ``--step`` applies to curvatures specs only. Any other use of
-them is an input error. Each flag value is checked once, by its argparse
+them is an input error. The ambient dimension is the spec's ``dim``; no
+flag restates it. Each flag value is checked once, by its argparse
 ``type=`` as it is parsed. :func:`run` takes the parsed namespace and
 makes the two checks that read more than one argument, an output prefix
 that names a file and the minimum grid of focal and verify, before it
@@ -92,8 +94,6 @@ def _load(args: argparse.Namespace, spec_type: str | None = None) -> Curve:
     spec = load_curve_spec(args.input)
     if spec_type is not None and spec.type != spec_type:
         raise SpecFileError(f"{args.command} needs a {spec_type} spec, got type {spec.type!r}")
-    if args.dim is not None and args.dim != spec.dim:
-        raise SpecFileError(f"--dim {args.dim} contradicts spec dim {spec.dim}")
     return build_curve(spec, step=args.step)
 
 
@@ -187,7 +187,7 @@ def _cmd_verify(args: argparse.Namespace, out: Path) -> int:
 
     curve = _load(args)
     reports = verify_focal_slants(curve, _ks(args, curve), curve.grid(args.grid_points),
-                                  tol=args.tolerance, focal_tol=args.tolerance)
+                                  args.tolerance)
     if args.k is None:  # every index was tried; report the ones the base curve has
         reports = [r for r in reports if r.base.is_slant]
     all_passed = bool(reports) and all(r.passed for r in reports)
@@ -290,7 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="override the per-kind detection/classification tolerance")
         if name in ("slant", "verify"):
             p.add_argument("--k", type=int, help="slant index (default: all)")
-        p.add_argument("--dim", type=int, help="assert the ambient dimension")
         p.add_argument("--step", type=_POSITIVE,
                        help="upper bound on the integrator step of a curvatures spec "
                             "(default: the domain length / 1024)")

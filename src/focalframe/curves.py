@@ -196,11 +196,11 @@ def curve_from_coordinates(
     coords: Sequence[TrigCoordinate],
     domain: tuple[float, float],
     label: str = "",
-    max_order: int | None = None,
 ) -> Curve:
+    """Analytic curve whose coordinates are ``coords``, with derivatives to
+    order dim + 1, the order the focal analyses read."""
     dim = len(coords)
-    if max_order is None:
-        max_order = dim + 1
+    max_order = dim + 1
     # Derivative j of A sin(w t + phi) is A w^j sin(w t + phi + j pi/2), which
     # is (-1)^(j//2) A w^j times sin(theta) for even j or sin(theta + pi/2)
     # for odd j: two sin calls per term serve every order, and one product
@@ -375,17 +375,17 @@ def _validate_salkowski(curve: Curve, n: float) -> None:
 def random_trig_curve(
     dim: int,
     seed: int,
-    n_terms: int = 3,
     domain: tuple[float, float] = (0.0, _TWO_PI),
 ) -> Curve:
-    """Reproducible generic test curve: random sinusoid mix per coordinate.
+    """Reproducible generic test curve: per coordinate, three sinusoids of
+    distinct frequencies drawn from 1-5, with random amplitudes and phases.
 
     Used for negative controls; nothing about it is helical.
     """
     rng = np.random.default_rng(seed)
     coords = []
     for _ in range(dim):
-        freqs = rng.permutation(np.arange(1, n_terms + 3))[:n_terms]
+        freqs = rng.permutation(np.arange(1, 6))[:3]
         terms = tuple(
             (float(rng.uniform(0.3, 1.0)), float(f), float(rng.uniform(0.0, _TWO_PI)))
             for f in freqs
@@ -398,21 +398,17 @@ def random_trig_curve(
 # sampled curves
 # ---------------------------------------------------------------------------
 
-def sampled_curve(
-    ts: Sequence[float],
-    points,
-    max_order: int = 5,
-    label: str = "sampled",
-) -> Curve:
+def sampled_curve(ts: Sequence[float], points, label: str = "sampled") -> Curve:
     """Curve through sample rows, differentiated by local stencils.
 
     An evaluation of order o takes every derivative of a point from one
     window of the o + 6 nearest nodes, so derivative j converges at order
     o + 6 - j, at least 6: the value of a low derivative depends on the
-    order requested. Orders above 5 are refused because difference noise
-    outgrows them. An evaluation gets every window from one
-    ``searchsorted`` and every stencil from one stacked :func:`fd_weights`
-    call.
+    order requested. Orders above 5, and above N - 6 for N samples, are
+    refused: difference noise outgrows the first, and the second would
+    need a window wider than the samples. An evaluation gets every window
+    from one ``searchsorted`` and every stencil from one stacked
+    :func:`fd_weights` call.
     """
     t = np.asarray(ts, dtype=float)
     P = np.asarray(points, dtype=float)
@@ -424,7 +420,7 @@ def sampled_curve(
         raise BadParameters("sample parameters must be strictly increasing")
     if not (np.all(np.isfinite(t)) and np.all(np.isfinite(P))):
         raise BadParameters("samples contain non-finite values")
-    max_order = int(min(max_order, 5, t.size - 6))
+    max_order = min(5, t.size - 6)
 
     def evaluator(x: np.ndarray, order: int) -> np.ndarray:
         size = min(order + 6, t.size)

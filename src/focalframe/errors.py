@@ -55,10 +55,6 @@ class InvalidProfile(FocalFrameError):
     """A curvature profile violates positivity on its domain."""
 
 
-class NonOrthonormalFrame(FocalFrameError):
-    """An initial moving frame given to the integrator is not orthonormal."""
-
-
 class RegularityFailure(FocalFrameError):
     """Curve speed vanishes (or nearly vanishes) somewhere on the domain."""
 

@@ -250,10 +250,10 @@ def classify(curve: Curve, grid=None, tol: float = DEFAULT_CLASSIFY_TOL) -> Clas
     return classify_curvatures(frenet_grid(curve, grid).curvatures, tol)
 
 
-def _check_tol(tol: float, name: str = "tol") -> None:
+def _check_tol(tol: float) -> None:
     """Raise ValueError unless 0 < ``tol`` < inf (so NaN fails too)."""
     if not 0 < tol < math.inf:
-        raise ValueError(f"{name} must be positive and finite, got {tol!r}")
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
 
 
 def classify_curvatures(curvatures, tol: float = DEFAULT_CLASSIFY_TOL) -> Classification:
@@ -263,12 +263,15 @@ def classify_curvatures(curvatures, tol: float = DEFAULT_CLASSIFY_TOL) -> Classi
     relative spread stays below ``tol``, which must be positive and finite;
     they pass the constant-ratio test when every consecutive curvature
     ratio does. Raises ValueError unless there is at least one row and one
-    curvature.
+    curvature, and on a NaN or infinite curvature, which would give a
+    verdict on no data; pass only the rows a table marks ``ok``.
     """
     _check_tol(tol)
     K = np.asarray(curvatures, dtype=float)
     if K.ndim != 2 or not K.size:
         raise ValueError(f"expected a nonempty (N, d-1) array of curvatures, got shape {K.shape}")
+    if not np.all(np.isfinite(K)):
+        raise ValueError("curvatures have non-finite entries")
     means = K.mean(axis=0)
     if np.any(np.abs(means) < 1e-12):
         raise DivisionGuard("a curvature mean is below 1e-12; ratios are meaningless")

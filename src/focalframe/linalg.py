@@ -5,8 +5,8 @@ is modified Gram-Schmidt, kept here because it returns the unnormalized
 norms the curvature quotients are built from and flags rank loss by
 index. :func:`gram_schmidt_rows` is the one kernel: it takes a stack of
 flags (one per grid row or evaluation point, or a one-row stack for a
-single flag) and reports rank loss per row. It serves every grid pass,
-the synthesized curves' evaluator and the integrator's initial frame.
+single flag) and reports rank loss per row. It serves every grid pass
+and the synthesized curves' evaluator.
 It works on a component-major copy, one ``(dim, rows)`` block per vector,
 so each projection is a few whole-block ufunc calls into reused buffers.
 LAPACK's batched ``qr`` measured slower at grid shapes even than a
@@ -40,12 +40,12 @@ RANK_RTOL = 1e-8
 _TINY = np.finfo(float).tiny
 
 
-def as_vector(x, dim: int | None = None) -> np.ndarray:
-    """Validate and return a 1-d float array (finite entries, optional length)."""
+def as_vector(x, dim: int) -> np.ndarray:
+    """Validate and return a 1-d float array of ``dim`` finite entries."""
     v = np.asarray(x, dtype=float)
     if v.ndim != 1:
         raise ValueError(f"expected a 1-d vector, got shape {v.shape}")
-    if dim is not None and v.size != dim:
+    if v.size != dim:
         raise ValueError(f"expected length {dim}, got {v.size}")
     if not np.all(np.isfinite(v)):
         raise ValueError("vector has non-finite entries")
@@ -65,7 +65,9 @@ def gram_schmidt_rows(stack) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     quotients come straight from them. ``failed[r]`` is the 1-based index
     of row r's first vector whose reduced norm is zero or at most
     ``RANK_RTOL * norms[r, 0]**index``, 0 where the row is fine; entries of
-    a failed row from that index on are not meaningful. Raises ValueError
+    a failed row from that index on are not meaningful. On a large flag
+    that tolerance can overflow to +inf, which flags its row, as exact
+    arithmetic would: the vector's norm cannot exceed it. Raises ValueError
     on a wrong shape, more vectors than dimensions or non-finite input.
 
     The work runs on a component-major copy ``W[i, d, r]``: vector i of
@@ -91,8 +93,9 @@ def gram_schmidt_rows(stack) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     failed = np.zeros(n_rows, dtype=int)
     tmp = np.empty((dim, n_rows))
     coef = np.empty(n_rows)
-    # A failed row may divide by a zero norm further on; its values are never read.
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # A failed row may divide by a zero norm further on; its values are never
+    # read. A tolerance that overflows is +inf and flags its row.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for i in range(k):
             v = W[i]
             for j in range(i):

@@ -243,8 +243,8 @@ class TheoremReport:
         return _report_dict(self)
 
 
-def verify_focal_slants(curve: Curve, ks, grid=None, tol: float | None = None,
-                        focal_tol: float | None = None) -> list[TheoremReport]:
+def verify_focal_slants(curve: Curve, ks, grid=None,
+                        tol: float | None = None) -> list[TheoremReport]:
     """For each k in ``ks``, check that a k-slant curve has an (m-k+2)-slant focal curve.
 
     The base verdicts run on one Frenet pass over the curve as given. When
@@ -253,13 +253,14 @@ def verify_focal_slants(curve: Curve, ks, grid=None, tol: float | None = None,
     the base pass that the curve keeps), and its verdicts run on an
     interior sub-grid (``END_TRIM`` points trimmed per end) that keeps
     one-sided stencil noise out of the cone statistics. Axis agreement is
-    the angle between the two axes modulo sign. ``tol`` and ``focal_tol``
-    must be positive and finite when given. Above E5 a slant base verdict
-    raises :class:`MethodLimit`: the sampled focal curve has no derivatives
-    past order 5, and its verdicts need order m + 1.
+    the angle between the two axes modulo sign. ``tol``, when given, is the
+    tolerance of both the base and the focal verdicts and must be positive
+    and finite; when None, each side takes its kind's default from
+    :func:`default_slant_tol`, so the sampled focal curve reads
+    ``SAMPLED_TOL``. Above E5 a slant base verdict raises
+    :class:`MethodLimit`: the sampled focal curve has no derivatives past
+    order 5, and its verdicts need order m + 1.
     """
-    if focal_tol is not None:  # slant_reports checks tol
-        _check_tol(focal_tol, "focal_tol")
     if grid is None:
         grid = curve.grid(256)
     grid = np.asarray(grid, dtype=float)
@@ -273,8 +274,7 @@ def verify_focal_slants(curve: Curve, ks, grid=None, tol: float | None = None,
         mirror = _sampled_focal_curve(unit, table)
         inner = mirror.grid(grid.size)[END_TRIM:-END_TRIM]
         _require_frame_order(mirror)
-        focal_reports = iter(slant_reports(mirror, mirrored, inner,
-                                           SAMPLED_TOL if focal_tol is None else focal_tol))
+        focal_reports = iter(slant_reports(mirror, mirrored, inner, tol))
 
     reports = []
     for k, k_prime, base in zip(ks, k_primes, bases):
@@ -296,7 +296,7 @@ def verify_focal_slants(curve: Curve, ks, grid=None, tol: float | None = None,
     return reports
 
 
-def verify_focal_slant(curve: Curve, k: int, grid=None, tol: float | None = None,
-                       focal_tol: float | None = None) -> TheoremReport:
+def verify_focal_slant(curve: Curve, k: int, grid=None,
+                       tol: float | None = None) -> TheoremReport:
     """The one-index case of :func:`verify_focal_slants`."""
-    return verify_focal_slants(curve, [k], grid, tol, focal_tol)[0]
+    return verify_focal_slants(curve, [k], grid, tol)[0]

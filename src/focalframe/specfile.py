@@ -8,7 +8,8 @@ and, for the two data-carrying types, ``rows``:
 * ``wcurve``     params ``{"radii": [...], "frequencies": [...], "pitch": ...}``
 * ``salkowski``  params ``{"n": ...}``
 * ``samples``    rows ``[[t, x0, ..., x_{dim-1}], ...]``
-* ``curvatures`` rows ``[[s, k1, ..., k_m], ...]`` (m = dim - 1)
+* ``curvatures`` rows ``[[s, k1, ..., k_m], ...]`` (m = dim - 1); no params,
+  the integrator step is the ``step`` argument of :func:`build_curve`
 
 Unknown top-level fields and unknown params are rejected, not ignored:
 a typo in a tolerance-bearing input should fail loudly. A ``domain``
@@ -43,7 +44,7 @@ _PARAM_FIELDS = {
     "wcurve": {"radii", "frequencies", "pitch"},
     "salkowski": {"n"},
     "samples": set(),
-    "curvatures": {"step"},
+    "curvatures": set(),
 }
 
 
@@ -114,11 +115,11 @@ def build_curve(spec: CurveSpec, step: float | None = None) -> Curve:
     """Instantiate the curve a spec describes.
 
     For ``curvatures`` specs the curve is synthesized from a spline profile
-    through the rows, starting at the origin with the standard frame;
-    ``step`` (or params.step) bounds the integrator's step from above. Values
-    that overflow or go non-finite while building, a ``dim`` that is not
-    the dimension of the curve built, and a ``step`` for any other type
-    raise SpecFileError.
+    through the rows, starting at the origin with the identity frame;
+    ``step`` (the CLI's ``--step``) bounds the integrator's step from
+    above. Values that overflow or go non-finite while building, a ``dim``
+    that is not the dimension of the curve built, and a ``step`` for any
+    other type raise SpecFileError.
     """
     if step is not None and spec.type != "curvatures":
         raise SpecFileError(f"step applies only to curvatures specs, not type {spec.type!r}")
@@ -153,8 +154,6 @@ def _instantiate(spec: CurveSpec, step: float | None) -> Curve:
 
         rows = _rows(spec, spec.dim, f"curvature rows must be (s, {spec.dim - 1} curvatures)")
         profile = CurvatureProfile.from_samples(rows[:, 0], rows[:, 1:])
-        if step is None and "step" in spec.params:
-            step = float(spec.params["step"])
         return synthesize_from_curvatures(profile, spec.dim, step=step)
     except KeyError as exc:
         raise SpecFileError(f"type {spec.type!r} is missing param {exc.args[0]!r}") from exc

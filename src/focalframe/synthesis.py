@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .curves import _PROBE_POINTS, Curve, make_curve
-from .errors import BadParameters, DegenerateFlag, InvalidProfile, NonOrthonormalFrame
+from .errors import BadParameters, DegenerateFlag, InvalidProfile
 from .linalg import RANK_RTOL, gram_schmidt_rows
 from .numdiff import fd_weights
 from .series import factorials
@@ -375,12 +375,13 @@ def _magnus_exponentials(gauss: np.ndarray, h: float) -> np.ndarray:
 def synthesize_from_curvatures(
     profile: CurvatureProfile,
     dim: int,
-    initial_point=None,
-    initial_frame=None,
     step: float | None = None,
 ) -> Curve:
     """Integrate the frame equations for a prescribed curvature profile.
 
+    The curve starts at the origin with the identity frame: at the start
+    of the profile's domain its tangent and normals are the standard basis
+    vectors in order. Any other start is a rigid motion of this curve.
     The sixth-order Magnus step with three Gauss points (see
     :func:`_magnus_exponentials`) at a fixed step h: ``step`` is an upper
     bound, and the domain is cut into the fewest equal steps, at least 8,
@@ -424,18 +425,6 @@ def synthesize_from_curvatures(
     n_steps = max(int(math.ceil(length / step)), 8)
     h = length / n_steps
 
-    point = np.zeros(dim) if initial_point is None else np.asarray(initial_point, dtype=float)
-    frame = np.eye(dim) if initial_frame is None else np.asarray(initial_frame, dtype=float)
-    if point.shape != (dim,):
-        raise BadParameters(f"initial point must have length {dim}")
-    if not np.isfinite(point).all():
-        raise BadParameters("initial point must be finite")
-    if frame.shape != (dim, dim):
-        raise BadParameters(f"initial frame must be {dim} vectors of length {dim}")
-    # Finite first, so an inf frame raises here without a warning from the product.
-    if not (np.isfinite(frame).all() and np.max(np.abs(frame @ frame.T - np.eye(dim))) <= 1e-8):
-        raise NonOrthonormalFrame("initial frame is not orthonormal to 1e-8")
-
     nodes = lo + h * np.arange(n_steps + 1)
     # The curvatures with their first two derivatives at the nodes, and the
     # curvatures at each step's three Gauss points.
@@ -460,8 +449,7 @@ def synthesize_from_curvatures(
         )
 
     frames = np.empty((n_steps + 1, dim, dim))
-    orth, norms, _ = gram_schmidt_rows(frame[None])
-    frames[0] = orth[0] / norms[0, :, None]
+    frames[0] = np.eye(dim)
     for c in range(0, n_steps, _MAGNUS_CHUNK):
         E = _magnus_exponentials(gauss[:, c:c + _MAGNUS_CHUNK], h)
         # Doubling prefix product: afterwards E[i] = E_i ... E_1 E_0.
@@ -489,7 +477,7 @@ def synthesize_from_curvatures(
     d3T = np.einsum("nr,nrd->nd", coef[:, :dim], frames[:, :4])
     steps = (0.5 * h * (T[:-1] + T[1:]) + (h * h / 12.0) * (dT[:-1] - dT[1:])
              + (h**4 / 720.0) * (d3T[1:] - d3T[:-1]))
-    gammas = point + np.concatenate([np.zeros((1, dim)), np.cumsum(steps, axis=0)])
+    gammas = np.concatenate([np.zeros((1, dim)), np.cumsum(steps, axis=0)])
     oracle = _SynthesizedOracle(profile, nodes, h, gammas, frames, frame_dots, frame_ddots)
     # unit speed by construction, from curvatures already checked finite
     return make_curve(dim, (lo, hi), "synthesized", m + 2, oracle, label=f"synthesized(m={m})",

@@ -1,11 +1,14 @@
 """Per-row reference kernels that the stacked library kernels are tested
 against, former kernels that their rewrites must match, exact references,
-a curve that counts its evaluator calls, a counter of SVD calls and a
-runner of racing threads."""
+a curve that counts its evaluator calls, a counter of SVD calls, a
+runner of racing threads and the example specs of
+``scripts/write_example_specs.py``."""
 
+import importlib.util
 import math
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 
@@ -259,3 +262,14 @@ def wcurve_focal_coefficients(kappa) -> np.ndarray:
     for i in range(1, m):
         c[:, i + 1] = kappa[:, i - 1] * c[:, i - 1] / kappa[:, i]
     return c[:, 1:]
+
+
+def _example_specs():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "write_example_specs.py"
+    spec = importlib.util.spec_from_file_location("write_example_specs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.SPECS
+
+
+EXAMPLE_SPECS = _example_specs()

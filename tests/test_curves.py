@@ -28,7 +28,6 @@ from focalframe.errors import (
     BadParameters,
     ConvergenceFailure,
     InvalidProfile,
-    NonOrthonormalFrame,
     OrderUnsupported,
     OutOfDomain,
     RegularityFailure,
@@ -318,7 +317,8 @@ def test_analytic_curve_matches_per_term_formula(dim):
                                     float(rng.uniform(0.0, 2 * math.pi)))
                                    for _ in range(int(rng.integers(0, 4)))))
         for _ in range(dim))
-    curve = curve_from_coordinates(coords, (-1.0, 3.0), max_order=dim + 2)
+    curve = curve_from_coordinates(coords, (-1.0, 3.0))
+    assert curve.max_order == dim + 1
     ts = np.linspace(-1.0, 3.0, 23)
     for order in range(curve.max_order + 1):
         got = ff.eval_derivatives(curve, ts, order)
@@ -1369,11 +1369,11 @@ def test_constant_profile_frames_are_the_exact_exponential(kappas):
     dim = len(kappas) + 1
     M = np.diag(kappas, 1)
     M = M - M.T
-    F0, _ = np.linalg.qr(np.random.default_rng(dim).normal(size=(dim, dim)))
     profile = ff.CurvatureProfile.constants(kappas, (0.0, 10.0))
-    syn = ff.synthesize_from_curvatures(profile, dim, initial_frame=F0).evaluator
+    syn = ff.synthesize_from_curvatures(profile, dim).evaluator
+    assert np.array_equal(syn.frames[0], np.eye(dim))
     for s, F in zip(syn.nodes[::64], syn.frames[::64]):
-        np.testing.assert_allclose(F, _expm(s * M) @ F0, rtol=0, atol=5e-12)
+        np.testing.assert_allclose(F, _expm(s * M), rtol=0, atol=5e-12)
 
 
 @pytest.mark.parametrize("dim", [3, 4, 5, 6])
@@ -1399,11 +1399,12 @@ def test_synthesis_accepts_a_coarse_step():
 
 
 def test_synthesized_circle_closes():
+    # from the origin with tangent e0 and normal e1: the unit circle about (0, 1)
     profile = ff.CurvatureProfile.constants([1.0], (0.0, 2 * math.pi))
-    circle = ff.synthesize_from_curvatures(
-        profile, 2, initial_point=(1.0, 0.0), initial_frame=[(0.0, 1.0), (-1.0, 0.0)]
-    )
-    np.testing.assert_allclose(circle.point(2 * math.pi), [1.0, 0.0], atol=1e-8)
+    circle = ff.synthesize_from_curvatures(profile, 2)
+    np.testing.assert_array_equal(circle.point(0.0), [0.0, 0.0])
+    np.testing.assert_allclose(circle.point(math.pi), [0.0, 2.0], atol=1e-8)
+    np.testing.assert_allclose(circle.point(2 * math.pi), [0.0, 0.0], atol=1e-8)
 
 
 def test_synthesized_helix_invariants_match_generator():
@@ -1446,26 +1447,6 @@ def test_synthesis_caps_the_step_count(monkeypatch):
         ff.synthesize_from_curvatures(profile, 3, step=0.09)
     with pytest.raises(BadParameters):
         ff.synthesize_from_curvatures(profile, 3, step=5e-324)
-
-
-def test_synthesis_rejects_bad_frame():
-    profile = ff.CurvatureProfile.constants([1.0], (0.0, 1.0))
-    with pytest.raises(NonOrthonormalFrame):
-        ff.synthesize_from_curvatures(profile, 2, initial_frame=[(1.0, 0.0), (1.0, 1.0)])
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
-@pytest.mark.parametrize("argument", ["initial_point", "initial_frame"])
-def test_synthesis_rejects_non_finite_initial_data(argument, bad):
-    profile = ff.CurvatureProfile.constants([1.0, 0.5], (0.0, 1.0))
-    if argument == "initial_point":
-        kwargs, error = {"initial_point": [bad, 0.0, 0.0]}, BadParameters
-    else:
-        frame = np.eye(3)
-        frame[1, 2] = bad
-        kwargs, error = {"initial_frame": frame}, NonOrthonormalFrame
-    with pytest.raises(error):
-        ff.synthesize_from_curvatures(profile, 3, **kwargs)
 
 
 @pytest.mark.parametrize("builder", [

@@ -546,8 +546,7 @@ def focal_relations_loop(curve, grid, table, trim=3):
     kept = np.array([not fd.is_vertex for fd in table])
     ss = ss[kept]
     table = [fd for fd in table if not fd.is_vertex]
-    focal = ff.sampled_curve(ss, np.array([fd.focal_point for fd in table]),
-                             max_order=min(curve.dimension, 5))
+    focal = ff.sampled_curve(ss, np.array([fd.focal_point for fd in table]))
     base = list(ff.frenet_grid(curve, ss, order=m + 1))
     mirror = list(ff.frenet_grid(focal, ss, order=m + 1))
     inner = slice(trim, ss.size - trim) if ss.size > 2 * trim + 4 else slice(None)

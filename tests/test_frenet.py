@@ -126,10 +126,14 @@ def test_classify_rejects_a_bad_tolerance(helix, tol):
     lambda: ff.classify_curvatures(np.ones(16)),
     lambda: ff.classify_curvatures(np.ones((0, 2))),
     lambda: ff.classify_curvatures(np.ones((16, 0))),
+    # a NaN row gave a silent verdict (is_w_curve False, NaN spreads), an
+    # infinite one leaked invalid-value warnings from the spreads and ratios
+    lambda: ff.classify_curvatures([[1.0, 0.5]] * 7 + [[1.0, math.nan]]),
+    lambda: ff.classify_curvatures([[1.0, 0.5]] * 7 + [[math.inf, 0.5]]),
     lambda: solve_linear(np.zeros((0, 0)), np.zeros(0)),
     lambda: theorem_target_index(1.5, 3),
-], ids=["classify-1d", "classify-no-rows", "classify-no-curvatures", "solve-0x0",
-        "target-index-1.5"])
+], ids=["classify-1d", "classify-no-rows", "classify-no-curvatures", "classify-nan",
+        "classify-inf", "solve-0x0", "target-index-1.5"])
 def test_documented_value_errors(call):
     with pytest.raises(ValueError):
         call()

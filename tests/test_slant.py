@@ -7,7 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import focalframe as ff
-from focalframe.slant import AXIS_ANGLE_TOL, theorem_target_index
+from focalframe.arclength import as_unit_speed
+from focalframe.focal import END_TRIM
+from focalframe.slant import ANALYTIC_TOL, AXIS_ANGLE_TOL, SAMPLED_TOL, theorem_target_index
+from focalframe.specfile import build_curve, parse_curve_spec
+from reference_kernels import EXAMPLE_SPECS
 
 E3 = np.array([0.0, 0.0, 1.0])
 
@@ -167,14 +171,21 @@ def test_slant_reports_reject_a_bad_tolerance(helix, tol):
         ff.is_k_slant(helix, 1, tol=tol)
 
 
-@pytest.mark.parametrize("name", ["tol", "focal_tol"])
-@pytest.mark.parametrize("tol", BAD_TOLERANCES, ids=repr)
-def test_verify_focal_slants_reject_a_bad_tolerance(helix, name, tol):
-    # the helix is 1-slant, so a focal verdict runs and would use focal_tol
-    with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
-        ff.verify_focal_slants(helix, [1], **{name: tol})
-    with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
-        ff.verify_focal_slant(helix, 1, **{name: tol})
+@pytest.mark.parametrize("tol", BAD_TOLERANCES, ids=lambda tol: f"{tol!r}-tol")
+def test_verify_focal_slants_reject_a_bad_tolerance(helix, tol):
+    with pytest.raises(ValueError, match="^tol must be positive and finite"):
+        ff.verify_focal_slants(helix, [1], tol=tol)
+    with pytest.raises(ValueError, match="^tol must be positive and finite"):
+        ff.verify_focal_slant(helix, 1, tol=tol)
+
+
+def test_one_tolerance_serves_both_verdicts(helix):
+    # the helix is 1-slant, so a focal verdict runs; without a tolerance each
+    # side takes its kind's default, the sampled focal curve the looser one
+    report = ff.verify_focal_slant(helix, 1)
+    assert (report.base.tolerance, report.focal.tolerance) == (ANALYTIC_TOL, SAMPLED_TOL)
+    report = ff.verify_focal_slant(helix, 1, tol=1e-5)
+    assert report.passed and report.base.tolerance == report.focal.tolerance == 1e-5
 
 
 # ------------------------------------------------------- coefficient residuals
@@ -337,3 +348,71 @@ def test_verification_fails_honestly_on_non_slant_curve():
     assert not rep.base.is_slant
     assert not rep.passed
     assert rep.focal is None  # premise failed, nothing was mirrored
+
+
+# ---------------------------------------------- the converse and the cone's angle
+
+# The E3-E5 example specs on which every index answers on both sides. The
+# circle's focal set is a point, the E6 and E7 specs are past the focal
+# check's E5 limit, and wcurve5_x100 reads as non-generic (ROADMAP item 14).
+_MIRROR_SPECS = {"helix.json": {1, 3}, "constant_curvatures.json": {1, 3},
+                 "salkowski.json": {2}, "wcurve5.json": {1, 3, 5},
+                 "varying_curvatures.json": set()}
+
+
+def _slant_sets(curve):
+    """The slant indices of ``curve`` at 256 rows and those of its focal
+    curve on the interior rows that the focal verification reads."""
+    ks = range(1, curve.dimension + 1)
+    base = {r.k for r in ff.slant_reports(curve, ks, curve.grid(256)) if r.is_slant}
+    unit = as_unit_speed(curve)
+    mirror = ff.focal_curve(unit, unit.grid(256))
+    inner = mirror.grid(256)[END_TRIM:-END_TRIM]
+    focal = {r.k for r in ff.slant_reports(mirror, ks, inner, SAMPLED_TOL) if r.is_slant}
+    return base, focal
+
+
+@pytest.mark.parametrize("name", sorted(_MIRROR_SPECS))
+def test_focal_slant_set_mirrors_the_base_set(name):
+    # the frame map sends V_k to the focal vector m-k+2 and back, so the
+    # focal curve is (m-k+2)-slant exactly when the base is k-slant
+    curve = build_curve(parse_curve_spec(EXAMPLE_SPECS[name]))
+    m = curve.dimension - 1
+    base, focal = _slant_sets(curve)
+    assert base == _MIRROR_SPECS[name]
+    assert focal == {m - k + 2 for k in base}
+
+
+def _generic_window(dim, seed):
+    """The first window [a, a + 0.4] of a random curve, a = i (2 pi - 0.4)/39
+    for i in 0..39, on which every curvature exceeds 0.05 at 256 rows."""
+    for i in range(40):
+        a = i * (2 * math.pi - 0.4) / 39
+        curve = ff.random_trig_curve(dim, seed, domain=(a, a + 0.4))
+        table = ff.curvature_table(curve, curve.grid(256))
+        if table.ok.all() and np.all(table.curvatures > 0.05):
+            return curve
+    raise AssertionError(f"no generic window for E{dim} seed {seed}")
+
+
+# E3 seed 1 is left out: its window splits by tolerance, not by geometry
+# (base k=3 at 9.99e-5 over the analytic 1e-6, focal k=1 at 9.64e-5 under
+# the sampled 1e-4), so the sets read {} and {1} (ROADMAP item 22).
+@pytest.mark.parametrize("dim,seed", [(3, s) for s in range(2, 7)] + [(4, s) for s in range(1, 7)])
+def test_generic_windows_are_slant_on_neither_side(dim, seed):
+    # every deviation here is at least 4.9e-4, above both tolerances
+    assert _slant_sets(_generic_window(dim, seed)) == (set(), set())
+
+
+@pytest.mark.parametrize("curve", [
+    *(build_curve(parse_curve_spec(EXAMPLE_SPECS[name])) for name in sorted(_MIRROR_SPECS)),
+    ff.make_salkowski(0.3), ff.make_salkowski(0.7),
+], ids=[*sorted(_MIRROR_SPECS), "salkowski-0.3", "salkowski-0.7"])
+def test_focal_cone_keeps_the_base_angle(curve):
+    # the focal vector m-k+2 is +-V_k, so both cones have one axis and one
+    # angle; the largest gap measured is 1.6e-10, on Salkowski n = 0.7
+    reports = ff.verify_focal_slants(curve, range(1, curve.dimension + 1), curve.grid(256))
+    passed = [r for r in reports if r.passed]
+    assert [r.k for r in passed] == [r.k for r in reports if r.base.is_slant]
+    for r in passed:
+        assert abs(abs(r.focal.cos_theta) - abs(r.base.cos_theta)) < 1e-8, r.k
