@@ -27,10 +27,9 @@ _EXPORTS = {
     "arclength": ("arc_length", "reparam_to_arclength"),
     "synthesis": ("CurvatureProfile", "synthesize_from_curvatures"),
     "errors": (
-        "BadParameters", "ConvergenceFailure", "DegenerateFlag", "DivisionGuard",
-        "FocalFrameError", "FocalNotRegular", "InvalidProfile", "MethodLimit", "NotGeneric",
-        "NotUnitSpeed", "OrderUnsupported", "OutOfDomain", "ReducedOrder", "RegularityFailure",
-        "SingularSystem", "SpecFileError",
+        "BadParameters", "ConvergenceFailure", "DivisionGuard", "FocalFrameError",
+        "InputError", "InvalidProfile", "NotUnitSpeed", "NumericFailure", "OrderUnsupported",
+        "OutOfDomain", "ReducedOrder", "RegularityFailure", "SingularSystem", "SpecFileError",
     ),
     "focal": (
         "FocalData", "FocalRelationsReport", "focal_curvatures", "focal_curve",

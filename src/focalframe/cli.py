@@ -25,11 +25,18 @@ that names a file and the minimum grid of focal and verify, before it
 creates any directory.
 
 Exit codes: 0 success, 1 verification failed, 2 input error, 3 numeric
-failure (degeneracy or vertices covering the whole grid). An input error
-is a bad flag or spec file (a file that is not UTF-8 JSON included) or an
-``--output`` prefix that cannot be written, such as one under a regular
-file or one whose ``PREFIX.csv`` is a directory; each prints one
-``error:`` line.
+failure. The two failure codes are the two bases of :mod:`focalframe.errors`.
+An :class:`InputError` is a bad flag or spec file (a file that is not
+UTF-8 JSON included). An ``--output`` prefix that cannot be written, such
+as one under a regular file or one whose ``PREFIX.csv`` is a directory,
+raises an ``OSError``, which is an input error too. Each prints one
+``error:`` line. A :class:`NumericFailure` is a valid input that the
+computation cannot carry through: a degenerate row, vertices covering the
+whole grid, or a derivative order beyond a curve's method, such as order
+6 of a sampled curve (an E6 ``samples`` spec or the sampled focal curve of
+an E6 curve). It prints one ``numeric failure:`` line unless the command
+writes it into its JSON: ``analyze`` as ``rows_ok: 0``, ``focal`` as an
+``error`` beside its table.
 """
 
 from __future__ import annotations
@@ -42,14 +49,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .errors import (
-    BadParameters,
-    FocalFrameError,
-    InvalidProfile,
-    OrderUnsupported,
-    OutOfDomain,
-    SpecFileError,
-)
+from .errors import InputError, NumericFailure, SpecFileError
 from .specfile import build_curve, load_curve_spec, samples_spec_dict, save_spec
 
 if TYPE_CHECKING:
@@ -65,8 +65,6 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_NUMERIC_FAILURE = 3
-
-_INPUT_ERRORS = (SpecFileError, BadParameters, InvalidProfile, OutOfDomain, OrderUnsupported)
 
 
 def _fmt(x: float) -> str:
@@ -101,7 +99,7 @@ def _ks(args: argparse.Namespace, curve: Curve) -> list[int]:
     if args.k is None:
         return list(range(1, curve.dimension + 1))
     if not 1 <= args.k <= curve.dimension:
-        raise SpecFileError(f"--k must lie in [1, {curve.dimension}], got {args.k}")
+        raise InputError(f"--k must lie in [1, {curve.dimension}], got {args.k}")
     return [args.k]
 
 
@@ -137,7 +135,7 @@ def _cmd_analyze(args: argparse.Namespace, out: Path) -> int:
                 "ratios": [float(r) for r in cl.ratios],
                 "curvature_spreads": [float(x) for x in cl.spreads],
             }
-        except FocalFrameError as exc:
+        except NumericFailure as exc:
             payload["classification"] = {"error": str(exc)}
     _write_json(_suffixed(out, ".json"), payload)
     return EXIT_OK if n_ok else EXIT_NUMERIC_FAILURE
@@ -162,7 +160,7 @@ def _cmd_focal(args: argparse.Namespace, out: Path) -> int:
     try:
         payload["relations"] = focal_relations_check(curve, grid, table=table).to_dict()
         status = EXIT_OK
-    except FocalFrameError as exc:
+    except NumericFailure as exc:
         payload["relations"] = None
         payload["error"] = str(exc)
         status = EXIT_NUMERIC_FAILURE
@@ -225,17 +223,17 @@ def run(args: argparse.Namespace) -> int:
             from .focal import MIN_GRID
 
             if args.grid_points < MIN_GRID:
-                raise SpecFileError(f"{args.command} needs --grid-points of at least "
-                                    f"{MIN_GRID}, got {args.grid_points}")
+                raise InputError(f"{args.command} needs --grid-points of at least "
+                                 f"{MIN_GRID}, got {args.grid_points}")
         if not out.name:
-            raise SpecFileError(f"output prefix {args.output!r} names no file")
+            raise InputError(f"output prefix {args.output!r} names no file")
         if not out.parent.exists():
             out.parent.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](args, out)
-    except (*_INPUT_ERRORS, OSError) as exc:  # OSError: a path that cannot be read or written
+    except (InputError, OSError) as exc:  # OSError: a path that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    except FocalFrameError as exc:
+    except NumericFailure as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC_FAILURE
 

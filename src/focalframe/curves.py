@@ -124,7 +124,8 @@ def eval_derivatives(curve: Curve, t, order: int) -> np.ndarray:
         raise ValueError("order must be nonnegative")
     if order > curve.max_order:
         raise OrderUnsupported(
-            f"order {order} exceeds max_order {curve.max_order} of this {curve.kind} curve"
+            f"order {order} exceeds max_order {curve.max_order} of {curve.kind} curve "
+            f"{curve.label or '(unlabeled)'}"
         )
     ts = np.asarray(t, dtype=float)
     scalar = ts.ndim == 0

@@ -1,65 +1,65 @@
-"""Exception taxonomy shared by every module in the package."""
+"""Exception taxonomy shared by every module in the package.
+
+Every concrete class derives from exactly one of two bases, and the base
+is the command line's exit code (see :mod:`focalframe.cli`):
+
+* :class:`InputError`, exit 2: the input is at fault (a spec file, a
+  curve factory's parameters, a curvature profile, a parameter outside
+  a curve's domain, or a flag value that only a run can check).
+* :class:`NumericFailure`, exit 3: the input is valid, and the geometry
+  (a degenerate row, a vertex, a vanishing speed) or the numerical method
+  (an order a curve's method cannot deliver, an iteration that does not
+  converge) stops the computation.
+
+A new class goes under :class:`InputError` when the input breaks a rule
+that can be checked before any computation (a field of a spec file, a
+parameter's range, a flag's value), and under :class:`NumericFailure`
+when the input keeps every such rule and the computation still stops.
+"""
 
 
 class FocalFrameError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class DegenerateFlag(FocalFrameError):
-    """Orthogonalization produced a vector below the rank tolerance.
-
-    ``index`` is 1-based: the first input vector is 1.
-    """
-
-    def __init__(self, index: int, norm: float = float("nan"), tolerance: float = float("nan")):
-        self.index = int(index)
-        self.norm = float(norm)
-        self.tolerance = float(tolerance)
-        super().__init__(
-            f"vector {self.index} has norm {self.norm:.3e}, "
-            f"below rank tolerance {self.tolerance:.3e}"
-        )
+class InputError(FocalFrameError):
+    """The input is at fault; the command line exits with code 2."""
 
 
-class ConvergenceFailure(FocalFrameError):
-    """An iterative scheme exhausted its sweep or iteration budget."""
+class NumericFailure(FocalFrameError):
+    """A valid input the computation cannot carry through; exit code 3."""
 
 
-class SingularSystem(FocalFrameError):
-    """Linear solve hit a pivot too small to trust."""
+class SpecFileError(InputError):
+    """Curve specification file is missing, malformed, or has unknown fields."""
 
 
-class OutOfDomain(FocalFrameError):
-    """Parameter value outside the curve domain."""
-
-
-class OrderUnsupported(FocalFrameError):
-    """Requested derivative order exceeds what the curve's oracle provides."""
-
-
-class MethodLimit(FocalFrameError):
-    """A valid input asks for more than the numerical method delivers.
-
-    Raised, for one, before a frame of a derived curve (the sampled focal
-    curve) is read when that frame needs a derivative order beyond the
-    curve's own; the input curve's own :class:`OrderUnsupported` stays an
-    input error.
-    """
-
-
-class BadParameters(FocalFrameError):
+class BadParameters(InputError):
     """Curve factory called with parameters outside its admissible range."""
 
 
-class InvalidProfile(FocalFrameError):
+class InvalidProfile(InputError):
     """A curvature profile violates positivity on its domain."""
 
 
-class RegularityFailure(FocalFrameError):
-    """Curve speed vanishes (or nearly vanishes) somewhere on the domain."""
+class OutOfDomain(InputError):
+    """Parameter value outside the curve domain."""
 
 
-class ReducedOrder(FocalFrameError):
+class ConvergenceFailure(NumericFailure):
+    """An iterative scheme exhausted its sweep or iteration budget."""
+
+
+class SingularSystem(NumericFailure):
+    """Linear solve hit a pivot too small to trust."""
+
+
+class RegularityFailure(NumericFailure):
+    """Curve speed vanishes (or nearly vanishes) somewhere on the domain,
+    or too few rows away from vertices are left to sample a focal curve."""
+
+
+class ReducedOrder(NumericFailure):
     """The curve is not a Frenet curve of the requested order at ``s``.
 
     ``order`` is the 1-based derivative index at which independence failed.
@@ -71,21 +71,15 @@ class ReducedOrder(FocalFrameError):
         super().__init__(f"osculating order breaks down at derivative {self.order} (s={self.s!r})")
 
 
-class NotGeneric(FocalFrameError):
-    """Focal analysis needs full osculating order on the whole grid."""
+class OrderUnsupported(NumericFailure):
+    """A derivative order beyond what a curve's method delivers, such as
+    order 6 of a sampled curve, whether the curve is the input or a curve
+    derived from it (the sampled focal curve)."""
 
 
-class NotUnitSpeed(FocalFrameError):
+class NotUnitSpeed(NumericFailure):
     """Operation requires an arclength parametrization; reparametrize first."""
 
 
-class DivisionGuard(FocalFrameError):
+class DivisionGuard(NumericFailure):
     """A curvature mean is too close to zero to form ratios."""
-
-
-class FocalNotRegular(FocalFrameError):
-    """Vertices prevent building a regular focal curve on the grid."""
-
-
-class SpecFileError(FocalFrameError):
-    """Curve specification file is missing, malformed, or has unknown fields."""

@@ -33,14 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import Curve, eval_derivatives, sampled_curve
-from .errors import (
-    FocalNotRegular,
-    MethodLimit,
-    NotGeneric,
-    NotUnitSpeed,
-    ReducedOrder,
-    RegularityFailure,
-)
+from .errors import NotUnitSpeed, RegularityFailure
 from .frenet import RowTable, _alignment_signs, _KeptPass, _report_dict, frenet_grid
 from .linalg import solve_linear
 from .numdiff import grid_stencils
@@ -90,17 +83,16 @@ def focal_curvatures(curve: Curve, grid) -> FocalData:
     differentiates the previous one along it; every level applies the one
     stencil table of the grid (:func:`grid_stencils`), so the
     weights are computed once in any dimension. Vertex rows (focal speed
-    below 1e-10) are flagged via ``is_vertex``, not dropped.
+    below 1e-10) are flagged via ``is_vertex``, not dropped. A curve that
+    is not generic on the grid raises :class:`ReducedOrder` from its
+    Frenet pass.
 
     The table is kept with the curve's Frenet pass it reads, so a repeated
     call on the same grid returns the same table, and its arrays are
     read-only like the pass's own. A table computed on a pass that another
     thread has meanwhile replaced is returned but not kept.
     """
-    try:
-        frames = frenet_grid(curve, grid, order=curve.dimension)
-    except ReducedOrder as exc:
-        raise NotGeneric(f"curve is not generic on the grid: {exc}") from exc
+    frames = frenet_grid(curve, grid, order=curve.dimension)
     kept = curve._frenet_memo[0]
     if kept.table is not frames:
         kept = None
@@ -246,20 +238,9 @@ def _sampled_focal_curve(curve: Curve, table: FocalData) -> Curve:
     if not n_keep:
         raise RegularityFailure("every grid row is a vertex: the focal set degenerates to a point")
     if n_keep < 8:
-        raise FocalNotRegular(f"only {n_keep} of {len(table)} grid rows are away from vertices")
+        raise RegularityFailure(f"only {n_keep} of {len(table)} grid rows are away from vertices")
     return sampled_curve(table.s[keep], table.focal_point[keep],
                          label=f"focal({curve.label or curve.kind})")
-
-
-def _require_frame_order(focal: Curve) -> None:
-    """Raise MethodLimit unless the sampled focal curve has the derivative
-    order its full frame needs, its dimension: the input is valid, and it is
-    the focal curve's stencils that stop short."""
-    if focal.max_order < focal.dimension:
-        raise MethodLimit(
-            f"the focal frame in E{focal.dimension} needs derivative order {focal.dimension} "
-            f"of the focal curve, but the focal curve is sampled and its derivatives stop at "
-            f"order {focal.max_order}: focal checks are limited to E5")
 
 
 def focal_curve(curve: Curve, grid) -> Curve:
@@ -309,8 +290,8 @@ def focal_relations_check(curve: Curve, grid, *, table=None) -> FocalRelationsRe
     grid, which is a lookup when the table was computed from the pass the
     curve keeps. Vertex rows are dropped, and so are ``END_TRIM`` rows at
     each end of the rest, where the sampled focal curve is least accurate.
-    Above E5 it raises :class:`MethodLimit`: the focal curve's frame needs
-    derivative order m + 1, and the sampled focal curve stops at 5.
+    Above E5 it raises :class:`OrderUnsupported`: the focal curve's frame
+    needs derivative order m + 1, and the sampled focal curve stops at 5.
     """
     ss = np.asarray(grid, dtype=float)
     m = curve.dimension - 1
@@ -319,7 +300,6 @@ def focal_relations_check(curve: Curve, grid, *, table=None) -> FocalRelationsRe
     elif not np.array_equal(table.s, ss):
         raise ValueError("table was computed on a different grid")
     focal = _sampled_focal_curve(curve, table)
-    _require_frame_order(focal)
     kept = table[~table.is_vertex]
     ss = kept.s
     # The base pass's frames were aligned along the full grid; aligning the

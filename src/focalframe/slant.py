@@ -24,7 +24,7 @@ import numpy as np
 from .arclength import as_unit_speed
 from .curves import Curve
 from .frenet import _as_int, _check_tol, _report_dict, frenet_grid
-from .focal import END_TRIM, _require_frame_order, _sampled_focal_curve, focal_curvatures
+from .focal import END_TRIM, _sampled_focal_curve, focal_curvatures
 from .linalg import as_vector
 from .numdiff import grid_derivative
 
@@ -258,8 +258,8 @@ def verify_focal_slants(curve: Curve, ks, grid=None,
     and finite; when None, each side takes its kind's default from
     :func:`default_slant_tol`, so the sampled focal curve reads
     ``SAMPLED_TOL``. Above E5 a slant base verdict raises
-    :class:`MethodLimit`: the sampled focal curve has no derivatives past
-    order 5, and its verdicts need order m + 1.
+    :class:`OrderUnsupported`: the sampled focal curve has no derivatives
+    past order 5, and its verdicts need order m + 1.
     """
     if grid is None:
         grid = curve.grid(256)
@@ -273,7 +273,6 @@ def verify_focal_slants(curve: Curve, ks, grid=None,
         table = focal_curvatures(unit, grid if unit is curve else unit.grid(grid.size))
         mirror = _sampled_focal_curve(unit, table)
         inner = mirror.grid(grid.size)[END_TRIM:-END_TRIM]
-        _require_frame_order(mirror)
         focal_reports = iter(slant_reports(mirror, mirrored, inner, tol))
 
     reports = []

@@ -20,8 +20,8 @@ from typing import Sequence
 import numpy as np
 
 from .curves import _PROBE_POINTS, Curve, make_curve
-from .errors import BadParameters, DegenerateFlag, InvalidProfile
-from .linalg import RANK_RTOL, gram_schmidt_rows
+from .errors import BadParameters, InvalidProfile, ReducedOrder
+from .linalg import gram_schmidt_rows
 from .numdiff import fd_weights
 from .series import factorials
 
@@ -305,8 +305,7 @@ class _SynthesizedOracle:
         orth, norms, failed = gram_schmidt_rows(F)
         if failed.any():
             r = int(np.argmax(failed > 0))
-            j = int(failed[r])
-            raise DegenerateFlag(j, norms[r, j - 1], RANK_RTOL * norms[r, 0] ** j)
+            raise ReducedOrder(int(failed[r]), float(s[r]))
         kappa_series = self.profile.taylor(s, order)
         rows = _body_frame_derivatives(orth / norms[:, :, None], kappa_series, order)
         return np.concatenate([pos[:, None], rows], axis=1)

@@ -14,7 +14,7 @@ import numpy as np
 
 from focalframe import arclength
 from focalframe.curves import make_curve
-from focalframe.errors import ConvergenceFailure, DegenerateFlag, SingularSystem
+from focalframe.errors import ConvergenceFailure, ReducedOrder, SingularSystem
 from focalframe.linalg import RANK_RTOL
 
 
@@ -92,7 +92,7 @@ def gram_schmidt(vectors) -> tuple[np.ndarray, np.ndarray]:
     """Modified Gram-Schmidt on one flag, one vector at a time.
 
     Returns ``(orthogonal, norms)`` without normalizing; raises
-    DegenerateFlag (with the failing 1-based index) when a reduced vector
+    ReducedOrder (with the failing 1-based index) when a reduced vector
     is zero or falls to ``RANK_RTOL * ||v_1||**index``.
     """
     V = np.array(vectors, dtype=float)
@@ -104,7 +104,7 @@ def gram_schmidt(vectors) -> tuple[np.ndarray, np.ndarray]:
         n = float(np.linalg.norm(V[i]))
         tol = RANK_RTOL * norms[0] ** (i + 1) if i > 0 else 0.0
         if n <= tol or n == 0.0:
-            raise DegenerateFlag(i + 1, n, tol)
+            raise ReducedOrder(i + 1)
         norms[i] = n
     return V, norms
 

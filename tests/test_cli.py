@@ -18,11 +18,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import focalframe
+from focalframe import cli, errors
 from focalframe.cli import (
     EXIT_INPUT_ERROR,
     EXIT_NUMERIC_FAILURE,
     EXIT_OK,
     EXIT_VERIFY_FAILED,
+    build_parser,
     main,
 )
 from focalframe.errors import SpecFileError
@@ -395,7 +397,34 @@ def test_spec_that_is_not_utf8_is_input_error(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-_FOCAL_LIMIT = "focal checks are limited to E5"
+# The exit code of each failure is its class's base, and so is the prefix
+# of its one stderr line.
+_BASES = {errors.InputError: (EXIT_INPUT_ERROR, "error: "),
+          errors.NumericFailure: (EXIT_NUMERIC_FAILURE, "numeric failure: ")}
+_CONCRETE = sorted((c for c in vars(errors).values() if isinstance(c, type)
+                    and issubclass(c, errors.FocalFrameError)
+                    and c not in (errors.FocalFrameError, *_BASES)), key=lambda c: c.__name__)
+
+
+@pytest.mark.parametrize("cls", _CONCRETE, ids=lambda c: c.__name__)
+def test_each_error_class_exits_with_its_base_code(tmp_path, monkeypatch, capsys, cls):
+    (base,) = [b for b in _BASES if issubclass(cls, b)]  # exactly one
+    code, prefix = _BASES[base]
+    exc = cls(2, 0.5) if cls is errors.ReducedOrder else cls("boom")
+
+    def fail(args, out):
+        raise exc
+
+    monkeypatch.setitem(cli._COMMANDS, "analyze", fail)
+    args = build_parser().parse_args(["analyze", "--input", "unread.json",
+                                      "--output", str(tmp_path / "x")])
+    assert cli.run(args) == code
+    assert capsys.readouterr().err == f"{prefix}{exc}\n"
+
+
+# The sampled focal curve's derivatives stop at order 5; the message names
+# the curve, so a focal-curve limit reads apart from an input limit.
+_FOCAL_LIMIT = "exceeds max_order 5 of sampled curve focal("
 
 
 def test_verify_above_e5_is_a_method_limit(tmp_path, capsys):
@@ -416,15 +445,27 @@ def test_focal_above_e5_is_a_method_limit(tmp_path):
     assert payload["relations"] is None and _FOCAL_LIMIT in payload["error"]
 
 
-def test_order_beyond_the_input_curve_stays_an_input_error(tmp_path, capsys):
-    # the same limit on the input curve itself: an E6 samples spec needs
-    # derivative order 6 of a sampled curve
-    t = np.linspace(0.0, 2 * math.pi, 64)
-    rows = np.column_stack([t, *[f(w * t) for w in (1.0, 2.0, 3.0) for f in (np.cos, np.sin)]])
-    spec = write_spec(tmp_path, "s6.json",
-                      {"type": "samples", "dim": 6, "params": {}, "rows": rows.tolist()})
-    assert main(["analyze", "--input", spec, "--output", str(tmp_path / "a")]) == EXIT_INPUT_ERROR
-    assert "exceeds max_order 5" in capsys.readouterr().err
+@pytest.mark.parametrize("dim", range(3, 9))
+def test_synthesized_samples_read_back_or_name_the_order_limit(tmp_path, capsys, dim):
+    # synthesize accepts every dimension; a samples spec is a sampled curve,
+    # whose derivatives stop at order 5, and its frame in E^dim needs order
+    # dim: above E5 reading the samples back is a numeric failure
+    rows = [[float(s), *[1.0 - 0.1 * i for i in range(dim - 1)]] for s in range(11)]
+    spec = write_spec(tmp_path, "curv.json",
+                      {"type": "curvatures", "dim": dim, "params": {}, "rows": rows})
+    samples = tmp_path / "syn"
+    assert main(["synthesize", "--input", spec, "--output", str(samples)]) == EXIT_OK
+    want = EXIT_OK if dim <= 5 else EXIT_NUMERIC_FAILURE
+    for command in ("analyze", "slant"):
+        capsys.readouterr()
+        assert main([command, "--input", str(samples.with_suffix(".json")),
+                     "--output", str(tmp_path / command)]) == want
+        err = capsys.readouterr().err
+        if dim <= 5:
+            assert err == ""
+        else:
+            assert err == (f"numeric failure: order {dim} exceeds max_order 5 "
+                           "of sampled curve samples spec\n")
 
 
 @pytest.mark.parametrize("args", [
@@ -553,9 +594,9 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path, command, name, ab
 # may already use; each keeps resolving wherever its code lives.
 _PACKAGE_NAMES = (
     "AxisFit", "BadParameters", "Classification", "ConvergenceFailure", "CurvatureProfile",
-    "Curve", "DegenerateFlag", "DivisionGuard", "FocalData", "FocalFrameError",
-    "FocalNotRegular", "FocalRelationsReport", "FrenetData", "InvalidProfile", "MethodLimit",
-    "NotGeneric", "NotUnitSpeed", "OrderUnsupported", "OutOfDomain",
+    "Curve", "DivisionGuard", "FocalData", "FocalFrameError", "FocalRelationsReport",
+    "FrenetData", "InputError", "InvalidProfile", "NotUnitSpeed", "NumericFailure",
+    "OrderUnsupported", "OutOfDomain",
     "ReducedOrder", "RegularityFailure", "ResidualTable", "SingularSystem", "SlantReport",
     "SpecFileError", "TheoremReport", "arc_length", "classify", "classify_curvatures",
     "coefficient_residuals", "curvature_table", "curve_from_coordinates", "curves", "errors",
@@ -735,3 +776,9 @@ def test_exit_code_contract_holds_for_any_spec_and_flags(spec, flags):
     rc, err = run_main(spec, flags)
     assert rc in (EXIT_OK, EXIT_VERIFY_FAILED, EXIT_INPUT_ERROR, EXIT_NUMERIC_FAILURE)
     assert err.count("\n") <= 1
+    if rc == EXIT_INPUT_ERROR:
+        assert err.startswith("error: ")
+    elif rc == EXIT_NUMERIC_FAILURE and err:
+        assert err.startswith("numeric failure: ")
+    else:  # analyze and focal may write a numeric failure into their JSON
+        assert err == "" and (rc != EXIT_NUMERIC_FAILURE or flags[0] in ("analyze", "focal"))

@@ -14,13 +14,7 @@ from focalframe.curves import (
     TrigCoordinate,
     curve_from_coordinates,
 )
-from focalframe.errors import (
-    FocalNotRegular,
-    NotGeneric,
-    NotUnitSpeed,
-    RegularityFailure,
-    SingularSystem,
-)
+from focalframe.errors import NotUnitSpeed, ReducedOrder, RegularityFailure, SingularSystem
 from focalframe.focal import FocalRelationsReport, _binomial_table, _center_rhs
 from focalframe.frenet import _alignment_signs
 from focalframe.linalg import solve_linear
@@ -90,7 +84,7 @@ def test_focal_requires_generic_curve():
         (0.0, 2 * math.pi),
     )
     assert line_like.dimension == 2
-    with pytest.raises(NotGeneric):
+    with pytest.raises(ReducedOrder):
         ff.focal_curvatures(planar, planar.grid(64))
 
 
@@ -483,10 +477,10 @@ def test_focal_not_regular_when_too_few_rows_survive(monkeypatch):
     starved_rows = np.arange(len(table)) >= 4
     starved = dataclasses.replace(table, A=np.where(starved_rows, 0.0, table.A),
                                   epsilon=np.where(starved_rows, 0, table.epsilon))
-    with pytest.raises(FocalNotRegular):
+    with pytest.raises(RegularityFailure, match="only 4 of 64 grid rows"):
         ff.focal_relations_check(unit, grid, table=starved)
     monkeypatch.setattr(ff.focal, "focal_curvatures", lambda *a, **k: starved)
-    with pytest.raises(FocalNotRegular):
+    with pytest.raises(RegularityFailure, match="only 4 of 64 grid rows"):
         ff.focal.focal_curve(unit, grid)
 
 

@@ -15,7 +15,7 @@ from focalframe.curves import (
     eval_derivatives,
     make_curve,
 )
-from focalframe.errors import DegenerateFlag, DivisionGuard, ReducedOrder
+from focalframe.errors import DivisionGuard, ReducedOrder
 from focalframe.frenet import _alignment_signs
 from focalframe.linalg import gram_schmidt_rows, solve_linear
 from focalframe.numdiff import grid_derivative
@@ -326,9 +326,9 @@ def test_curvature_table_reduced_rows_match_loop(make):
         derivs = eval_derivatives(curve, float(s), d)[1:]
         try:
             _, norms = gram_schmidt(derivs)
-        except DegenerateFlag as exc:
-            reduced[i] = exc.index
-            if exc.index > 1:
+        except ReducedOrder as exc:
+            reduced[i] = exc.order
+            if exc.order > 1:
                 speeds[i] = np.linalg.norm(derivs[0])
             continue
         kappas[i] = norms[1:] / (norms[:-1] * norms[0])
