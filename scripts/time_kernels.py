@@ -11,9 +11,10 @@ dimension), of the Newton inversion of the length table that
 ``reparam_to_arclength`` builds, for a Salkowski curve (n = 0.3), an
 ellipse arc and an off-unit helix at 96 and 256 evenly spaced arclengths,
 of three reads of the kept pass of an arclength version at 96 rows: a
-repeated ``focal_curvatures`` on the same grid, a scalar
-``osculating_center_oracle`` call at one of its rows and one at a
-parameter between two rows (a miss, which solves its own system), for one
+repeated ``focal_curvatures`` on the same grid (a lookup of the pass and
+a recomputed recursion), a scalar ``osculating_center_oracle`` call at
+one of its rows and one at a parameter between two rows (a miss, which
+solves its own system), for one
 curve of each family of the benchmark's ``arclength-focal`` workload, and
 of slicing the interior rows ``[3:-3]`` of a focal table and iterating
 that slice row by row, as the benchmark's focal checks do, for a 256-row
@@ -108,7 +109,7 @@ def main() -> int:
             us = best_us(lambda: amap.invert(s), args.repeat)
             print(f"  {name + ', ' + str(n):24s} {us:8.1f}")
 
-    print(f"kept-pass reads ({KEPT_ROWS} rows)  focal table  oracle hit  off-grid  us")
+    print(f"kept-pass reads ({KEPT_ROWS} rows)    recursion  oracle hit  off-grid  us")
     for name, build in KEPT_CURVES.items():
         unit = reparam_to_arclength(build())
         grid = unit.grid(KEPT_ROWS)

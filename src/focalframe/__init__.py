@@ -28,8 +28,8 @@ _EXPORTS = {
     "synthesis": ("CurvatureProfile", "synthesize_from_curvatures"),
     "errors": (
         "BadParameters", "ConvergenceFailure", "DivisionGuard", "FocalFrameError",
-        "InputError", "InvalidProfile", "NotUnitSpeed", "NumericFailure", "OrderUnsupported",
-        "OutOfDomain", "ReducedOrder", "RegularityFailure", "SingularSystem", "SpecFileError",
+        "InputError", "InvalidProfile", "NumericFailure", "OrderUnsupported", "OutOfDomain",
+        "ReducedOrder", "RegularityFailure", "SingularSystem", "SpecFileError",
     ),
     "focal": (
         "FocalData", "FocalRelationsReport", "focal_curvatures", "focal_curve",

@@ -34,8 +34,6 @@ _MAX_SPANS = 512
 # while a speed that switches stencils inside a span never does.
 _TAIL_RTOL = 1e-13
 _NEWTON_STEPS = 60
-_UNIT_SPEED_PROBES = 17
-_UNIT_SPEED_TOL = 1e-8
 
 _GL_NODES, _GL_WEIGHTS = leggauss(20)
 # Values at the nodes -> Legendre coefficients of their degree-19 interpolant:
@@ -266,14 +264,10 @@ def reparam_to_arclength(curve: Curve) -> Curve:
     (:func:`_derivs_through_substitution`), so the unit-speed identity holds
     to roundoff rather than to the accuracy of the inversion.
 
-    The curve keeps its arclength version: a repeat call returns the same
-    curve, with the grid pass that curve keeps, and builds no second table.
-    The version's evaluator holds the base evaluator and the table, not the
-    base curve, so keeping it makes no reference cycle.
+    Each call builds a new version with its own table; the focal analyses
+    need none, as they run in any regular parametrization. The version's
+    evaluator holds the base evaluator and the table, not the base curve.
     """
-    kept = curve._arclength_memo[0]
-    if kept is not None:
-        return kept
     amap = _length_table(curve, *curve.domain)
     base_evaluator = curve.evaluator
 
@@ -283,7 +277,7 @@ def reparam_to_arclength(curve: Curve) -> Curve:
             return base[:, :1]
         return _derivs_through_substitution(base[:, :order + 1], order)
 
-    unit = make_curve(
+    return make_curve(
         curve.dimension,
         (0.0, amap.total),
         curve.kind,
@@ -292,20 +286,4 @@ def reparam_to_arclength(curve: Curve) -> Curve:
         label=f"arclength({curve.label or curve.kind})",
         check_regularity=False,
     )
-    # One store of a complete curve: threads that miss together build equal
-    # versions, and a reader sees either none or a whole one.
-    curve._arclength_memo[0] = unit
-    return unit
 
-
-def as_unit_speed(curve: Curve) -> Curve:
-    """``curve`` itself when it already has unit speed, else its arclength
-    version, the one :func:`reparam_to_arclength` keeps.
-
-    The speed is probed in one array call at ``_UNIT_SPEED_PROBES`` evenly
-    spaced parameters, endpoints included; the curve counts as unit speed
-    when every probe is within ``_UNIT_SPEED_TOL`` of 1.
-    """
-    derivs = np.asarray(curve.evaluator(curve.grid(_UNIT_SPEED_PROBES), 1), dtype=float)
-    worst = float(np.max(np.abs(np.linalg.norm(derivs[:, 1], axis=-1) - 1.0)))
-    return curve if worst <= _UNIT_SPEED_TOL else reparam_to_arclength(curve)

@@ -9,10 +9,12 @@ Five subcommands over curve spec files (see :mod:`focalframe.specfile`):
 * ``synthesize``  integrate a curvatures spec into a samples spec
 
 ``--output`` is a path prefix: commands write ``PREFIX.csv`` and/or
-``PREFIX.json``. Outputs are deterministic: fixed summation orders and
-17-significant-digit CSV floats make identical inputs produce
-byte-identical files. Each command imports the library modules it runs
-when it runs, so that a command loads no others.
+``PREFIX.json``. The ``s`` column of the ``analyze`` and ``focal`` CSVs is
+the spec curve's own parameter, and ``focal``'s ``A`` is the focal speed
+per unit arclength of the spec curve. Outputs are deterministic: fixed
+summation orders and 17-significant-digit CSV floats make identical
+inputs produce byte-identical files. Each command imports the library
+modules it runs when it runs, so that a command loads no others.
 
 ``--tolerance`` belongs to analyze, slant and verify (in verify it is the
 tolerance of both the base and the focal verdicts), and ``--k`` to slant
@@ -142,10 +144,9 @@ def _cmd_analyze(args: argparse.Namespace, out: Path) -> int:
 
 
 def _cmd_focal(args: argparse.Namespace, out: Path) -> int:
-    from .arclength import as_unit_speed
     from .focal import focal_curvatures, focal_relations_check
 
-    curve = as_unit_speed(_load(args))
+    curve = _load(args)
     grid = curve.grid(args.grid_points)
     table = focal_curvatures(curve, grid)
     m = curve.dimension - 1

@@ -19,10 +19,8 @@ and slant analyses to reach their stated tolerances; all builtin
 generators are real-analytic.
 
 Everything here is pure and thread-safe: evaluators share no state, and
-curves never change after construction except for two private slots: in
-one the Frenet layer keeps the curve's last grid pass, in the other
-:func:`~focalframe.arclength.reparam_to_arclength` keeps the curve's
-arclength version.
+curves never change after construction except for one private slot, in
+which the Frenet layer keeps the curve's last grid pass.
 
 The public names of :mod:`focalframe.arclength` and
 :mod:`focalframe.synthesis` also resolve from this module, through a module
@@ -60,14 +58,10 @@ class Curve:
     entry point; it also takes a scalar, as the one-row case.
 
     The evaluator returns a fresh array on every call, which callers may
-    keep or mark read-only. Two private one-item lists keep what was
-    computed from the curve: ``_frenet_memo`` is where
-    :mod:`focalframe.frenet` keeps the curve's last grid pass, and
-    ``_arclength_memo`` is where
-    :func:`~focalframe.arclength.reparam_to_arclength` keeps the
-    curve's arclength version. They take no part in construction,
-    equality, hashing or ``repr``, so ``dataclasses.replace`` gives a curve
-    with empty slots.
+    keep or mark read-only. One private one-item list, ``_frenet_memo``,
+    is where :mod:`focalframe.frenet` keeps the curve's last grid pass. It
+    takes no part in construction, equality, hashing or ``repr``, so
+    ``dataclasses.replace`` gives a curve with an empty slot.
     """
 
     dimension: int
@@ -78,8 +72,6 @@ class Curve:
     label: str = ""
     _frenet_memo: list = field(default_factory=lambda: [None], init=False, repr=False,
                                compare=False)
-    _arclength_memo: list = field(default_factory=lambda: [None], init=False, repr=False,
-                                  compare=False)
 
     def point(self, t: float) -> np.ndarray:
         return eval_derivatives(self, t, 0)[0]
@@ -435,7 +427,7 @@ def sampled_curve(ts: Sequence[float], points, label: str = "sampled") -> Curve:
 
 # The public names of the arclength and synthesis modules, which resolve here too.
 _FORWARDED = {
-    **dict.fromkeys(("arc_length", "reparam_to_arclength", "as_unit_speed"), "arclength"),
+    **dict.fromkeys(("arc_length", "reparam_to_arclength"), "arclength"),
     **dict.fromkeys(("ProfileFunction", "ConstantProfile", "LinearProfile", "SinusoidProfile",
                      "SplineProfile", "CurvatureProfile", "synthesize_from_curvatures"),
                     "synthesis"),

@@ -77,9 +77,5 @@ class OrderUnsupported(NumericFailure):
     derived from it (the sampled focal curve)."""
 
 
-class NotUnitSpeed(NumericFailure):
-    """Operation requires an arclength parametrization; reparametrize first."""
-
-
 class DivisionGuard(NumericFailure):
     """A curvature mean is too close to zero to form ratios."""

@@ -17,10 +17,13 @@ curvatures, nor of the recursion), and keeps the solved rows' centers
 with the pass in one dict, where a later call at one of them is one
 lookup. Each center has the bits of a fresh one-point call.
 The focal curve and the frame-relation check both read the one
-:class:`FocalData` table that a grid's recursion produces. That table is
-kept with the Frenet pass it reads, read-only, so a repeated call on the
-same grid, such as the focal slant check after a focal table of the same
-arclength version, returns it without a second recursion.
+:class:`FocalData` table that a grid's recursion produces.
+
+Every route works in the curve's own parameter t, whatever its speed. The
+centers depend on the trace alone, and the recursion differentiates along
+arclength by d/ds = |gamma'|^-1 d/dt (Uribe-Vargas, Bull. Braz. Math. Soc.
+36, 2005), dividing each grid derivative by the speed of the curve's
+Frenet pass, so no arclength curve is built.
 """
 
 from __future__ import annotations
@@ -33,13 +36,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import Curve, eval_derivatives, sampled_curve
-from .errors import NotUnitSpeed, RegularityFailure
+from .errors import RegularityFailure
 from .frenet import RowTable, _alignment_signs, _KeptPass, _report_dict, frenet_grid
 from .linalg import solve_linear
 from .numdiff import grid_stencils
 
 VERTEX_TOL = 1e-10
-_UNIT_SPEED_TOL = 1e-6
 MIN_GRID = 64
 # Rows of a sampled focal curve left out at each end of a comparison: its
 # one-sided difference stencils there are its least accurate data.
@@ -50,17 +52,18 @@ _FLOAT64 = struct.Struct("d").pack
 
 @dataclass(frozen=True)
 class FocalData(RowTable):
-    """Focal quantities of a unit-speed generic curve over grid rows.
+    """Focal quantities of a generic curve over grid rows.
 
+    ``s`` holds the rows' values of the curve's own parameter.
     ``focal_curvatures`` are the frame coefficients of the focal point;
-    ``A`` is the focal curve's speed, ``epsilon`` the sign of its signed
-    version (0 exactly at a vertex), ``deltas`` the per-normal signs that
-    govern how the focal frame maps back onto the base frame, ``R_m`` the
-    osculating hypersphere radius. Each field has a leading row axis; one
-    row drops it. The base curve's frames and curvatures are not among the
-    fields: they are ``frenet_grid(curve, table.s)``, which looks up the
-    pass the table is kept with (a replaced pass is computed again, bit
-    for bit).
+    ``A`` is the focal curve's speed per unit arclength of the base curve,
+    ``epsilon`` the sign of its signed version (0 exactly at a vertex),
+    ``deltas`` the per-normal signs that govern how the focal frame maps
+    back onto the base frame, ``R_m`` the osculating hypersphere radius.
+    Each field has a leading row axis; one row drops it. The base curve's
+    frames and curvatures are not among the fields: they are
+    ``frenet_grid(curve, table.s)``, a lookup while the curve keeps the
+    pass the table read (else computed again, bit for bit).
     """
 
     s: np.ndarray
@@ -79,42 +82,30 @@ class FocalData(RowTable):
 def focal_curvatures(curve: Curve, grid) -> FocalData:
     """Focal curvatures, focal points and sign data over a uniform grid.
 
+    The curve may have any regular parametrization: each level's grid
+    derivative is divided by the pass's speed, which turns d/dt into d/ds.
     The recursion needs the whole grid at once because each coefficient
     differentiates the previous one along it; every level applies the one
     stencil table of the grid (:func:`grid_stencils`), so the
     weights are computed once in any dimension. Vertex rows (focal speed
     below 1e-10) are flagged via ``is_vertex``, not dropped. A curve that
     is not generic on the grid raises :class:`ReducedOrder` from its
-    Frenet pass.
-
-    The table is kept with the curve's Frenet pass it reads, so a repeated
-    call on the same grid returns the same table, and its arrays are
-    read-only like the pass's own. A table computed on a pass that another
-    thread has meanwhile replaced is returned but not kept.
+    Frenet pass. The arrays are read-only, like those of the pass.
     """
     frames = frenet_grid(curve, grid, order=curve.dimension)
-    kept = curve._frenet_memo[0]
-    if kept.table is not frames:
-        kept = None
-    elif kept.focal is not None:
-        return kept.focal
     if len(frames) < MIN_GRID:
         raise ValueError(f"focal analysis needs at least {MIN_GRID} grid points, "
                          f"got {len(frames)}")
-    worst = float(np.max(np.abs(frames.speed - 1.0)))
-    if worst > _UNIT_SPEED_TOL:
-        raise NotUnitSpeed(f"speed deviates from 1 by {worst:.3e}; "
-                           "reparametrize to arclength first")
 
-    ss, kappa = frames.s, frames.curvatures  # kappa: (N, m)
+    ss, kappa, speed = frames.s, frames.curvatures, frames.speed  # kappa: (N, m)
     m = kappa.shape[1]
     c = np.zeros((ss.size, m + 1))  # column 0 holds the implicit c_0 = 0
     c[:, 1] = 1.0 / kappa[:, 0]
     idx, w = grid_stencils(ss)
     for i in range(1, m):
-        dci = np.einsum("nw,nw->n", w, c[idx, i])
+        dci = np.einsum("nw,nw->n", w, c[idx, i]) / speed
         c[:, i + 1] = (dci + kappa[:, i - 1] * c[:, i - 1]) / kappa[:, i]
-    dcm = np.einsum("nw,nw->n", w, c[idx, m])
+    dcm = np.einsum("nw,nw->n", w, c[idx, m]) / speed
     signed_speed = dcm + kappa[:, m - 1] * c[:, m - 1]
 
     coeffs = c[:, 1:]
@@ -128,8 +119,6 @@ def focal_curvatures(curve: Curve, grid) -> FocalData:
                       R_m=np.linalg.norm(coeffs, axis=1))
     for a in (coeffs, points, table.A, eps, deltas, table.R_m):
         a.setflags(write=False)
-    if kept is not None:
-        kept.focal = table
     return table
 
 

@@ -13,10 +13,9 @@ curvatures. :func:`curvature_table` returns it as it is and
 :func:`frenet_grid` raises on its first flagged row; a single point is
 the one-row case. A curve keeps its last pass, derivative stack
 included, so public calls on the same grid and order share one table,
-the osculating-center oracle can solve every row of a full-order pass at
-once, and the pass keeps the focal table and the center table computed
-from it, so a repeated read of either is a lookup. A new pass drops
-both.
+and the osculating-center oracle can solve every row of a full-order
+pass at once and keep the center table with the pass, so a repeated
+read of it is a lookup. A new pass drops it.
 """
 
 from __future__ import annotations
@@ -142,20 +141,18 @@ class _KeptPass:
     """A curve's last grid pass: its key ``(order, grid shape, grid bytes)``,
     its table and the read-only derivative stack it evaluated.
 
-    Two slots are None until a reader of the pass fills them, each in one
-    assignment of a complete value. ``focal`` is the read-only
-    :class:`focal.FocalData` that :func:`focal.focal_curvatures` computes
-    from ``table``. ``centers`` is the center table that
-    :func:`focal.osculating_center_oracle` builds from ``derivs`` alone: a
-    dict from the float64 bits, as 8 bytes, of each grid parameter whose
-    system solves to that row's read-only center.
+    ``centers`` is None until :func:`focal.osculating_center_oracle` fills
+    it, in one assignment of a complete value, with the center table it
+    builds from ``derivs`` alone: a dict from the float64 bits, as 8 bytes,
+    of each grid parameter whose system solves to that row's read-only
+    center.
     """
 
-    __slots__ = ("key", "table", "derivs", "focal", "centers")
+    __slots__ = ("key", "table", "derivs", "centers")
 
     def __init__(self, key: tuple, table: FrenetData, derivs: np.ndarray):
         self.key, self.table, self.derivs = key, table, derivs
-        self.focal = self.centers = None
+        self.centers = None
 
 
 def _frenet_pass(curve: Curve, grid, order: int | None) -> FrenetData:
@@ -166,7 +163,7 @@ def _frenet_pass(curve: Curve, grid, order: int | None) -> FrenetData:
     ``-0.0`` and ``0.0`` differ) returns it instead of evaluating again, and
     the osculating-center oracle builds its center table from its stack.
     Every array of a pass is read-only, because every later caller shares
-    it. A new pass starts with no focal table and no center table.
+    it. A new pass starts with no center table.
     """
     d = curve.dimension if order is None else _as_int(order, "order")
     if not 2 <= d <= curve.dimension:

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arclength import as_unit_speed
 from .curves import Curve
 from .frenet import _as_int, _check_tol, _report_dict, frenet_grid
 from .focal import END_TRIM, _sampled_focal_curve, focal_curvatures
@@ -248,16 +247,15 @@ def verify_focal_slants(curve: Curve, ks, grid=None,
     """For each k in ``ks``, check that a k-slant curve has an (m-k+2)-slant focal curve.
 
     The base verdicts run on one Frenet pass over the curve as given. When
-    any is slant, the focal curve is built once, from the arclength version
-    of the curve (a unit-speed curve is its own, and its focal table reads
-    the base pass that the curve keeps), and its verdicts run on an
-    interior sub-grid (``END_TRIM`` points trimmed per end) that keeps
-    one-sided stencil noise out of the cone statistics. Axis agreement is
-    the angle between the two axes modulo sign. ``tol``, when given, is the
-    tolerance of both the base and the focal verdicts and must be positive
-    and finite; when None, each side takes its kind's default from
-    :func:`default_slant_tol`, so the sampled focal curve reads
-    ``SAMPLED_TOL``. Above E5 a slant base verdict raises
+    any is slant, the focal curve is built once, from the focal table of
+    the curve as given on the same grid, which reads that same pass, and
+    its verdicts run on an interior sub-grid (``END_TRIM`` points trimmed
+    per end) that keeps one-sided stencil noise out of the cone
+    statistics. Axis agreement is the angle between the two axes modulo
+    sign. ``tol``, when given, is the tolerance of both the base and the
+    focal verdicts and must be positive and finite; when None, each side
+    takes its kind's default from :func:`default_slant_tol`, so the
+    sampled focal curve reads ``SAMPLED_TOL``. Above E5 a slant base verdict raises
     :class:`OrderUnsupported`: the sampled focal curve has no derivatives
     past order 5, and its verdicts need order m + 1.
     """
@@ -269,9 +267,7 @@ def verify_focal_slants(curve: Curve, ks, grid=None,
     bases = slant_reports(curve, ks, grid, tol)
     mirrored = [kp for kp, base in zip(k_primes, bases) if base.is_slant]
     if mirrored:
-        unit = as_unit_speed(curve)
-        table = focal_curvatures(unit, grid if unit is curve else unit.grid(grid.size))
-        mirror = _sampled_focal_curve(unit, table)
+        mirror = _sampled_focal_curve(curve, focal_curvatures(curve, grid))
         inner = mirror.grid(grid.size)[END_TRIM:-END_TRIM]
         focal_reports = iter(slant_reports(mirror, mirrored, inner, tol))
 

@@ -304,17 +304,16 @@ def test_focal_circle_is_numeric_failure(tmp_path):
     ("slant", {"type": "wcurve", "dim": 5,
                "params": {"radii": [1.0, 1.0], "frequencies": [1.0, 2.0], "pitch": 1.0}}, 1),
     ("verify", {"type": "wcurve", "dim": 5,
-                "params": {"radii": [1.0, 1.0], "frequencies": [1.0, 2.0], "pitch": 1.0}}, 3),
+                "params": {"radii": [1.0, 1.0], "frequencies": [1.0, 2.0], "pitch": 1.0}}, 2),
     ("verify", EXAMPLE_SPECS["constant_curvatures.json"], 2),
 ])
 def test_each_command_runs_one_frenet_pass_per_curve(tmp_path, monkeypatch, command, spec,
                                                       passes):
     # focal: the curve and its focal curve; slant: the curve, for every k;
-    # verify (k = 1, 3, 5 are slant): the curve, its arclength version and
-    # the focal curve, shared by every k; verify on a unit-speed curve: the
-    # curve, whose one pass also feeds the focal recursion, and the focal curve.
-    # A pass is a Frenet-layer oracle call; a call the curve's kept pass
-    # answers makes none.
+    # verify (k = 1, 3, 5 are slant on the W-curve, which is not unit speed):
+    # the curve, whose one pass also feeds the focal recursion, and the focal
+    # curve, shared by every k. A pass is a Frenet-layer oracle call; a call
+    # the curve's kept pass answers makes none.
     import focalframe.frenet
 
     calls = []
@@ -339,20 +338,18 @@ _SYNTH = "synthesized(m=2)"
     ("analyze", "circle", {("circle(r=2.0)", 256): 1}),
     ("slant", "wcurve5",
      {("wcurve(radii=[1.0, 1.0],freqs=[1.0, 2.0],pitch=1.0)", 256): 1}),
-    ("focal", "helix",
-     {(f"arclength({_HELIX})", 256): 1, (f"focal(arclength({_HELIX}))", 256): 1}),
-    ("verify", "helix", {(_HELIX, 256): 1, (f"arclength({_HELIX})", 256): 1,
-                         (f"focal(arclength({_HELIX}))", 250): 1}),
+    ("focal", "helix", {(_HELIX, 256): 1, (f"focal({_HELIX})", 256): 1}),
+    ("verify", "helix", {(_HELIX, 256): 1, (f"focal({_HELIX})", 250): 1}),
     ("verify", "constant_curvatures", {(_SYNTH, 256): 1, (f"focal({_SYNTH})", 250): 1}),
     ("synthesize", "varying_curvatures", {(_SYNTH, 256): 1}),
 ], ids=["analyze-circle", "slant-wcurve5", "focal-helix", "verify-helix",
         "verify-constant_curvatures", "synthesize-varying_curvatures"])
 def test_each_command_makes_one_oracle_call_per_curve_and_grid(tmp_path, monkeypatch, command,
                                                                 name, calls):
-    # Every checked oracle call, keyed by (curve label, number of points). Unit-speed
-    # probes and arclength tables call curve.evaluator directly and are not counted.
-    # Modules load on first use, and one loaded after the patch would bind the
-    # real function: load them all first.
+    # Every checked oracle call, keyed by (curve label, number of points). Regularity
+    # probes call curve.evaluator directly and are not counted. Modules load on first
+    # use, and one loaded after the patch would bind the real function: load them all
+    # first.
     for info in pkgutil.iter_modules(focalframe.__path__, "focalframe."):
         if info.name != "focalframe.__main__":
             importlib.import_module(info.name)
@@ -577,9 +574,12 @@ def test_package_import_loads_no_submodule_and_not_numpy():
     ("synthesize", "varying_curvatures", ("focalframe.frenet", "focalframe.focal",
                                           "focalframe.slant", "focalframe.arclength",
                                           "numpy.polynomial")),
-    ("focal", "helix", ("focalframe.synthesis",)),
-    ("slant", "wcurve5", ("focalframe.synthesis",)),
-    ("verify", "salkowski", ("focalframe.synthesis",)),
+    ("focal", "helix", ("focalframe.synthesis", "focalframe.arclength", "focalframe.series",
+                        "numpy.polynomial")),
+    ("slant", "wcurve5", ("focalframe.synthesis", "focalframe.arclength", "focalframe.series",
+                          "numpy.polynomial")),
+    ("verify", "salkowski", ("focalframe.synthesis", "focalframe.arclength",
+                             "focalframe.series", "numpy.polynomial")),
 ])
 def test_each_command_loads_only_the_modules_it_runs(tmp_path, command, name, absent):
     path = write_spec(tmp_path, "spec.json", EXAMPLE_SPECS[f"{name}.json"])
@@ -595,8 +595,8 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path, command, name, ab
 _PACKAGE_NAMES = (
     "AxisFit", "BadParameters", "Classification", "ConvergenceFailure", "CurvatureProfile",
     "Curve", "DivisionGuard", "FocalData", "FocalFrameError", "FocalRelationsReport",
-    "FrenetData", "InputError", "InvalidProfile", "NotUnitSpeed", "NumericFailure",
-    "OrderUnsupported", "OutOfDomain",
+    "FrenetData", "InputError", "InvalidProfile", "NumericFailure", "OrderUnsupported",
+    "OutOfDomain",
     "ReducedOrder", "RegularityFailure", "ResidualTable", "SingularSystem", "SlantReport",
     "SpecFileError", "TheoremReport", "arc_length", "classify", "classify_curvatures",
     "coefficient_residuals", "curvature_table", "curve_from_coordinates", "curves", "errors",
@@ -611,8 +611,8 @@ _PACKAGE_NAMES = (
 _CURVES_NAMES = (
     "Curve", "eval_derivatives", "make_curve", "TrigCoordinate", "curve_from_coordinates",
     "make_circle", "make_ellipse", "make_helix", "make_wcurve", "make_salkowski",
-    "random_trig_curve", "arc_length", "reparam_to_arclength", "as_unit_speed",
-    "sampled_curve", "ProfileFunction", "ConstantProfile", "LinearProfile", "SinusoidProfile",
+    "random_trig_curve", "arc_length", "reparam_to_arclength", "sampled_curve",
+    "ProfileFunction", "ConstantProfile", "LinearProfile", "SinusoidProfile",
     "SplineProfile", "CurvatureProfile", "synthesize_from_curvatures",
 )
 

@@ -7,14 +7,13 @@ import pytest
 
 import focalframe as ff
 from focalframe import focal, numdiff
-from focalframe.arclength import as_unit_speed
 from focalframe.curves import (
     CurvatureProfile,
     ProfileFunction,
     TrigCoordinate,
     curve_from_coordinates,
 )
-from focalframe.errors import NotUnitSpeed, ReducedOrder, RegularityFailure, SingularSystem
+from focalframe.errors import ReducedOrder, RegularityFailure, SingularSystem
 from focalframe.focal import FocalRelationsReport, _binomial_table, _center_rhs
 from focalframe.frenet import _alignment_signs
 from focalframe.linalg import solve_linear
@@ -23,7 +22,6 @@ from reference_kernels import (
     center_rhs,
     counting_curve,
     counting_svd,
-    run_in_threads,
     wcurve_focal_coefficients,
 )
 
@@ -66,11 +64,6 @@ def test_helix_focal_points_on_coaxial_helix(helix_focal_table):
             [-0.5 * math.cos(s / SQRT5), -0.5 * math.sin(s / SQRT5), s / SQRT5]
         )
         np.testing.assert_allclose(fd.focal_point, expected, atol=1e-8)
-
-
-def test_focal_requires_unit_speed(helix):
-    with pytest.raises(NotUnitSpeed):
-        ff.focal_curvatures(helix, helix.grid(64))
 
 
 def test_focal_requires_generic_curve():
@@ -178,14 +171,13 @@ def test_wcurve_center_tables_need_no_svd(monkeypatch, dim):
 
 
 def _exact_wcurve_centers(dim):
-    """A unit-speed W-curve in E^dim on 256 rows (radii 1/(j+1), frequencies
-    1 + j/2, pitch 0.7 in odd dimensions, domain (0, 3) before the
-    reparametrization), its grid, and its focal points from the
-    derivative-free recursion on its Frenet pass."""
+    """A W-curve in E^dim on 256 rows (radii 1/(j+1), frequencies 1 + j/2,
+    pitch 0.7 in odd dimensions, domain (0, 3)), its grid, and its focal
+    points from the derivative-free recursion on its Frenet pass."""
     blocks = dim // 2
-    curve = as_unit_speed(ff.make_wcurve(
+    curve = ff.make_wcurve(
         [1.0 / (j + 1) for j in range(blocks)], [1.0 + 0.5 * j for j in range(blocks)],
-        pitch=0.7 if dim % 2 else 0.0, domain=(0.0, 3.0)))
+        pitch=0.7 if dim % 2 else 0.0, domain=(0.0, 3.0))
     grid = curve.grid(256)
     frames = ff.frenet_grid(curve, grid, order=dim)
     coeffs = wcurve_focal_coefficients(frames.curvatures)
@@ -220,22 +212,23 @@ def test_focal_recursion_matches_exact_wcurve_centers(dim):
 
 def _focal_by_levels(frames):
     """The focal coefficients and signed focal speed of a Frenet table, one
-    ``grid_derivative`` call per level: the recursion before its levels
-    shared one stencil table."""
-    ss, kappa = frames.s, frames.curvatures
+    ``grid_derivative`` call per level, each divided by the speed: the
+    recursion before its levels shared one stencil table."""
+    ss, kappa, speed = frames.s, frames.curvatures, frames.speed
     m = kappa.shape[1]
     c = np.zeros((ss.size, m + 1))
     c[:, 1] = 1.0 / kappa[:, 0]
     for i in range(1, m):
-        c[:, i + 1] = (grid_derivative(c[:, i], ss) + kappa[:, i - 1] * c[:, i - 1]) / kappa[:, i]
-    dcm = grid_derivative(c[:, m], ss)
+        dci = grid_derivative(c[:, i], ss) / speed
+        c[:, i + 1] = (dci + kappa[:, i - 1] * c[:, i - 1]) / kappa[:, i]
+    dcm = grid_derivative(c[:, m], ss) / speed
     return c[:, 1:], dcm + kappa[:, m - 1] * c[:, m - 1] if m >= 2 else dcm
 
 
 @pytest.mark.parametrize("dim", range(2, 9))
 def test_focal_table_builds_one_stencil_table(monkeypatch, dim):
-    base = ff.make_ellipse(2.0, 1.2) if dim == 2 else ff.random_trig_curve(dim, 0)
-    unit = ff.reparam_to_arclength(base)
+    # on the curve as given, which is not unit speed
+    curve = ff.make_ellipse(2.0, 1.2) if dim == 2 else ff.random_trig_curve(dim, 0)
     weight_calls = []
     fd_weights = numdiff.fd_weights
 
@@ -244,12 +237,34 @@ def test_focal_table_builds_one_stencil_table(monkeypatch, dim):
         return fd_weights(*args)
 
     monkeypatch.setattr(numdiff, "fd_weights", counting_weights)
-    table = ff.focal_curvatures(unit, unit.grid(96))
+    table = ff.focal_curvatures(curve, curve.grid(96))
     assert weight_calls == [(96, 5)]
     monkeypatch.undo()
-    coeffs, signed_speed = _focal_by_levels(ff.frenet_grid(unit, table.s))
+    coeffs, signed_speed = _focal_by_levels(ff.frenet_grid(curve, table.s))
     np.testing.assert_array_equal(table.focal_curvatures, coeffs)
     np.testing.assert_array_equal(table.A, np.abs(signed_speed))
+
+
+def test_verify_builds_one_stencil_table_on_its_grid(monkeypatch, salkowski):
+    # the focal table of the verification reads the base verdicts' grid and
+    # pass, and the relations check reads that pass again
+    curve, calls = counting_curve(salkowski)
+    grids = []
+    grid_stencils = focal.grid_stencils
+
+    def counting_stencils(ss):
+        grids.append(ss)
+        return grid_stencils(ss)
+
+    monkeypatch.setattr(focal, "grid_stencils", counting_stencils)
+    grid = curve.grid(96)
+    assert ff.verify_focal_slant(curve, 2, grid).passed
+    assert len(grids) == 1
+    np.testing.assert_array_equal(grids[0], grid)
+    assert calls == [(96, 3)]
+    calls.clear()
+    ff.focal_relations_check(curve, grid, table=ff.focal_curvatures(curve, grid))
+    assert calls == []
 
 
 FOCAL_FIELDS = ("s", "focal_curvatures", "focal_point", "A", "epsilon", "deltas", "R_m")
@@ -260,27 +275,16 @@ def _assert_tables_equal(got, want):
         np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
 
 
-def test_repeated_focal_table_is_the_kept_one(unit_salkowski):
-    unit = dataclasses.replace(unit_salkowski)
-    grid = unit.grid(96)
-    table = ff.focal_curvatures(unit, grid)
-    assert ff.focal_curvatures(unit, grid) is table
-    assert ff.focal_curvatures(unit, grid.copy()) is table
-    # the table holds focal columns only; its base frames are the kept pass
-    assert FOCAL_FIELDS == tuple(f.name for f in dataclasses.fields(table))
-    assert ff.frenet_grid(unit, table.s) is unit._frenet_memo[0].table
-    # shared with every later caller, so read-only like the pass's own arrays
-    for name in FOCAL_FIELDS:
-        with pytest.raises(ValueError, match="read-only"):
-            getattr(table, name)[0] = 0
-    _assert_tables_equal(table, ff.focal_curvatures(dataclasses.replace(unit), grid))
-
-
 @pytest.mark.parametrize("between", ["grid", "order"])
 def test_a_pass_in_between_rebuilds_the_focal_table(unit_salkowski, between):
     unit = dataclasses.replace(unit_salkowski)
     grid = unit.grid(96)
     table = ff.focal_curvatures(unit, grid)
+    # focal columns only, read-only like the arrays of the pass they read
+    assert FOCAL_FIELDS == tuple(f.name for f in dataclasses.fields(table))
+    for name in FOCAL_FIELDS:
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(table, name)[0] = 0
     if between == "grid":
         ff.curvature_table(unit, unit.grid(97))
     else:
@@ -288,70 +292,6 @@ def test_a_pass_in_between_rebuilds_the_focal_table(unit_salkowski, between):
     again = ff.focal_curvatures(unit, grid)
     assert again is not table
     _assert_tables_equal(again, table)
-
-
-def test_verify_reads_the_kept_focal_table(monkeypatch, salkowski):
-    curve, calls = counting_curve(salkowski)
-    stencil_calls = []
-    grid_stencils = focal.grid_stencils
-
-    def counting_stencils(ss):
-        stencil_calls.append(ss.size)
-        return grid_stencils(ss)
-
-    monkeypatch.setattr(focal, "grid_stencils", counting_stencils)
-    unit = ff.reparam_to_arclength(curve)
-    grid = unit.grid(96)
-    table = ff.focal_curvatures(unit, grid)
-    assert ff.verify_focal_slant(curve, 2, curve.grid(96)).passed
-    assert stencil_calls == [96]
-    # the relations check reads its base frames from the same kept pass
-    calls.clear()
-    ff.focal_relations_check(unit, grid, table=table)
-    assert calls == [] and stencil_calls == [96]
-
-
-def test_a_focal_table_of_a_replaced_pass_is_not_kept(monkeypatch, unit_helix):
-    # another caller replaces the pass while the recursion runs: the table
-    # is still its own grid's, and the new pass does not get it
-    unit = dataclasses.replace(unit_helix)
-    grid, other = unit.grid(96), unit.grid(97)
-    grid_stencils = focal.grid_stencils
-
-    def replacing_stencils(ss):
-        monkeypatch.setattr(focal, "grid_stencils", grid_stencils)
-        ff.curvature_table(unit, other)
-        return grid_stencils(ss)
-
-    monkeypatch.setattr(focal, "grid_stencils", replacing_stencils)
-    table = ff.focal_curvatures(unit, grid)
-    fresh = dataclasses.replace(unit)
-    _assert_tables_equal(table, ff.focal_curvatures(fresh, grid))
-    _assert_tables_equal(ff.focal_curvatures(unit, other), ff.focal_curvatures(fresh, other))
-
-
-def test_kept_focal_table_under_threads(unit_helix):
-    # threads that share one curve overwrite its kept pass with other
-    # grids; a focal table must still be the one of its own grid
-    unit = dataclasses.replace(unit_helix)
-    grids = [unit.grid(64 + i) for i in range(4)]
-    want = [ff.focal_curvatures(dataclasses.replace(unit), g) for g in grids]
-    errors = []
-
-    def work(i):
-        try:
-            for j in range(100):
-                k = (i + j) % len(grids)
-                for _ in range(2):
-                    got = ff.focal_curvatures(unit, grids[k])
-                    if not (np.array_equal(got.s, want[k].s)
-                            and np.array_equal(got.focal_point, want[k].focal_point)):
-                        errors.append(k)
-        except Exception as exc:  # reported through ``errors``
-            errors.append(exc)
-
-    run_in_threads(work)
-    assert errors == []
 
 
 def _inflection():

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import focalframe as ff
-from focalframe.arclength import as_unit_speed
 from focalframe.focal import END_TRIM
 from focalframe.slant import ANALYTIC_TOL, AXIS_ANGLE_TOL, SAMPLED_TOL, theorem_target_index
 from focalframe.specfile import build_curve, parse_curve_spec
@@ -365,8 +364,7 @@ def _slant_sets(curve):
     curve on the interior rows that the focal verification reads."""
     ks = range(1, curve.dimension + 1)
     base = {r.k for r in ff.slant_reports(curve, ks, curve.grid(256)) if r.is_slant}
-    unit = as_unit_speed(curve)
-    mirror = ff.focal_curve(unit, unit.grid(256))
+    mirror = ff.focal_curve(curve, curve.grid(256))
     inner = mirror.grid(256)[END_TRIM:-END_TRIM]
     focal = {r.k for r in ff.slant_reports(mirror, ks, inner, SAMPLED_TOL) if r.is_slant}
     return base, focal
